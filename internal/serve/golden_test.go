@@ -2,38 +2,29 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the predict golden from live output")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the wire goldens from live output")
 
-// TestPredictGoldenResponse pins the /v1/predict wire format
-// byte-for-byte (ops=2000, starts=2, seed=1), in the style of the fig2
-// golden: field names, field order, indentation, float formatting and
-// the numbers themselves must not drift silently. Regenerate with
+// checkGolden compares body byte-for-byte against testdata/name, or
+// rewrites the file under -update-golden. Regenerate with
 //
-//	go test ./internal/serve -run TestPredictGoldenResponse -update-golden
+//	go test ./internal/serve -run Golden -update-golden
 //
 // only for an intentional wire-format or simulator/model change.
-func TestPredictGoldenResponse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end fit is slow")
-	}
-	ts, _ := newTestServer(t, experiments.Options{})
-	code, body := postJSON(t, ts.URL+"/v1/predict",
-		`{"machine": {"name": "core2"}, "suite": "cpu2000", "workload": "mcf"}`)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-
-	path := filepath.Join("testdata", "predict_core2_cpu2000_ops2000.golden")
+func checkGolden(t *testing.T, name string, body []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -49,18 +40,38 @@ func TestPredictGoldenResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want) {
-		t.Errorf("/v1/predict response drifted from golden (%d vs %d bytes):\n%s", len(body), len(want), body)
+		t.Errorf("%s drifted from golden (%d vs %d bytes):\n%s", name, len(body), len(want), body)
 	}
+}
+
+// postGolden POSTs body to path on a fresh test server (ops=2000,
+// starts=2, seed=1) and pins the 200 response against the named golden.
+func postGolden(t *testing.T, path, body, golden string) {
+	t.Helper()
+	ts, _ := newTestServer(t, experiments.Options{})
+	code, resp := postJSON(t, ts.URL+path, body)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, resp)
+	}
+	checkGolden(t, golden, resp)
+}
+
+// TestPredictGoldenResponse pins the /v1/predict wire format
+// byte-for-byte, in the style of the fig2 golden: field names, field
+// order, indentation, float formatting and the numbers themselves must
+// not drift silently.
+func TestPredictGoldenResponse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end fit is slow")
+	}
+	postGolden(t, "/v1/predict", `{"machine": {"name": "core2"}, "suite": "cpu2000", "workload": "mcf"}`,
+		"predict_core2_cpu2000_ops2000.golden")
 }
 
 // TestSuitesGoldenResponse pins the GET /v1/suites wire format — the
 // suite roster, each suite's source classification ("builtin" vs
-// "file"), and the workload lists. Regenerate with
-//
-//	go test ./internal/serve -run TestSuitesGoldenResponse -update-golden
-//
-// only for an intentional roster or wire-format change (e.g. a new
-// registered suite family).
+// "file"), and the workload lists. Regenerate only for an intentional
+// roster or wire-format change (e.g. a new registered suite family).
 func TestSuitesGoldenResponse(t *testing.T) {
 	ts, _ := newTestServer(t, experiments.Options{})
 	resp, err := http.Get(ts.URL + "/v1/suites")
@@ -75,61 +86,88 @@ func TestSuitesGoldenResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	path := filepath.Join("testdata", "suites_ops2000.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden rewritten: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want) {
-		t.Errorf("/v1/suites response drifted from golden (%d vs %d bytes):\n%s", len(body), len(want), body)
-	}
+	checkGolden(t, "suites_ops2000.golden", body)
 }
 
 // TestOptimizeGoldenResponse pins the /v1/optimize wire format the same
-// way: a one-axis min-CPI descent over core2's dispatch width on cpu2000
-// (ops=2000, starts=2, seed=1). Regenerate with
-//
-//	go test ./internal/serve -run TestOptimizeGoldenResponse -update-golden
-//
-// only for an intentional wire-format or simulator/model change.
+// way: a one-axis min-CPI descent over core2's dispatch width on cpu2000.
 func TestOptimizeGoldenResponse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end optimize is slow")
 	}
-	ts, _ := newTestServer(t, experiments.Options{})
-	code, body := postJSON(t, ts.URL+"/v1/optimize",
-		`{"base": {"name": "core2"}, "axes": [{"param": "width", "values": [2, 4]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
+	postGolden(t, "/v1/optimize", goldenOptimize, "optimize_core2_cpu2000_ops2000.golden")
+}
 
-	path := filepath.Join("testdata", "optimize_core2_cpu2000_ops2000.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden rewritten: %s", path)
-		return
+// TestSweepGoldenResponse pins the /v1/sweep wire format.
+func TestSweepGoldenResponse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end sweep is slow")
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	postGolden(t, "/v1/sweep", goldenSweep, "sweep_core2_cpu2000_ops2000.golden")
+}
+
+// TestPlanGoldenResponse pins the /v1/plan wire format.
+func TestPlanGoldenResponse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end plan is slow")
 	}
-	if !bytes.Equal(body, want) {
-		t.Errorf("/v1/optimize response drifted from golden (%d vs %d bytes):\n%s", len(body), len(want), body)
+	postGolden(t, "/v1/plan", goldenPlan, "plan_core2_cpu2000_ops2000.golden")
+}
+
+// TestSeedsGoldenResponse pins the /v1/seeds wire format.
+func TestSeedsGoldenResponse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end seeds are slow")
+	}
+	postGolden(t, "/v1/seeds", goldenSeeds, "seeds_core2_cpu2000_ops2000.golden")
+}
+
+// The request bodies the synchronous goldens and the job goldens share.
+const (
+	goldenSweep    = `{"base": {"name": "core2"}, "param": "rob", "values": [48, 96], "suite": "cpu2000"}`
+	goldenPlan     = `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96]}, {"param": "mshrs", "values": [4, 8]}], "suite": "cpu2000"}`
+	goldenOptimize = `{"base": {"name": "core2"}, "axes": [{"param": "width", "values": [2, 4]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`
+	goldenSeeds    = `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 2}`
+)
+
+// TestJobResultGoldens pins the result of one job of every kind,
+// submitted over POST /v1/jobs and polled to done. The result is
+// re-indented the way the synchronous endpoints indent their bodies.
+func TestJobResultGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end jobs are slow")
+	}
+	ts, _ := newTestServer(t, experiments.Options{})
+	for _, tc := range []struct{ kind, payload string }{
+		{"campaign", `{"machines": [{"name": "core2"}], "suites": ["cpu2000"]}`},
+		{"sweep", goldenSweep},
+		{"plan", goldenPlan},
+		{"optimize", goldenOptimize},
+		{"seeds", goldenSeeds},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			code, body := postJSON(t, ts.URL+"/v1/jobs",
+				`{"kind": "`+tc.kind+`", "`+tc.kind+`": `+tc.payload+`}`)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: status %d: %s", code, body)
+			}
+			var st experiments.JobStatus
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			final := pollJob(t, ts.URL, st.ID, 60*time.Second)
+			if final.State != experiments.JobDone {
+				t.Fatalf("job finished %s (error %q)", final.State, final.Error)
+			}
+			var compact, indented bytes.Buffer
+			if err := json.Compact(&compact, final.Result); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Indent(&indented, compact.Bytes(), "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			indented.WriteByte('\n')
+			checkGolden(t, "job_"+tc.kind+"_core2_cpu2000_ops2000.golden", indented.Bytes())
+		})
 	}
 }
