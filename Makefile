@@ -311,6 +311,8 @@ trace-smoke:
 fuzz-smoke:
 	@echo "Fuzzing campaign parsing for 20s..."
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime 20s
+	@echo "Fuzzing job-spec decoding and validation for 20s..."
+	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon

@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -243,9 +244,10 @@ func BenchmarkFig6DeltaStacks(b *testing.B) {
 }
 
 // --- Extension: one-axis parameter sweep (the scenario engine's
-// model-extrapolation experiment). Shares the run store with the main
-// campaign, so reruns are warm. Reports how far the base-fitted model
-// drifts from the simulator at the extreme swept points. ---
+// model-extrapolation experiment), run as the one-axis plan it is.
+// Shares the run store with the main campaign, so reruns are warm.
+// Reports how far the base-fitted model drifts from the simulator at
+// the extreme swept points. ---
 
 func BenchmarkSweepROBExtrapolation(b *testing.B) {
 	store, err := benchStore()
@@ -253,9 +255,14 @@ func BenchmarkSweepROBExtrapolation(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := experiments.Options{NumOps: benchOps(), FitStarts: 6, Store: store}
+	plan, err := experiments.NewPlan(uarch.CoreTwo(),
+		[]experiments.PlanAxis{{Param: "rob", Values: []int{48, 96, 192}}}, "cpu2000")
+	if err != nil {
+		b.Fatal(err)
+	}
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSweep(uarch.CoreTwo(), "rob", []int{48, 96, 192}, "cpu2000", opts)
+		res, err := experiments.RunPlan(plan, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,7 +496,7 @@ func BenchmarkSeedsParallel(b *testing.B) {
 	opts := experiments.Options{NumOps: 10000, FitStarts: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSeeds(s, opts)
+		res, err := experiments.RunSeeds(context.Background(), s, opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

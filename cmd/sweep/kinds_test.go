@@ -1,0 +1,192 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/serve"
+)
+
+// TestEveryKindOnEverySurface walks the experiment-kind table across
+// every surface: each kind is accepted by the job engine, each kind
+// with a synchronous endpoint is mounted in GET /v1 and counted in
+// /v1/stats, each kind cmd/sweep has a mode for prints through realMain
+// with -json the report its endpoint answers, and every kind/payload
+// mismatch is rejected.
+func TestEveryKindOnEverySurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one experiment of every kind")
+	}
+	payloads := map[string]string{
+		experiments.JobKindCampaign: `{"machines": [{"name": "core2"}], "suites": ["cpu2000"]}`,
+		experiments.JobKindSweep:    `{"base": {"name": "core2"}, "param": "rob", "values": [48], "suite": "cpu2000"}`,
+		experiments.JobKindPlan:     `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48]}, {"param": "mshrs", "values": [4]}], "suite": "cpu2000"}`,
+		experiments.JobKindOptimize: `{"base": {"name": "core2"}, "axes": [{"param": "width", "values": [2, 4]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`,
+		experiments.JobKindSeeds:    `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 1}`,
+	}
+	// cmd/sweep's mode per kind, given the payload written to a file;
+	// campaigns are cmd/experiments' and have none.
+	dir := t.TempDir()
+	cli := map[string]func(file string) (string, error){
+		experiments.JobKindSweep: func(string) (string, error) {
+			return runJSON([]string{"rob"}, []string{"48"}, "", "", "")
+		},
+		experiments.JobKindPlan:     func(file string) (string, error) { return runJSON(nil, nil, file, "", "") },
+		experiments.JobKindOptimize: func(file string) (string, error) { return runJSON(nil, nil, "", file, "") },
+		experiments.JobKindSeeds:    func(file string) (string, error) { return runJSON(nil, nil, "", "", file) },
+	}
+	// spec tags a job spec with kind and fills in the payloads of kinds.
+	spec := func(t *testing.T, kind string, kinds ...experiments.Kind) experiments.JobSpec {
+		t.Helper()
+		js := experiments.JobSpec{Kind: kind}
+		for _, k := range kinds {
+			if err := json.Unmarshal([]byte(payloads[k.Name]), k.Payload(&js)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return js
+	}
+
+	opts := experiments.Options{NumOps: cliOps, FitStarts: 2}
+	jobs := experiments.NewJobs(opts, experiments.JobsConfig{})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		jobs.Drain(ctx)
+	})
+	ts := httptest.NewServer(serve.New(experiments.NewProvider(opts), jobs).Handler())
+	defer ts.Close()
+	var disc serve.DiscoveryResponse
+	getJSON(t, ts.URL+"/v1", &disc)
+
+	for _, k := range experiments.Kinds() {
+		t.Run(k.Name, func(t *testing.T) {
+			if _, ok := payloads[k.Name]; !ok {
+				t.Fatalf("no test payload for kind %q; extend the table", k.Name)
+			}
+
+			// The job engine accepts the kind; the goldens pin what its jobs
+			// compute, so the job is cancelled straight away.
+			st, err := jobs.Submit(spec(t, k.Name, k))
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			jobs.Cancel(st.ID)
+
+			// Every mismatch fails: a foreign payload alone, and one beside
+			// the kind's own.
+			for _, other := range experiments.Kinds() {
+				if other.Name == k.Name {
+					continue
+				}
+				if _, err := jobs.Submit(spec(t, k.Name, other)); err == nil ||
+					!strings.Contains(err.Error(), "without a "+k.Name+" payload") {
+					t.Errorf("%s job with only a %s payload: %v", k.Name, other.Name, err)
+				}
+				if _, err := jobs.Submit(spec(t, k.Name, k, other)); err == nil ||
+					!strings.Contains(err.Error(), "with a "+other.Name+" payload") {
+					t.Errorf("%s job with a %s payload too: %v", k.Name, other.Name, err)
+				}
+			}
+
+			endpoint := serve.EndpointInfo{Method: "POST", Path: "/v1/" + k.Name, Doc: k.Doc}
+			if mounted := slices.Contains(disc.Endpoints, endpoint); mounted != (k.Doc != "") {
+				t.Errorf("GET /v1 lists %+v: %v, want %v", endpoint, mounted, k.Doc != "")
+			}
+			var resp []byte
+			if k.Doc != "" {
+				code, body := post(t, ts.URL+endpoint.Path, payloads[k.Name])
+				if code != http.StatusOK {
+					t.Fatalf("POST %s: status %d: %s", endpoint.Path, code, body)
+				}
+				resp = body
+				var stats serve.StatsResponse
+				getJSON(t, ts.URL+"/v1/stats", &stats)
+				if n, ok := stats.Requests[k.Name]; !ok || n != 1 {
+					t.Errorf("/v1/stats requests[%q] = %d (present %v), want 1", k.Name, n, ok)
+				}
+			}
+
+			run, ok := cli[k.Name]
+			if !ok {
+				if k.Name != experiments.JobKindCampaign {
+					t.Fatalf("no cmd/sweep mode for kind %q; extend the table", k.Name)
+				}
+				return
+			}
+			file := filepath.Join(dir, k.Name+".json")
+			if err := os.WriteFile(file, []byte(payloads[k.Name]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, err := run(file)
+			if err != nil {
+				t.Fatalf("realMain -json: %v", err)
+			}
+			if got, want := keys(t, []byte(out)), keys(t, resp); !slices.Equal(got, want) {
+				t.Errorf("-json report fields %v, want the POST %s fields %v", got, endpoint.Path, want)
+			}
+		})
+	}
+}
+
+// cliOps keeps realMain runs fast.
+const cliOps = 2000
+
+// runJSON runs realMain with -json on core2 and cpu2000.
+func runJSON(params, values []string, planFile, optimizeFile, seedsFile string) (string, error) {
+	var out bytes.Buffer
+	err := realMain(&out, "core2", params, values, "cpu2000", cliOps, 2, 0, 0, "", planFile, optimizeFile, seedsFile, true)
+	return out.String(), err
+}
+
+// keys returns a JSON object's top-level field names, sorted.
+func keys(t *testing.T, data []byte) []string {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(data, &obj); err != nil {
+		t.Fatalf("not a JSON object: %v\n%s", err, data)
+	}
+	var out []string
+	for k := range obj {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func post(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}

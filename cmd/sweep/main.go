@@ -20,8 +20,7 @@
 // fits the model once at the base point and lets coordinate descent or
 // successive halving probe only the cells the search needs, printing
 // the best point (or Pareto frontier) with per-component CPI stacks and
-// the probe count. -json emits the wire-format report instead of the
-// table.
+// the probe count.
 //
 // -seeds replicates a whole campaign across workload-generator seeds:
 // it loads a strict-JSON seeds spec ({"base": ..., "suite": ...,
@@ -32,15 +31,18 @@
 // fit-stability table. Store keys include the seed, so reruns and
 // overlapping sweeps stay warm.
 //
+// In every mode, -json prints the wire-format report — the body the
+// matching POST /v1/<kind> endpoint answers — instead of the table.
+//
 // Usage:
 //
 //	sweep -base core2 -param rob -values 32,64,128,256
 //	      [-suite cpu2006] [-ops N] [-starts N] [-store DIR]
 //	sweep -base core2 -param rob -values 64,128 -param memlat -values 150,300
 //	sweep -plan grid.json [-ops N] [-starts N] [-store DIR]
-//	sweep -optimize spec.json [-json] [-ops N] [-starts N] [-store DIR]
-//	sweep -seeds spec.json [-json] [-ops N] [-starts N] [-store DIR]
-//	      [-cpuprofile FILE] [-memprofile FILE]
+//	sweep -optimize spec.json [-ops N] [-starts N] [-store DIR]
+//	sweep -seeds spec.json [-ops N] [-starts N] [-store DIR]
+//	      [-json] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Everything is deterministic; with -store DIR a repeated run
 // dispatches zero simulations (100% run-store hits) and regenerates
@@ -48,6 +50,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -60,8 +63,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/runstore"
-	"repro/internal/serve"
-	"repro/internal/uarch"
 )
 
 // multiFlag collects repeated occurrences of one flag, so -param and
@@ -83,7 +84,7 @@ func main() {
 	planFile := flag.String("plan", "", "plan file (strict JSON {base, axes, suite}); replaces -base/-param/-values/-suite")
 	optimizeFile := flag.String("optimize", "", "optimize spec file (strict JSON {base, axes, suite, objective[, search]}); replaces -base/-param/-values/-suite")
 	seedsFile := flag.String("seeds", "", "seeds spec file (strict JSON {base, suite, seeds|count} or {campaign, seeds|count}); replaces -base/-param/-values/-suite")
-	jsonOut := flag.Bool("json", false, "with -optimize, -seeds or a grid plan, print the wire-format JSON report instead of the table")
+	jsonOut := flag.Bool("json", false, "print the wire-format JSON report instead of the table")
 	suite := flag.String("suite", "cpu2006", "suite to simulate and fit on")
 	ops := flag.Int("ops", 300000, "µops per workload")
 	starts := flag.Int("starts", 12, "regression multi-start count")
@@ -154,224 +155,88 @@ func realMain(out io.Writer, baseName string, params, valueLists []string, suite
 		}
 		opts.Store = store
 	}
+	spec, err := jobSpec(baseName, params, valueLists, suiteName, planFile, optimizeFile, seedsFile)
+	if err != nil {
+		return err
+	}
+	// Resolving validates everything before anything simulates.
+	exp, err := experiments.ResolveJob(spec, opts)
+	if err != nil {
+		return err
+	}
 
-	// A seeds spec carries its own subject (base+suite or campaign) and
-	// replication list.
-	if seedsFile != "" {
-		if planFile != "" || optimizeFile != "" || len(params) > 0 || len(valueLists) > 0 {
-			return fmt.Errorf("-seeds replaces -plan/-optimize/-param/-values; give one or the other")
+	fmt.Fprintf(os.Stderr, "running %s: up to %d runs (%d µops/workload)...\n", spec.Kind, exp.Totals.TotalRuns, ops)
+	t0 := time.Now()
+	res, err := exp.Run(context.Background(), opts, nil)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%s done in %v\n", spec.Kind, time.Since(t0).Round(time.Millisecond))
+	// The trace count shows how many µop streams were actually generated:
+	// a warm store regenerates none, and a cold grid generates one per
+	// workload, not one per cell.
+	st := res.Stats
+	if opts.Store != nil {
+		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
+			opts.Store.Dir(), st.Hits, st.Simulated,
+			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
+	} else {
+		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
+	}
+	fmt.Fprintln(os.Stderr)
+
+	if jsonOut {
+		data, err := json.MarshalIndent(res.Report, "", "  ")
+		if err != nil {
+			return err
 		}
+		_, err = out.Write(append(data, '\n'))
+		return err
+	}
+	_, err = fmt.Fprint(out, res.Render())
+	return err
+}
+
+// jobSpec builds the experiment the flags select: a seeds, optimize or
+// plan file, or the -param/-values axes on -base and -suite — one axis
+// is a sweep, several a grid plan.
+func jobSpec(baseName string, params, valueLists []string, suiteName, planFile, optimizeFile, seedsFile string) (experiments.JobSpec, error) {
+	modes := 0
+	for _, set := range []bool{seedsFile != "", optimizeFile != "", planFile != "", len(params)+len(valueLists) > 0} {
+		if set {
+			modes++
+		}
+	}
+	if modes > 1 {
+		return experiments.JobSpec{}, fmt.Errorf("-seeds, -optimize, -plan and -param/-values replace one another; give one")
+	}
+	switch {
+	case seedsFile != "":
 		spec, err := experiments.LoadSeedsSpec(seedsFile)
-		if err != nil {
-			return err
-		}
-		sweep, err := spec.Resolve()
-		if err != nil {
-			return err
-		}
-		return runSeeds(out, sweep, opts, jsonOut)
-	}
-
-	// An optimize spec carries its own base, axes, suite and objective.
-	if optimizeFile != "" {
-		if planFile != "" || len(params) > 0 || len(valueLists) > 0 {
-			return fmt.Errorf("-optimize replaces -plan/-param/-values; give one or the other")
-		}
+		return experiments.JobSpec{Kind: experiments.JobKindSeeds, Seeds: &spec}, err
+	case optimizeFile != "":
 		spec, err := experiments.LoadOptimizeSpec(optimizeFile)
-		if err != nil {
-			return err
-		}
-		o, err := spec.Resolve()
-		if err != nil {
-			return err
-		}
-		return runOptimize(out, o, opts, jsonOut)
-	}
-
-	// A plan file carries its own base, axes and suite; otherwise the
-	// axes come from the repeated -param/-values pairs.
-	if planFile != "" {
-		if len(params) > 0 || len(valueLists) > 0 {
-			return fmt.Errorf("-plan replaces -param/-values; give one or the other")
-		}
-		ps, err := experiments.LoadPlanSpec(planFile)
-		if err != nil {
-			return err
-		}
-		plan, err := ps.Resolve()
-		if err != nil {
-			return err
-		}
-		return runGrid(out, plan, opts, jsonOut)
+		return experiments.JobSpec{Kind: experiments.JobKindOptimize, Optimize: &spec}, err
+	case planFile != "":
+		spec, err := experiments.LoadPlanSpec(planFile)
+		return experiments.JobSpec{Kind: experiments.JobKindPlan, Plan: &spec}, err
 	}
 
 	if len(params) == 0 {
-		params = []string{"rob"}
 		if len(valueLists) == 0 {
-			return fmt.Errorf("no -values given (want e.g. -values 32,64,128)")
+			return experiments.JobSpec{}, fmt.Errorf("no -values given (want e.g. -values 32,64,128)")
 		}
+		params = []string{"rob"}
 	}
 	axes, err := parseAxes(params, valueLists)
 	if err != nil {
-		return err
+		return experiments.JobSpec{}, err
 	}
-	base, err := uarch.ByName(baseName)
-	if err != nil {
-		return err
-	}
-
+	base := experiments.MachineSpec{Name: baseName}
 	if len(axes) == 1 {
-		// The classic one-axis sweep, with its original output format.
-		if jsonOut {
-			return fmt.Errorf("-json is only meaningful with -optimize or a multi-axis grid plan")
-		}
-		if _, err := experiments.SweepParamByName(axes[0].Param); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweeping %s %s over %v on %s (%d µops/workload)...\n",
-			baseName, axes[0].Param, axes[0].Values, suiteName, ops)
-		t0 := time.Now()
-		res, err := experiments.RunSweep(base, axes[0].Param, axes[0].Values, suiteName, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweep done in %v\n", time.Since(t0).Round(time.Millisecond))
-		if opts.Store != nil {
-			st := res.Stats
-			fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate)\n",
-				opts.Store.Dir(), st.Hits, st.Simulated,
-				100*float64(st.Hits)/float64(st.Hits+st.Simulated))
-		}
-		fmt.Fprintln(os.Stderr)
-
-		fmt.Fprint(out, res.Render())
-		return nil
+		return experiments.JobSpec{Kind: experiments.JobKindSweep, Sweep: &experiments.SweepSpec{
+			Base: base, Param: axes[0].Param, Values: axes[0].Values, Suite: suiteName}}, nil
 	}
-
-	plan, err := experiments.NewPlan(base, axes, suiteName)
-	if err != nil {
-		return err
-	}
-	return runGrid(out, plan, opts, jsonOut)
-}
-
-// runOptimize executes a validated design-space search and prints the
-// rendered result (or, with -json, the same wire-format report POST
-// /v1/optimize answers — machine-greppable for smoke tests).
-func runOptimize(out io.Writer, o *experiments.Optimize, opts experiments.Options, jsonOut bool) error {
-	var axisNames []string
-	for _, ax := range o.Plan.Axes {
-		axisNames = append(axisNames, ax.Param)
-	}
-	fmt.Fprintf(os.Stderr, "optimizing %s over %s on %s: %s via %s, %d cells (%d µops/workload)...\n",
-		o.Plan.Base.Name, strings.Join(axisNames, "×"), o.Plan.Suite,
-		o.Objective.Kind, o.Search.Algorithm, len(o.Plan.Cells), opts.NumOps)
-	t0 := time.Now()
-	res, err := experiments.RunOptimize(o, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "optimize done in %v: %d of %d cells probed\n",
-		time.Since(t0).Round(time.Millisecond), res.Probes, res.GridCells)
-	st := res.Stats
-	if opts.Store != nil {
-		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
-			opts.Store.Dir(), st.Hits, st.Simulated,
-			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
-	} else {
-		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
-	}
-	fmt.Fprintln(os.Stderr)
-
-	if jsonOut {
-		data, err := json.MarshalIndent(res.Report(), "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		_, err = out.Write(data)
-		return err
-	}
-	fmt.Fprint(out, res.Render())
-	return nil
-}
-
-// runSeeds executes a validated seed sweep and prints the rendered
-// statistics (or, with -json, the same wire-format report POST
-// /v1/seeds answers — machine-greppable for smoke tests).
-func runSeeds(out io.Writer, s *experiments.Seeds, opts experiments.Options, jsonOut bool) error {
-	var machineNames []string
-	for _, m := range s.Machines {
-		machineNames = append(machineNames, m.Name)
-	}
-	fmt.Fprintf(os.Stderr, "seed-sweeping %s × %s over %d seeds %v (%d µops/workload)...\n",
-		strings.Join(machineNames, ","), strings.Join(s.Suites, ","),
-		len(s.SeedList), s.SeedList, opts.NumOps)
-	t0 := time.Now()
-	res, err := experiments.RunSeeds(s, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "seeds done in %v\n", time.Since(t0).Round(time.Millisecond))
-	st := res.Stats
-	if opts.Store != nil {
-		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
-			opts.Store.Dir(), st.Hits, st.Simulated,
-			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
-	} else {
-		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
-	}
-	fmt.Fprintln(os.Stderr)
-
-	if jsonOut {
-		data, err := json.MarshalIndent(res.Report(), "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		_, err = out.Write(data)
-		return err
-	}
-	fmt.Fprint(out, res.Render())
-	return nil
-}
-
-// runGrid executes a validated multi-axis plan and prints the grid
-// table plus sourcing statistics (including how many µop traces were
-// actually generated — a warm store regenerates none, and a cold grid
-// generates one per workload, not one per cell).
-func runGrid(out io.Writer, plan *experiments.Plan, opts experiments.Options, jsonOut bool) error {
-	var axisNames []string
-	for _, ax := range plan.Axes {
-		axisNames = append(axisNames, ax.Param)
-	}
-	fmt.Fprintf(os.Stderr, "planning %s over %s on %s: %d cells (%d µops/workload)...\n",
-		plan.Base.Name, strings.Join(axisNames, "×"), plan.Suite, len(plan.Cells), opts.NumOps)
-	t0 := time.Now()
-	res, err := experiments.RunPlan(plan, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "plan done in %v\n", time.Since(t0).Round(time.Millisecond))
-	st := res.Stats
-	if opts.Store != nil {
-		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
-			opts.Store.Dir(), st.Hits, st.Simulated,
-			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
-	} else {
-		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
-	}
-	fmt.Fprintln(os.Stderr)
-
-	if jsonOut {
-		data, err := json.MarshalIndent(serve.PlanResponseFrom(res), "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		_, err = out.Write(data)
-		return err
-	}
-	fmt.Fprint(out, res.Render())
-	return nil
+	return experiments.JobSpec{Kind: experiments.JobKindPlan, Plan: &experiments.PlanSpec{
+		Base: base, Axes: axes, Suite: suiteName}}, nil
 }

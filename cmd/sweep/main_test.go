@@ -137,7 +137,8 @@ func TestRealMainOptimizeFile(t *testing.T) {
 		t.Errorf("warm rerun sims = %+v, want zero simulated and zero trace generations", rep.Sims)
 	}
 
-	// -optimize is exclusive with -plan and -param, and -json needs it.
+	// -optimize is exclusive with -plan and -param, and -json needs a
+	// mode to report.
 	if err := realMain(&out, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, 0, "", "", spec, "", false); err == nil {
 		t.Error("-optimize together with -param should fail")
 	}
@@ -145,7 +146,7 @@ func TestRealMainOptimizeFile(t *testing.T) {
 		t.Error("-optimize together with -plan should fail")
 	}
 	if err := realMain(&out, "core2", nil, nil, "cpu2000", 1000, 2, 0, 0, "", "", "", "", true); err == nil {
-		t.Error("-json without -optimize should fail")
+		t.Error("-json without a mode should fail")
 	}
 
 	bad := filepath.Join(dir, "bad.json")

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -45,14 +44,9 @@ func PaperCampaign() Campaign {
 // so a typoed override name fails loudly instead of silently running the
 // base configuration.
 func ParseCampaign(data []byte) (Campaign, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var c Campaign
-	if err := dec.Decode(&c); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &c); err != nil {
 		return Campaign{}, fmt.Errorf("experiments: parse campaign: %w", err)
-	}
-	if dec.More() {
-		return Campaign{}, fmt.Errorf("experiments: parse campaign: trailing data after scenario document")
 	}
 	if len(c.Machines) == 0 {
 		return Campaign{}, fmt.Errorf("experiments: campaign has no machines")
@@ -64,16 +58,21 @@ func ParseCampaign(data []byte) (Campaign, error) {
 }
 
 // LoadCampaign reads and parses a scenario file.
-func LoadCampaign(path string) (Campaign, error) {
+func LoadCampaign(path string) (Campaign, error) { return loadFile(path, ParseCampaign) }
+
+// loadFile reads the file at path and parses it, naming the file in any
+// parse error.
+func loadFile[S any](path string, parse func([]byte) (S, error)) (S, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Campaign{}, fmt.Errorf("experiments: %w", err)
+		var zero S
+		return zero, fmt.Errorf("experiments: %w", err)
 	}
-	c, err := ParseCampaign(data)
+	spec, err := parse(data)
 	if err != nil {
-		return Campaign{}, fmt.Errorf("%w (in %s)", err, path)
+		return spec, fmt.Errorf("%w (in %s)", err, path)
 	}
-	return c, nil
+	return spec, nil
 }
 
 // Resolve materializes the spec through the uarch registry: a registered

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -39,6 +40,8 @@ func FuzzParseCampaign(f *testing.F) {
 		`{"machines": [{"name": "core2", "overrides": {"robSize": -5}}], "suites": ["cpu2000"]}`,
 		`{"machines": [{"name": "x", "base": "core2", "overrides": {"fusionRate": 0}}], "suites": ["cpu2000"]}`,
 		`{"machines": [{"name": "core2"}], "suites": ["cpu2000"]} {"trailing": "doc"}`,
+		`{"machines": [{"name": "core2"}], "suites": ["cpu2000"]}}`,
+		`{"machines": [{"name": "core2"}], "suites": ["cpu2000"]}]`,
 		`{"machines": [], "suites": []}`,
 		`{"machines": [{"name": "core2"}], "suites": ["cpu2000"], "ops": 1.5}`,
 		`{"machines": [{"name": "core2"}], "suites": ["cpu2000"], "ops": -3, "seed": 7}`,
@@ -64,6 +67,79 @@ func FuzzParseCampaign(f *testing.F) {
 		}
 		if !reflect.DeepEqual(c, c2) {
 			t.Fatalf("campaign round-trip mutated the value:\n in  %+v\n out %+v\n(json %s)", c, c2, out)
+		}
+	})
+}
+
+// FuzzJobSpec asserts the POST /v1/jobs invariants over arbitrary bytes:
+// decoding a job spec the way the endpoint does (DecodeStrict) and
+// validating it through the kind table (ResolveJob, which runs nothing)
+// never panics or hangs, and every accepted spec round-trips — its
+// marshalled form re-decodes to a spec that is accepted with the same
+// totals and marshals identically. The seed corpus is every example
+// spec wrapped in its kind, plus mis-tagged and double-payload specs.
+func FuzzJobSpec(f *testing.F) {
+	for dir, kind := range map[string]string{
+		"scenarios": JobKindCampaign, "plans": JobKindPlan, "optimize": JobKindOptimize, "seeds": JobKindSeeds,
+	} {
+		paths, err := filepath.Glob(filepath.Join("..", "..", "examples", dir, "*.json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(paths) == 0 {
+			f.Fatalf("no example %s found for the seed corpus", dir)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add([]byte(`{"kind": "` + kind + `", "` + kind + `": ` + string(data) + `}`))
+		}
+	}
+	const sweep = `{"base": {"name": "core2"}, "param": "rob", "values": [48, 96], "suite": "cpu2000"}`
+	const plan = `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000"}`
+	for _, seed := range []string{
+		`{"kind": "sweep", "sweep": ` + sweep + `}`,
+		`{"kind": "sweep", "plan": ` + plan + `}`,
+		`{"kind": "plan", "plan": ` + plan + `, "sweep": ` + sweep + `}`,
+		`{"kind": "seeds", "seeds": {"base": {"name": "core2"}, "suite": "cpu2000", "count": 2}, "plan": ` + plan + `}`,
+		`{"kind": "campaign", "campaign": null}`,
+		`{"kind": "fleet"}`,
+		`{"kind": "plan", "plan": ` + plan + `}}`,
+		`{}`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	opts := Options{NumOps: 1000}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if err := DecodeStrict(bytes.NewReader(data), &spec); err != nil {
+			return
+		}
+		exp, err := ResolveJob(spec, opts)
+		if err != nil {
+			return // rejection is fine; panicking or corrupting is not
+		}
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v\n%s", err, data)
+		}
+		var again JobSpec
+		if err := DecodeStrict(bytes.NewReader(out), &again); err != nil {
+			t.Fatalf("marshalled spec does not re-decode: %v\n%s", err, out)
+		}
+		exp2, err := ResolveJob(again, opts)
+		if err != nil {
+			t.Fatalf("marshalled spec is rejected: %v\n%s", err, out)
+		}
+		if exp2.Totals != exp.Totals {
+			t.Fatalf("round trip changed the totals: %+v vs %+v\n%s", exp.Totals, exp2.Totals, out)
+		}
+		if out2, err := json.Marshal(again); err != nil || !bytes.Equal(out, out2) {
+			t.Fatalf("round trip is not stable (%v):\n%s\n%s", err, out, out2)
 		}
 	})
 }

@@ -48,6 +48,11 @@ func TestParseCampaignRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseCampaign([]byte(`{"machines":[{"name":"core2"}],"suites":["cpu2006"]}{"machines":[{"name":"corei7"}],"suites":["cpu2000"]}`)); err == nil {
 		t.Error("trailing scenario document should fail, not be silently dropped")
 	}
+	for _, closer := range []string{"}", "]"} {
+		if _, err := ParseCampaign([]byte(`{"machines":[{"name":"core2"}],"suites":["cpu2006"]}` + closer)); err == nil {
+			t.Errorf("stray trailing %q should fail", closer)
+		}
+	}
 }
 
 func TestNewCampaignLabResolvesAndValidates(t *testing.T) {

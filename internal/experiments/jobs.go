@@ -15,16 +15,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/suites"
 )
 
-// Job kinds: a declarative campaign (machines × suites, the
-// cmd/experiments grid), a one-axis sensitivity sweep (the cmd/sweep
-// experiment), a multi-axis exploration plan (the crossed grid of
-// derived machines behind POST /v1/plan and cmd/sweep's grid mode), a
-// design-space optimization (the searched grid behind POST /v1/optimize
-// and cmd/sweep's -optimize mode), or a seed-sweep campaign (the
-// replication sweep behind POST /v1/seeds and cmd/sweep's -seeds mode).
+// Job kinds, registered in Kinds: a declarative campaign (machines ×
+// suites, the cmd/experiments grid), a one-axis sensitivity sweep, a
+// multi-axis exploration plan (the crossed grid of derived machines), a
+// design-space optimization (a searched grid), or a seed-sweep campaign
+// (a replication sweep).
 const (
 	JobKindCampaign = "campaign"
 	JobKindSweep    = "sweep"
@@ -52,23 +49,14 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
-// SweepSpec declares a sweep job: the base machine spec, the swept axis,
-// the swept values, and the suite — exactly cmd/sweep's flags as JSON.
-type SweepSpec struct {
-	Base   MachineSpec `json:"base"`
-	Param  string      `json:"param"`
-	Values []int       `json:"values"`
-	Suite  string      `json:"suite"`
-}
-
 // JobSpec is the submitted description of an asynchronous job: the kind
-// plus exactly one matching payload. It is the JSON schema of the
-// POST /v1/jobs body.
+// plus exactly one matching payload, named after the kind. It is the
+// JSON schema of the POST /v1/jobs body.
 //
 // A campaign job's explicit fit options (ops, fitStarts, seed) win over
 // the engine's defaults — a job is fully declarative, unlike
 // NewCampaignLab where the caller's explicit options model CLI flags —
-// and unset fields inherit the engine's. Sweep and plan jobs always use
+// and unset fields inherit the engine's. Every other kind always uses
 // the engine's options, as cmd/sweep's flags do.
 type JobSpec struct {
 	Kind     string        `json:"kind"`
@@ -92,7 +80,7 @@ type JobSpec struct {
 // point counts as a cell too). Seeds jobs report replication
 // completion: a seed is done once every (machine, suite) cell of that
 // replication is simulated and fitted. Cell, probe and seed counters
-// stay zero for the kinds they don't apply to.
+// stay zero for the kinds they don't apply to; a sweep counts runs only.
 type JobProgress struct {
 	TotalRuns   int `json:"totalRuns"`
 	DoneRuns    int `json:"doneRuns"`
@@ -106,10 +94,22 @@ type JobProgress struct {
 	DoneSeeds   int `json:"doneSeeds,omitempty"`
 }
 
+// step records the cumulative count of the kind's completion unit:
+// cells, probes or seeds, whichever the kind totals.
+func (p *JobProgress) step(done int) {
+	switch {
+	case p.TotalCells > 0:
+		p.DoneCells = done
+	case p.TotalProbes > 0:
+		p.DoneProbes = done
+	case p.TotalSeeds > 0:
+		p.DoneSeeds = done
+	}
+}
+
 // JobStatus is an immutable snapshot of one job: what the GET /v1/jobs
 // endpoints serve and what terminal-state artifacts persist. Result is
-// set only in state done: a CampaignJobResult or SweepJobResult,
-// matching the job's kind.
+// set only in state done: the wire report of the job's kind.
 type JobStatus struct {
 	ID        string          `json:"id"`
 	Kind      string          `json:"kind"`
@@ -124,8 +124,9 @@ type JobStatus struct {
 }
 
 // WorkloadCPI is one workload's measured vs model-predicted CPI. RelErr
-// is signed (negative = the model under-predicts), matching the serving
-// wire convention.
+// is signed (negative = the model under-predicts), the convention every
+// relErr field on the wire follows; the accuracy aggregates are
+// magnitudes.
 type WorkloadCPI struct {
 	Workload     string  `json:"workload"`
 	MeasuredCPI  float64 `json:"measuredCPI"`
@@ -133,18 +134,37 @@ type WorkloadCPI struct {
 	RelErr       float64 `json:"relErr"`
 }
 
+// PredictWorkload returns the model's prediction for one observation.
+func PredictWorkload(m *core.Model, o *core.Observation) WorkloadCPI {
+	pred := m.PredictCPI(o.Feat)
+	return WorkloadCPI{Workload: o.Name, MeasuredCPI: o.MeasuredCPI, PredictedCPI: pred,
+		RelErr: (pred - o.MeasuredCPI) / o.MeasuredCPI}
+}
+
+// SuiteAccuracy summarizes suite-wide model error, as cmd/mecpi prints.
+type SuiteAccuracy struct {
+	AvgRelErr      float64 `json:"avgRelErr"`
+	MaxRelErr      float64 `json:"maxRelErr"`
+	FracBelow20Pct float64 `json:"fracBelow20pct"`
+}
+
+// Accuracy aggregates a suite's prediction error magnitudes
+// (stats.RelErr of each workload).
+func Accuracy(errs []float64) SuiteAccuracy {
+	return SuiteAccuracy{AvgRelErr: stats.Mean(errs), MaxRelErr: stats.Max(errs),
+		FracBelow20Pct: stats.FractionBelow(errs, 0.20)}
+}
+
 // CampaignModelResult is one fitted (machine, suite) cell of a campaign
 // job: the fitted parameters, every workload's prediction, and the
-// suite-wide accuracy aggregates (error magnitudes).
+// suite-wide accuracy.
 type CampaignModelResult struct {
-	Machine        string        `json:"machine"`
-	ConfigHash     string        `json:"configHash"`
-	Suite          string        `json:"suite"`
-	Params         core.Params   `json:"params"`
-	Workloads      []WorkloadCPI `json:"workloads"`
-	AvgRelErr      float64       `json:"avgRelErr"`
-	MaxRelErr      float64       `json:"maxRelErr"`
-	FracBelow20Pct float64       `json:"fracBelow20pct"`
+	Machine    string        `json:"machine"`
+	ConfigHash string        `json:"configHash"`
+	Suite      string        `json:"suite"`
+	Params     core.Params   `json:"params"`
+	Workloads  []WorkloadCPI `json:"workloads"`
+	SuiteAccuracy
 }
 
 // CampaignJobResult is a campaign job's terminal result: one fitted
@@ -165,61 +185,13 @@ type StackCPI struct {
 	CPI       float64 `json:"cpi"`
 }
 
-func stackCPIs(st sim.Stack) []StackCPI {
+// StackCPIs flattens a stack into its wire form.
+func StackCPIs(st sim.Stack) []StackCPI {
 	out := make([]StackCPI, 0, sim.NumComponents)
 	for _, c := range sim.Components() {
 		out = append(out, StackCPI{Component: c.String(), CPI: st.Cycles[c]})
 	}
 	return out
-}
-
-// SweepJobPoint is one swept configuration: simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed.
-type SweepJobPoint struct {
-	Value      int        `json:"value"`
-	Machine    string     `json:"machine"`
-	SimCPI     float64    `json:"simCPI"`
-	ModelCPI   float64    `json:"modelCPI"`
-	RelErr     float64    `json:"relErr"`
-	SimStack   []StackCPI `json:"simStack"`
-	ModelStack []StackCPI `json:"modelStack"`
-}
-
-// SweepJobResult is a sweep job's terminal result, bit-identical to the
-// equivalent blocking RunSweep (cmd/sweep) computation.
-type SweepJobResult struct {
-	Base      string          `json:"base"`
-	Param     string          `json:"param"`
-	BaseValue int             `json:"baseValue"`
-	Suite     string          `json:"suite"`
-	Ops       int             `json:"ops"`
-	Points    []SweepJobPoint `json:"points"`
-}
-
-// PlanJobCell is one evaluated grid cell of a plan job: its axis values
-// (aligned with the plan's axes), the derived machine, and simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed.
-type PlanJobCell struct {
-	Values     []int      `json:"values"`
-	Machine    string     `json:"machine"`
-	SimCPI     float64    `json:"simCPI"`
-	ModelCPI   float64    `json:"modelCPI"`
-	RelErr     float64    `json:"relErr"`
-	SimStack   []StackCPI `json:"simStack"`
-	ModelStack []StackCPI `json:"modelStack"`
-}
-
-// PlanJobResult is a plan job's terminal result, bit-identical to the
-// equivalent blocking RunPlan (cmd/sweep grid mode) computation. Cells
-// appear row-major with the last axis fastest; BaseValues is the fit
-// point on each axis.
-type PlanJobResult struct {
-	Base       string        `json:"base"`
-	Suite      string        `json:"suite"`
-	Ops        int           `json:"ops"`
-	Axes       []PlanAxis    `json:"axes"`
-	BaseValues []int         `json:"baseValues"`
-	Cells      []PlanJobCell `json:"cells"`
 }
 
 // Backpressure sentinels: Submit failures that are about the engine's
@@ -276,16 +248,14 @@ func (c JobsConfig) withDefaults() JobsConfig {
 	return c
 }
 
-// Jobs executes campaigns, sweeps, plans, optimizations and seed
-// sweeps asynchronously: Submit validates and enqueues, a bounded
-// worker pool executes through the same Lab.Simulate / RunSweep /
-// RunPlan / RunOptimize / RunSeeds entry points the blocking CLIs use
-// (so batch and daemon answers stay bit-identical, and the run store is
-// shared),
-// per-job progress counters are fed from the store-hit/simulated
-// callbacks, Cancel stops a job mid-flight via context cancellation,
-// and terminal states are persisted as JSON artifacts. Safe for
-// concurrent use.
+// Jobs executes experiments of every registered kind asynchronously:
+// Submit validates through ResolveJob and enqueues, a bounded worker
+// pool executes through Experiment.Run — the standalone path the
+// blocking CLIs use, so batch and daemon answers stay bit-identical and
+// the run store is shared — per-job progress counters are fed from the
+// store-hit/simulated callbacks and the kind's completion unit, Cancel
+// stops a job mid-flight via context cancellation, and terminal states
+// are persisted as JSON artifacts. Safe for concurrent use.
 type Jobs struct {
 	opts Options
 	cfg  JobsConfig
@@ -304,19 +274,13 @@ type Jobs struct {
 type job struct {
 	id        string
 	spec      JobSpec
-	plan      *Plan     // resolved grid for plan jobs; nil otherwise
-	optimize  *Optimize // resolved search for optimize jobs; nil otherwise
-	seeds     *Seeds    // resolved sweep for seeds jobs; nil otherwise
+	exp       *Experiment // resolved at submission, so the worker never re-derives it
 	submitted time.Time
 	ctx       context.Context
 	cancel    context.CancelFunc
 
 	state    JobState
 	progress JobProgress
-	// cellLeft tracks, for a plan job, how many workload runs each grid
-	// machine still owes (armed at submission); a machine draining to
-	// zero completes a cell. Nil for other kinds.
-	cellLeft map[string]int
 	err      error
 	result   json.RawMessage
 	started  time.Time
@@ -352,102 +316,6 @@ func newJobID() string {
 	return "job-" + hex.EncodeToString(b[:])
 }
 
-// validate checks a spec without running anything and returns the total
-// run count its execution will dispatch or serve from the store (for an
-// optimize job: the search's upper bound). For a plan job it also
-// returns the resolved grid, for an optimize job the resolved search,
-// and for a seeds job the resolved sweep, so Submit can record totals
-// and the worker never re-derives the machines.
-func (j *Jobs) validate(spec JobSpec) (int, *Plan, *Optimize, *Seeds, error) {
-	if err := spec.payloadMatchesKind(); err != nil {
-		return 0, nil, nil, nil, err
-	}
-	switch spec.Kind {
-	case JobKindCampaign:
-		lab, err := campaignJobLab(*spec.Campaign, j.opts)
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return len(lab.Machines()) * lab.NumWorkloads(), nil, nil, nil, nil
-	case JobKindSweep:
-		sw := spec.Sweep
-		base, err := sw.Base.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		if _, err := NewPlan(base, []PlanAxis{{Param: sw.Param, Values: sw.Values}}, sw.Suite); err != nil {
-			return 0, nil, nil, nil, err
-		}
-		suite, err := suites.ByName(sw.Suite, suites.Options{NumOps: j.opts.NumOps})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return (1 + len(sw.Values)) * len(suite.Workloads), nil, nil, nil, nil
-	case JobKindPlan:
-		plan, err := spec.Plan.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		suite, err := suites.ByName(plan.Suite, suites.Options{NumOps: j.opts.NumOps})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return len(plan.Machines) * len(suite.Workloads), plan, nil, nil, nil
-	case JobKindOptimize:
-		o, err := spec.Optimize.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		suite, err := suites.ByName(o.Plan.Suite, suites.Options{NumOps: j.opts.NumOps})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return o.runBound(len(suite.Workloads)), nil, o, nil, nil
-	case JobKindSeeds:
-		s, err := spec.Seeds.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return s.TotalRuns(), nil, nil, s, nil
-	default:
-		return 0, nil, nil, nil, fmt.Errorf("experiments: unknown job kind %q (want %q, %q, %q, %q or %q)",
-			spec.Kind, JobKindCampaign, JobKindSweep, JobKindPlan, JobKindOptimize, JobKindSeeds)
-	}
-}
-
-// payloadMatchesKind rejects a spec whose payloads disagree with its
-// kind: the matching payload must be present and every other absent, so
-// a mis-tagged submission fails loudly instead of silently running the
-// wrong experiment.
-func (spec JobSpec) payloadMatchesKind() error {
-	if spec.Kind != JobKindCampaign && spec.Kind != JobKindSweep &&
-		spec.Kind != JobKindPlan && spec.Kind != JobKindOptimize &&
-		spec.Kind != JobKindSeeds {
-		return nil // validate's default case names the valid kinds
-	}
-	payloads := []struct {
-		kind string
-		set  bool
-	}{
-		{JobKindCampaign, spec.Campaign != nil},
-		{JobKindSweep, spec.Sweep != nil},
-		{JobKindPlan, spec.Plan != nil},
-		{JobKindOptimize, spec.Optimize != nil},
-		{JobKindSeeds, spec.Seeds != nil},
-	}
-	for _, p := range payloads {
-		if p.kind == spec.Kind && !p.set {
-			return fmt.Errorf("experiments: %s job without a %s payload", spec.Kind, spec.Kind)
-		}
-	}
-	for _, p := range payloads {
-		if p.kind != spec.Kind && p.set {
-			return fmt.Errorf("experiments: %s job with a %s payload", spec.Kind, p.kind)
-		}
-	}
-	return nil
-}
-
 // campaignJobLab builds the lab a campaign job executes in. The
 // campaign's explicit fit options take precedence over the engine's (see
 // JobSpec); zeroing the engine fields makes NewCampaignLab inherit the
@@ -469,7 +337,7 @@ func campaignJobLab(c Campaign, opts Options) (*Lab, error) {
 // It fails fast — without enqueuing — on an invalid spec, a full queue,
 // or an engine that is draining.
 func (j *Jobs) Submit(spec JobSpec) (JobStatus, error) {
-	total, plan, optimize, seeds, err := j.validate(spec)
+	exp, err := ResolveJob(spec, j.opts)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -477,31 +345,12 @@ func (j *Jobs) Submit(spec JobSpec) (JobStatus, error) {
 	jb := &job{
 		id:        newJobID(),
 		spec:      spec,
-		plan:      plan,
-		optimize:  optimize,
-		seeds:     seeds,
+		exp:       exp,
 		submitted: time.Now().UTC(),
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     JobQueued,
-		progress:  JobProgress{TotalRuns: total},
-	}
-	if optimize != nil {
-		jb.progress.TotalProbes = optimize.ProbeBound()
-	}
-	if seeds != nil {
-		jb.progress.TotalSeeds = len(seeds.SeedList)
-	}
-	if plan != nil {
-		// Cell totals are known at submission: the 202 snapshot already
-		// reports them, and per-machine countdowns arm cell completion
-		// once the worker's progress hook starts firing.
-		jb.progress.TotalCells = len(plan.Machines)
-		jb.cellLeft = make(map[string]int, len(plan.Machines))
-		workloads := total / len(plan.Machines)
-		for _, m := range plan.Machines {
-			jb.cellLeft[m.Name] = workloads
-		}
+		progress:  exp.Totals,
 	}
 	j.mu.Lock()
 	if j.closed {
@@ -646,10 +495,27 @@ func (j *Jobs) run(jb *job) {
 	jb.started = time.Now().UTC()
 	j.mu.Unlock()
 
-	result, err := j.execute(jb)
+	// The job's progress counters hook into the shared runSimJobs path
+	// and the kind's completion unit.
+	opts := j.opts
+	opts.Progress = func(run RunKey, hit bool) {
+		j.mu.Lock()
+		jb.progress.DoneRuns++
+		if hit {
+			jb.progress.StoreHits++
+		} else {
+			jb.progress.Simulated++
+		}
+		j.mu.Unlock()
+	}
+	out, err := jb.exp.Run(jb.ctx, opts, func(done int) {
+		j.mu.Lock()
+		jb.progress.step(done)
+		j.mu.Unlock()
+	})
 	var raw json.RawMessage
 	if err == nil {
-		raw, err = json.Marshal(result)
+		raw, err = json.Marshal(out.Report)
 	}
 
 	j.mu.Lock()
@@ -666,48 +532,10 @@ func (j *Jobs) run(jb *job) {
 	j.mu.Unlock()
 }
 
-// execute runs the job's spec under its cancellation context, with the
-// job's progress counters hooked into the shared runSimJobs path.
-func (j *Jobs) execute(jb *job) (any, error) {
-	opts := j.opts
-	opts.Progress = func(run RunKey, hit bool) {
-		j.mu.Lock()
-		jb.progress.DoneRuns++
-		if hit {
-			jb.progress.StoreHits++
-		} else {
-			jb.progress.Simulated++
-		}
-		if left, ok := jb.cellLeft[run.Machine]; ok {
-			if left == 1 {
-				delete(jb.cellLeft, run.Machine)
-				jb.progress.DoneCells++
-			} else {
-				jb.cellLeft[run.Machine] = left - 1
-			}
-		}
-		j.mu.Unlock()
-	}
-	switch jb.spec.Kind {
-	case JobKindCampaign:
-		return runCampaignJob(jb.ctx, *jb.spec.Campaign, opts)
-	case JobKindSweep:
-		return runSweepJob(jb.ctx, *jb.spec.Sweep, opts)
-	case JobKindPlan:
-		return j.runPlanJob(jb, opts)
-	case JobKindOptimize:
-		return j.runOptimizeJob(jb, opts)
-	case JobKindSeeds:
-		return j.runSeedsJob(jb, opts)
-	default:
-		return nil, fmt.Errorf("experiments: unknown job kind %q", jb.spec.Kind) // unreachable past Submit
-	}
-}
-
-// runCampaignJob executes a campaign exactly as cmd/experiments does —
-// NewCampaignLab, Simulate, Model per (machine, suite) — and condenses
-// the fits into the job result.
-func runCampaignJob(ctx context.Context, c Campaign, opts Options) (*CampaignJobResult, error) {
+// runCampaign is the campaign kind's Run: it executes a campaign
+// exactly as cmd/experiments does — NewCampaignLab, Simulate, Model per
+// (machine, suite) — and condenses the fits into the job result.
+func runCampaign(ctx context.Context, c Campaign, opts Options) (*Outcome, error) {
 	lab, err := campaignJobLab(c, opts)
 	if err != nil {
 		return nil, err
@@ -743,124 +571,15 @@ func runCampaignJob(ctx context.Context, c Campaign, opts Options) (*CampaignJob
 			}
 			errs := make([]float64, 0, len(obs))
 			for i := range obs {
-				o := &obs[i]
-				pred := model.PredictCPI(o.Feat)
-				mr.Workloads = append(mr.Workloads, WorkloadCPI{
-					Workload:     o.Name,
-					MeasuredCPI:  o.MeasuredCPI,
-					PredictedCPI: pred,
-					RelErr:       (pred - o.MeasuredCPI) / o.MeasuredCPI,
-				})
-				errs = append(errs, stats.RelErr(pred, o.MeasuredCPI))
+				w := PredictWorkload(model, &obs[i])
+				mr.Workloads = append(mr.Workloads, w)
+				errs = append(errs, stats.RelErr(w.PredictedCPI, w.MeasuredCPI))
 			}
-			mr.AvgRelErr = stats.Mean(errs)
-			mr.MaxRelErr = stats.Max(errs)
-			mr.FracBelow20Pct = stats.FractionBelow(errs, 0.20)
+			mr.SuiteAccuracy = Accuracy(errs)
 			out.Models = append(out.Models, mr)
 		}
 	}
-	return out, nil
-}
-
-// runSweepJob executes a sweep exactly as cmd/sweep does (RunSweep) and
-// flattens the result into its serializable form.
-func runSweepJob(ctx context.Context, sw SweepSpec, opts Options) (*SweepJobResult, error) {
-	base, err := sw.Base.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunSweepContext(ctx, base, sw.Param, sw.Values, sw.Suite, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := &SweepJobResult{
-		Base:      res.Base,
-		Param:     res.Param.Name,
-		BaseValue: res.BaseValue,
-		Suite:     res.Suite,
-		Ops:       res.NumOps,
-	}
-	for _, p := range res.Points {
-		out.Points = append(out.Points, SweepJobPoint{
-			Value:      p.Value,
-			Machine:    p.Machine,
-			SimCPI:     p.SimCPI,
-			ModelCPI:   p.ModelCPI,
-			RelErr:     (p.ModelCPI - p.SimCPI) / p.SimCPI,
-			SimStack:   stackCPIs(p.SimStack),
-			ModelStack: stackCPIs(p.ModelStack),
-		})
-	}
-	return out, nil
-}
-
-// runPlanJob executes a plan exactly as cmd/sweep's grid mode does
-// (RunPlan, over the grid Submit already resolved) and flattens the
-// result into its serializable form. Cell progress was armed at
-// submission: every grid machine (the base fit point included) owes one
-// run per workload, and a machine draining to zero marks its cell done.
-func (j *Jobs) runPlanJob(jb *job, opts Options) (*PlanJobResult, error) {
-	res, err := RunPlanContext(jb.ctx, jb.plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := &PlanJobResult{
-		Base:       res.Base,
-		Suite:      res.Suite,
-		Ops:        res.NumOps,
-		Axes:       res.Axes,
-		BaseValues: res.BaseValues,
-	}
-	for _, pt := range res.Points {
-		out.Cells = append(out.Cells, PlanJobCell{
-			Values:     pt.Values,
-			Machine:    pt.Machine,
-			SimCPI:     pt.SimCPI,
-			ModelCPI:   pt.ModelCPI,
-			RelErr:     (pt.ModelCPI - pt.SimCPI) / pt.SimCPI,
-			SimStack:   stackCPIs(pt.SimStack),
-			ModelStack: stackCPIs(pt.ModelStack),
-		})
-	}
-	return out, nil
-}
-
-// runOptimizeJob executes a design-space search exactly as cmd/sweep's
-// -optimize mode does (RunOptimizeContext, over the search Submit
-// already resolved) and returns its wire report. The run counters flow
-// through the shared progress hook; the probe counter is fed by the
-// optimizer's own hook, firing after each full-fidelity probe batch.
-func (j *Jobs) runOptimizeJob(jb *job, opts Options) (*OptimizeReport, error) {
-	onProbe := func(done int) {
-		j.mu.Lock()
-		jb.progress.DoneProbes = done
-		j.mu.Unlock()
-	}
-	res, err := RunOptimizeContext(jb.ctx, jb.optimize, opts, onProbe)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report(), nil
-}
-
-// runSeedsJob executes a seed sweep exactly as cmd/sweep's -seeds mode
-// does (RunSeedsContext, over the sweep Submit already resolved) and
-// returns its wire report. The run counters flow through the shared
-// progress hook; the seed counter is fed by the sweep's own hook,
-// firing after each fully evaluated replication. A cancelled job keeps
-// every completed simulation in the store, so a resubmission resumes
-// warm.
-func (j *Jobs) runSeedsJob(jb *job, opts Options) (*SeedsReport, error) {
-	onSeed := func(done int) {
-		j.mu.Lock()
-		jb.progress.DoneSeeds = done
-		j.mu.Unlock()
-	}
-	res, err := RunSeedsContext(jb.ctx, jb.seeds, opts, onSeed)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report(), nil
+	return &Outcome{Report: out, Stats: lab.SimStats()}, nil
 }
 
 // finishLocked moves jb to a terminal state and persists its artifact

@@ -177,7 +177,7 @@ func TestJobsSweepRuns(t *testing.T) {
 	if final.State != JobDone {
 		t.Fatalf("sweep finished %s (error %q)", final.State, final.Error)
 	}
-	var res SweepJobResult
+	var res SweepReport
 	if err := json.Unmarshal(final.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestJobsPlanRunsWithCellProgress(t *testing.T) {
 	if final.Progress.DoneRuns != 60 {
 		t.Errorf("run progress %+v, want 60 done", final.Progress)
 	}
-	var res PlanJobResult
+	var res PlanReport
 	if err := json.Unmarshal(final.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -486,15 +486,6 @@ func TestJobsPlanRunsWithCellProgress(t *testing.T) {
 		}
 	}
 
-	// A mis-tagged plan submission fails loudly.
-	if _, err := jobs.Submit(JobSpec{Kind: JobKindPlan}); err == nil ||
-		!strings.Contains(err.Error(), "without a plan payload") {
-		t.Errorf("payload-free plan job = %v", err)
-	}
-	if _, err := jobs.Submit(JobSpec{Kind: JobKindPlan, Plan: spec.Plan,
-		Sweep: &SweepSpec{}}); err == nil || !strings.Contains(err.Error(), "with a sweep payload") {
-		t.Errorf("plan job with sweep payload = %v", err)
-	}
 	// Duplicate axis values are rejected at submission, before anything
 	// runs — the wire-path half of the duplicate-values fix.
 	if _, err := jobs.Submit(JobSpec{Kind: JobKindPlan, Plan: &PlanSpec{
@@ -662,7 +653,7 @@ func TestJobsOptimizeRunsWithProbeProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocking, err := RunOptimize(o, Options{NumOps: 2000, FitStarts: 2, Store: store})
+	blocking, err := RunOptimize(context.Background(), o, Options{NumOps: 2000, FitStarts: 2, Store: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,15 +664,7 @@ func TestJobsOptimizeRunsWithProbeProgress(t *testing.T) {
 		t.Errorf("job best %+v vs blocking %+v", rep.Best, blocking.Best)
 	}
 
-	// Mis-tagged and invalid optimize submissions fail at Submit.
-	if _, err := jobs.Submit(JobSpec{Kind: JobKindOptimize}); err == nil ||
-		!strings.Contains(err.Error(), "without a optimize payload") {
-		t.Errorf("payload-free optimize job = %v", err)
-	}
-	if _, err := jobs.Submit(JobSpec{Kind: JobKindOptimize, Optimize: optSpec,
-		Plan: &PlanSpec{}}); err == nil || !strings.Contains(err.Error(), "with a plan payload") {
-		t.Errorf("optimize job with plan payload = %v", err)
-	}
+	// An invalid optimize submission fails at Submit.
 	bad := *optSpec
 	bad.Objective = ObjectiveSpec{Kind: "min-watts"}
 	if _, err := jobs.Submit(JobSpec{Kind: JobKindOptimize, Optimize: &bad}); err == nil ||
@@ -763,7 +746,7 @@ func TestJobsOptimizeCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOptimize(o, opts)
+	res, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +813,7 @@ func TestJobsSeedsRunsWithSeedProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocking, err := RunSeeds(s, opts)
+	blocking, err := RunSeeds(context.Background(), s, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -841,20 +824,7 @@ func TestJobsSeedsRunsWithSeedProgress(t *testing.T) {
 		t.Error("job report diverged from the blocking sweep")
 	}
 
-	// Mis-tagged and invalid seeds submissions fail at Submit.
-	if _, err := jobs.Submit(JobSpec{Kind: JobKindSeeds}); err == nil ||
-		!strings.Contains(err.Error(), "without a seeds payload") {
-		t.Errorf("payload-free seeds job = %v", err)
-	}
-	if _, err := jobs.Submit(JobSpec{Kind: JobKindSeeds, Seeds: seedsSpec,
-		Plan: &PlanSpec{}}); err == nil || !strings.Contains(err.Error(), "with a plan payload") {
-		t.Errorf("seeds job with plan payload = %v", err)
-	}
-	if _, err := jobs.Submit(JobSpec{Kind: JobKindCampaign, Campaign: &Campaign{
-		Machines: []MachineSpec{{Name: "core2"}}, Suites: []string{sn}},
-		Seeds: seedsSpec}); err == nil || !strings.Contains(err.Error(), "with a seeds payload") {
-		t.Errorf("campaign job with seeds payload = %v", err)
-	}
+	// An invalid seeds submission fails at Submit.
 	bad := *seedsSpec
 	bad.Count = 0
 	bad.Seeds = []uint64{0}
@@ -931,7 +901,7 @@ func TestJobsSeedsCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSeeds(s, opts)
+	res, err := RunSeeds(context.Background(), s, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

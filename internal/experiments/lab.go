@@ -6,9 +6,11 @@
 // structured data with ASCII renderings; RunPlan executes multi-axis
 // exploration plans (crossed grids of derived machines, fitted once at
 // the base point and extrapolated per cell, with each workload's µop
-// trace materialized once and replayed across the grid), and RunSweep
-// is its one-axis projection. cmd/experiments, cmd/sweep and the
-// top-level benchmarks are thin wrappers around this package.
+// trace materialized once and replayed across the grid), of which a
+// one-axis sweep is a projection; Kinds registers every experiment kind
+// for the job engine, the daemon and cmd/sweep. cmd/experiments,
+// cmd/sweep and the top-level benchmarks are thin wrappers around this
+// package.
 package experiments
 
 import (
@@ -136,6 +138,25 @@ type SimStats struct {
 	TraceGens int
 }
 
+func (st *SimStats) add(o SimStats) {
+	st.Hits += o.Hits
+	st.Simulated += o.Simulated
+	st.TraceGens += o.TraceGens
+}
+
+// RunSourcing is the wire form of SimStats, the "sims" object of the
+// experiment reports and of GET /v1/stats.
+type RunSourcing struct {
+	StoreHits int `json:"storeHits"`
+	Simulated int `json:"simulated"`
+	TraceGens int `json:"traceGens"`
+}
+
+// Sourcing returns the stats in their wire form.
+func (st SimStats) Sourcing() RunSourcing {
+	return RunSourcing{StoreHits: st.Hits, Simulated: st.Simulated, TraceGens: st.TraceGens}
+}
+
 // NewLab builds a lab with the paper's three machines and two suites.
 func NewLab(opts Options) *Lab {
 	l, err := NewCampaignLab(PaperCampaign(), opts)
@@ -207,9 +228,7 @@ func (l *Lab) Simulate() error {
 // incrementally.
 func (l *Lab) SimulateContext(ctx context.Context) error {
 	st, err := runSimJobs(ctx, l.pendingJobs(), l.opts, nil)
-	l.stats.Hits += st.Hits
-	l.stats.Simulated += st.Simulated
-	l.stats.TraceGens += st.TraceGens
+	l.stats.add(st)
 	return err
 }
 

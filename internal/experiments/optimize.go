@@ -3,10 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 
@@ -81,14 +79,9 @@ type OptimizeSpec struct {
 // ParseOptimizeSpec decodes an optimize document with the scenario-file
 // rules: unknown fields and trailing data are errors.
 func ParseOptimizeSpec(data []byte) (OptimizeSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var spec OptimizeSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &spec); err != nil {
 		return OptimizeSpec{}, fmt.Errorf("experiments: parse optimize: %w", err)
-	}
-	if dec.More() {
-		return OptimizeSpec{}, fmt.Errorf("experiments: parse optimize: trailing data after optimize document")
 	}
 	if len(spec.Axes) == 0 {
 		return OptimizeSpec{}, fmt.Errorf("experiments: optimize has no axes")
@@ -103,17 +96,7 @@ func ParseOptimizeSpec(data []byte) (OptimizeSpec, error) {
 }
 
 // LoadOptimizeSpec reads and parses an optimize file.
-func LoadOptimizeSpec(path string) (OptimizeSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return OptimizeSpec{}, fmt.Errorf("experiments: %w", err)
-	}
-	spec, err := ParseOptimizeSpec(data)
-	if err != nil {
-		return OptimizeSpec{}, fmt.Errorf("%w (in %s)", err, path)
-	}
-	return spec, nil
-}
+func LoadOptimizeSpec(path string) (OptimizeSpec, error) { return loadFile(path, ParseOptimizeSpec) }
 
 // Optimize is a validated, fully resolved optimization: the grid
 // expanded through NewPlan (base machine via the uarch registry, axes
@@ -326,14 +309,6 @@ type OptimizeResult struct {
 	Stats SimStats
 }
 
-// RunSourcing is the wire form of SimStats, shared by the optimize
-// report and (aliased) the serving layer.
-type RunSourcing struct {
-	StoreHits int `json:"storeHits"`
-	Simulated int `json:"simulated"`
-	TraceGens int `json:"traceGens"`
-}
-
 // OptimizePointReport is the wire form of an OptimizePoint. RelErr is
 // signed (negative = the model under-predicts), matching the serving
 // convention.
@@ -388,8 +363,8 @@ func pointReport(p *OptimizePoint) *OptimizePointReport {
 		Distance:   p.Distance,
 		Refit:      p.Refit,
 		Feasible:   p.Feasible,
-		SimStack:   stackCPIs(p.SimStack),
-		ModelStack: stackCPIs(p.ModelStack),
+		SimStack:   StackCPIs(p.SimStack),
+		ModelStack: StackCPIs(p.ModelStack),
 	}
 }
 
@@ -410,11 +385,7 @@ func (r *OptimizeResult) Report() *OptimizeReport {
 		Truncated:  r.Truncated,
 		BaseCPI:    r.BaseCPI,
 		CPIBudget:  r.CPIBudget,
-		Sims: RunSourcing{
-			StoreHits: r.Stats.Hits,
-			Simulated: r.Stats.Simulated,
-			TraceGens: r.Stats.TraceGens,
-		},
+		Sims:       r.Stats.Sourcing(),
 	}
 	if r.Best != nil {
 		rep.Best = pointReport(r.Best)
@@ -429,61 +400,23 @@ func (r *OptimizeResult) Report() *OptimizeReport {
 // simulated (through opts.Store when configured) and fitted here, then
 // the grid is searched. The result's Stats include the base fit. For a
 // long-running caller that wants the base fit cached and deduplicated
-// across optimizations, use Provider.Optimize.
-func RunOptimize(o *Optimize, opts Options) (*OptimizeResult, error) {
-	return RunOptimizeContext(context.Background(), o, opts, nil)
-}
-
-// RunOptimizeContext is RunOptimize with cancellation and a probe hook:
-// cancelling ctx stops the dispatch of new simulations and returns
-// ctx.Err(), with every completed run already persisted to the store so
-// a rerun resumes warm. onProbe, when non-nil, is called after each
-// batch of full-fidelity probes with the cumulative probe count (calls
-// are never concurrent). The async Jobs engine runs optimize jobs
-// through here.
-func RunOptimizeContext(ctx context.Context, o *Optimize, opts Options, onProbe func(done int)) (*OptimizeResult, error) {
+// across optimizations, use Provider.Optimize. Cancelling ctx stops the
+// dispatch of new simulations and returns ctx.Err(), with every
+// completed run already persisted to the store so a rerun resumes warm.
+// onProbe, when non-nil, is called after each batch of full-fidelity
+// probes with the cumulative probe count (calls are never concurrent).
+func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(done int)) (*OptimizeResult, error) {
 	opts = opts.withDefaults()
-	suite, err := suites.ByName(o.Plan.Suite, suites.Options{NumOps: opts.NumOps, SeedBase: opts.SeedBase})
+	f, baseSt, err := fitSuite(ctx, o.Plan.Base, o.Plan.Suite, opts)
 	if err != nil {
 		return nil, err
 	}
-	base := o.Plan.Base
-	jobs := make([]simJob, 0, len(suite.Workloads))
-	for _, w := range suite.Workloads {
-		jobs = append(jobs, simJob{machine: base, spec: w,
-			run: RunKey{Machine: base.Name, Suite: o.Plan.Suite, Workload: w.Name}})
-	}
-	runs := make(map[string]*sim.Result, len(jobs))
-	baseSt, err := runSimJobs(ctx, jobs, opts, func(rk RunKey, r *sim.Result) {
-		runs[rk.Workload] = r
-	})
-	if err != nil {
-		return nil, err
-	}
-	obs, err := observationsFor(base.Name, suite, func(workload string) (*sim.Result, error) {
-		r, ok := runs[workload]
-		if !ok {
-			return nil, fmt.Errorf("experiments: missing run for %s/%s on %s", o.Plan.Suite, workload, base.Name)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	model, err := fitModel(base, obs, opts)
-	if err != nil {
-		return nil, err
-	}
-	f := &Fitted{Machine: base, Suite: suite, Model: model, Obs: obs, Runs: runs}
 	res, st, err := runOptimize(ctx, o, f, opts, onProbe)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = SimStats{
-		Hits:      baseSt.Hits + st.Hits,
-		Simulated: baseSt.Simulated + st.Simulated,
-		TraceGens: baseSt.TraceGens + st.TraceGens,
-	}
+	res.Stats = baseSt
+	res.Stats.add(st)
 	return res, nil
 }
 
@@ -748,9 +681,7 @@ func (z *optimizer) evalCells(suite suites.Suite, idxs []int, allowRefit bool) (
 		}
 		runs[c][rk.Workload] = r
 	})
-	z.stats.Hits += st.Hits
-	z.stats.Simulated += st.Simulated
-	z.stats.TraceGens += st.TraceGens
+	z.stats.add(st)
 	if err != nil {
 		return nil, err
 	}

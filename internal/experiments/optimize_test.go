@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,6 +28,8 @@ func TestParseOptimizeSpecStrict(t *testing.T) {
 		"unknown field":     `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}, "cores": 4}`,
 		"typoed search key": `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}, "search": {"algo": "x"}}`,
 		"trailing data":     `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}} {}`,
+		"trailing brace":    `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}}`,
+		"trailing square":   `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}]`,
 		"no axes":           `{"base": {"name": "core2"}, "axes": [], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`,
 		"no suite":          `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "objective": {"kind": "min-cpi"}}`,
 		"no objective":      `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000"}`,
@@ -193,7 +196,7 @@ func TestOptimizeDescentMatchesExhaustivePlan(t *testing.T) {
 		}
 	}
 
-	res, err := RunOptimize(o, opts)
+	res, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +227,7 @@ func TestOptimizeDescentMatchesExhaustivePlan(t *testing.T) {
 	}
 
 	// A rerun is deterministic and fully warm.
-	again, err := RunOptimize(o, opts)
+	again, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestOptimizeMinCostBudget(t *testing.T) {
 	// A budget loose enough that every cell qualifies: the cheapest cell
 	// outright — half the width, the slowest (cheapest) memory — wins.
 	o := optimizeGrid(t, ObjectiveSpec{Kind: ObjectiveMinCost, CPISlack: 4.0}, SearchSpec{TrustRadius: 99})
-	res, err := RunOptimize(o, opts)
+	res, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +275,7 @@ func TestOptimizeMinCostBudget(t *testing.T) {
 	// An impossible budget leaves every probe infeasible — reported, not
 	// hidden behind an arbitrary winner.
 	o = optimizeGrid(t, ObjectiveSpec{Kind: ObjectiveMinCost, CPIBudget: 0.0001}, SearchSpec{TrustRadius: 99})
-	res, err = RunOptimize(o, opts)
+	res, err = RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +295,7 @@ func TestOptimizeSuccessiveHalving(t *testing.T) {
 	opts := Options{NumOps: 2000, FitStarts: 2, Store: store}
 	o := optimizeGrid(t, ObjectiveSpec{Kind: ObjectiveMinCPI},
 		SearchSpec{Algorithm: SearchSuccessiveHalving, Rungs: 2, TrustRadius: 99})
-	res, err := RunOptimize(o, opts)
+	res, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +313,7 @@ func TestOptimizeSuccessiveHalving(t *testing.T) {
 
 	// Reduced-fidelity screens key separately in the store, so a rerun
 	// is pure hits at both fidelities.
-	again, err := RunOptimize(o, opts)
+	again, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +335,7 @@ func TestOptimizeParetoFrontier(t *testing.T) {
 	}
 	opts := Options{NumOps: 2000, FitStarts: 2, Store: store}
 	o := optimizeGrid(t, ObjectiveSpec{Kind: ObjectivePareto}, SearchSpec{TrustRadius: 99})
-	res, err := RunOptimize(o, opts)
+	res, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +395,7 @@ func TestOptimizeRefitBeyondTrustRadius(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := RunOptimize(o, opts)
+	tight, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +407,7 @@ func TestOptimizeRefitBeyondTrustRadius(t *testing.T) {
 	if o, err = spec.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	wide, err := RunOptimize(o, opts)
+	wide, err := RunOptimize(context.Background(), o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,14 +442,14 @@ func TestProviderOptimizeReusesBaseFit(t *testing.T) {
 	p := NewProvider(Options{NumOps: 2000, FitStarts: 2, Store: store})
 	o := optimizeGrid(t, ObjectiveSpec{Kind: ObjectiveMinCPI}, SearchSpec{TrustRadius: 99})
 
-	first, err := p.Optimize(o)
+	first, err := p.Optimize(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Stats(); st.Fits != 1 {
 		t.Errorf("first optimize fitted %d models, want 1", st.Fits)
 	}
-	second, err := p.Optimize(o)
+	second, err := p.Optimize(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +465,7 @@ func TestProviderOptimizeReusesBaseFit(t *testing.T) {
 
 	// The provider path matches the standalone path bit-for-bit (same
 	// fit inputs, same extrapolation).
-	standalone, err := RunOptimize(o, Options{NumOps: 2000, FitStarts: 2, Store: store})
+	standalone, err := RunOptimize(context.Background(), o, Options{NumOps: 2000, FitStarts: 2, Store: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/core"
@@ -46,14 +44,9 @@ const MaxPlanCells = 4096
 // ParsePlanSpec decodes a plan document with the scenario-file rules:
 // unknown fields and trailing data are errors.
 func ParsePlanSpec(data []byte) (PlanSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var ps PlanSpec
-	if err := dec.Decode(&ps); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &ps); err != nil {
 		return PlanSpec{}, fmt.Errorf("experiments: parse plan: %w", err)
-	}
-	if dec.More() {
-		return PlanSpec{}, fmt.Errorf("experiments: parse plan: trailing data after plan document")
 	}
 	if len(ps.Axes) == 0 {
 		return PlanSpec{}, fmt.Errorf("experiments: plan has no axes")
@@ -65,17 +58,7 @@ func ParsePlanSpec(data []byte) (PlanSpec, error) {
 }
 
 // LoadPlanSpec reads and parses a plan file.
-func LoadPlanSpec(path string) (PlanSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return PlanSpec{}, fmt.Errorf("experiments: %w", err)
-	}
-	ps, err := ParsePlanSpec(data)
-	if err != nil {
-		return PlanSpec{}, fmt.Errorf("%w (in %s)", err, path)
-	}
-	return ps, nil
-}
+func LoadPlanSpec(path string) (PlanSpec, error) { return loadFile(path, ParsePlanSpec) }
 
 // Resolve materializes the spec into a validated Plan: the base machine
 // through the uarch registry, every axis through the param registry,
@@ -92,8 +75,8 @@ func (ps PlanSpec) Resolve() (*Plan, error) {
 // the base (fit point); Machines[1+i] is the derived machine of
 // Cells[i]. Cells enumerate the axis cross product row-major with the
 // last axis fastest, each cell holding one value per axis in Axes
-// order; a single-axis plan therefore lists its cells in the axis's
-// value order, exactly like the legacy one-axis sweep.
+// order; a single-axis plan — a sweep — therefore lists its cells in
+// the axis's value order.
 type Plan struct {
 	Base  *uarch.Machine
 	Axes  []PlanAxis
@@ -140,7 +123,7 @@ func NewPlan(base *uarch.Machine, axes []PlanAxis, suiteName string) (*Plan, err
 			return nil, fmt.Errorf("experiments: plan lists axis %q twice", ax.Param)
 		}
 		seen[ax.Param] = true
-		if err := ValidateSweepValues(ax.Values); err != nil {
+		if err := validateSweepValues(ax.Values); err != nil {
 			return nil, fmt.Errorf("%w (axis %s)", err, ax.Param)
 		}
 		p.params = append(p.params, sp)
@@ -209,8 +192,8 @@ func (p PlanPoint) Err() float64 { return stats.RelErr(p.ModelCPI, p.SimCPI) }
 
 // PlanResult is an executed plan: the model fitted once at the base
 // configuration and extrapolated — empirical coefficients frozen,
-// machine parameters and counters updated — to every grid cell. The
-// one-axis SweepResult is a projection of this (RunSweep adapts it).
+// machine parameters and counters updated — to every grid cell. A
+// one-axis result is also a sweep's (see SweepReport and RenderSweep).
 type PlanResult struct {
 	Base       string
 	Axes       []PlanAxis
@@ -258,10 +241,9 @@ func RunPlanContext(ctx context.Context, p *Plan, opts Options) (*PlanResult, er
 
 // planResult extrapolates the base-fitted model to every cell of a
 // simulated lab — the shared back half of RunPlan and Provider.Plan,
-// and (through the single-axis adapters) of RunSweep and
-// Provider.Sweep. The accumulation order is fixed (observations sorted
-// by workload name, components in stack order), so identical inputs
-// produce bit-identical floats on every path.
+// and so of every plan and sweep. The accumulation order is fixed
+// (observations sorted by workload name, components in stack order),
+// so identical inputs produce bit-identical floats on every path.
 func planResult(lab *Lab, p *Plan, fitted *core.Model) (*PlanResult, error) {
 	res := &PlanResult{
 		Base:       p.Base.Name,
@@ -298,6 +280,63 @@ func planResult(lab *Lab, p *Plan, fitted *core.Model) (*PlanResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
+}
+
+// cellCPI is the wire form of one evaluated cell, shared by plan cells
+// and sweep points: the derived machine and its simulated vs
+// model-extrapolated suite-mean CPI and stacks. RelErr is signed
+// (negative = the model under-predicts).
+type cellCPI struct {
+	Machine    string     `json:"machine"`
+	SimCPI     float64    `json:"simCPI"`
+	ModelCPI   float64    `json:"modelCPI"`
+	RelErr     float64    `json:"relErr"`
+	SimStack   []StackCPI `json:"simStack"`
+	ModelStack []StackCPI `json:"modelStack"`
+}
+
+func (p PlanPoint) cellCPI() cellCPI {
+	return cellCPI{
+		Machine:    p.Machine,
+		SimCPI:     p.SimCPI,
+		ModelCPI:   p.ModelCPI,
+		RelErr:     (p.ModelCPI - p.SimCPI) / p.SimCPI,
+		SimStack:   StackCPIs(p.SimStack),
+		ModelStack: StackCPIs(p.ModelStack),
+	}
+}
+
+// PlanCellReport is one evaluated grid cell of a PlanReport, its axis
+// values aligned with the plan's axes.
+type PlanCellReport struct {
+	Values []int `json:"values"`
+	cellCPI
+}
+
+// PlanReport is the wire form of a PlanResult: the one JSON shape POST
+// /v1/plan responses, plan job results and cmd/sweep's grid -json output
+// share. Cells appear row-major with the last axis fastest; BaseValues
+// is the fit point on each axis. Sims reports the plan's run sourcing —
+// on a warm store a whole grid answers with zero simulations and zero
+// trace generations.
+type PlanReport struct {
+	Base       string           `json:"base"`
+	Suite      string           `json:"suite"`
+	Ops        int              `json:"ops"`
+	Axes       []PlanAxis       `json:"axes"`
+	BaseValues []int            `json:"baseValues"`
+	Cells      []PlanCellReport `json:"cells"`
+	Sims       RunSourcing      `json:"sims"`
+}
+
+// Report flattens the result into its wire form.
+func (r *PlanResult) Report() *PlanReport {
+	rep := &PlanReport{Base: r.Base, Suite: r.Suite, Ops: r.NumOps, Axes: r.Axes,
+		BaseValues: r.BaseValues, Sims: r.Stats.Sourcing()}
+	for _, p := range r.Points {
+		rep.Cells = append(rep.Cells, PlanCellReport{Values: p.Values, cellCPI: p.cellCPI()})
+	}
+	return rep
 }
 
 // Render returns the grid table as text: one row per cell with its

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -138,6 +139,8 @@ func TestParsePlanSpecStrict(t *testing.T) {
 		"unknown field":   `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000", "cores": 4}`,
 		"typoed axis key": `{"base": {"name": "core2"}, "axes": [{"parm": "rob", "values": [64]}], "suite": "cpu2000"}`,
 		"trailing data":   `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000"} {}`,
+		"trailing brace":  `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000"}}`,
+		"trailing square": `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000"}]`,
 		"no axes":         `{"base": {"name": "core2"}, "axes": [], "suite": "cpu2000"}`,
 		"no suite":        `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}]}`,
 	} {
@@ -150,8 +153,9 @@ func TestParsePlanSpecStrict(t *testing.T) {
 // legacySweep reimplements the pre-plan one-axis sweep path verbatim —
 // explicit derived machines, a custom lab, generator-fed simulations
 // (trace sharing disabled), and the inline extrapolation loop — as the
-// reference the plan engine must match float-for-float.
-func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, suiteName string, opts Options) *SweepResult {
+// reference the plan engine must match float-for-float. It returns the
+// one-axis plan result the sweep report and text project from.
+func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, suiteName string, opts Options) *PlanResult {
 	t.Helper()
 	opts.NoSharedTraces = true
 	p, err := SweepParamByName(param)
@@ -181,15 +185,15 @@ func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &SweepResult{Base: base.Name, Param: p, BaseValue: p.Get(base),
-		Suite: suiteName, NumOps: lab.NumOps()}
+	res := &PlanResult{Base: base.Name, Axes: []PlanAxis{{Param: p.Name, Values: values}},
+		BaseValues: []int{p.Get(base)}, Suite: suiteName, NumOps: lab.NumOps()}
 	for _, m := range lab.Machines()[1:] {
 		extrap := &core.Model{Machine: m.Params(), P: fitted.P}
 		obs, err := lab.Observations(m.Name, suiteName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt := SweepPoint{Value: p.Get(m), Machine: m.Name}
+		pt := PlanPoint{Values: []int{p.Get(m)}, Machine: m.Name}
 		n := float64(len(obs))
 		for _, o := range obs {
 			pt.SimCPI += o.MeasuredCPI / n
@@ -210,10 +214,11 @@ func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, 
 	return res
 }
 
-// TestSingleAxisPlanMatchesLegacySweep is the refactor's bit-identity
-// property: across every registered axis, the plan-engine-backed
-// RunSweep (shared trace buffers included) must reproduce the legacy
-// generator-fed sweep computation per-float.
+// TestSingleAxisPlanMatchesLegacySweep is the sweep's bit-identity
+// property: across every registered axis, the one-axis plan a SweepSpec
+// resolves to (shared trace buffers included) must reproduce the legacy
+// generator-fed sweep computation per-float, and so must the sweep
+// report and text projected from it.
 func TestSingleAxisPlanMatchesLegacySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six fits are slow")
@@ -236,18 +241,22 @@ func TestSingleAxisPlanMatchesLegacySweep(t *testing.T) {
 		}
 		t.Run(p.Name, func(t *testing.T) {
 			want := legacySweep(t, base, p.Name, vals, sn, opts)
-			got, err := RunSweep(base, p.Name, vals, sn, opts)
+			plan, err := NewPlan(base, []PlanAxis{{Param: p.Name, Values: vals}}, sn)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Base != want.Base || got.BaseValue != want.BaseValue ||
+			got, err := RunPlan(plan, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Base != want.Base || got.BaseValues[0] != want.BaseValues[0] ||
 				got.Suite != want.Suite || got.NumOps != want.NumOps ||
-				got.Param.Name != want.Param.Name || len(got.Points) != len(want.Points) {
+				got.Axes[0].Param != want.Axes[0].Param || len(got.Points) != len(want.Points) {
 				t.Fatalf("sweep header differs: %+v vs %+v", got, want)
 			}
 			for i := range got.Points {
 				g, w := got.Points[i], want.Points[i]
-				if g.Value != w.Value || g.Machine != w.Machine {
+				if g.Values[0] != w.Values[0] || g.Machine != w.Machine {
 					t.Fatalf("point %d identity differs: %+v vs %+v", i, g, w)
 				}
 				if g.SimCPI != w.SimCPI || g.ModelCPI != w.ModelCPI {
@@ -261,8 +270,11 @@ func TestSingleAxisPlanMatchesLegacySweep(t *testing.T) {
 					}
 				}
 			}
-			if got.Render() != want.Render() {
+			if got.RenderSweep() != want.RenderSweep() {
 				t.Error("rendered sweep output differs from the legacy computation")
+			}
+			if !reflect.DeepEqual(got.SweepReport(), want.SweepReport()) {
+				t.Error("sweep report differs from the legacy computation")
 			}
 		})
 	}

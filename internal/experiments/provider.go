@@ -162,16 +162,17 @@ func (p *Provider) fittedWith(m *uarch.Machine, suiteName string, opts Options) 
 		close(c.done)
 	}()
 	var st SimStats
-	c.res, st, c.err = p.fit(m, suiteName, opts)
+	c.res, st, c.err = fitSuite(context.Background(), m, suiteName, opts)
 	p.addSimStats(st)
 	return c.res, st, c.err
 }
 
-// fit simulates the suite on the machine (through the run store when
-// configured) and fits the model, via the same runSimJobs /
-// observationsFor / fitModel path Lab uses. The caller accounts the
+// fitSuite simulates the suite on the machine (through the run store
+// when configured) and fits the model, via the same runSimJobs /
+// observationsFor / fitModel path Lab uses: the provider's cached fits
+// and a standalone optimize search's base fit. The caller accounts the
 // returned SimStats.
-func (p *Provider) fit(m *uarch.Machine, suiteName string, opts Options) (*Fitted, SimStats, error) {
+func fitSuite(ctx context.Context, m *uarch.Machine, suiteName string, opts Options) (*Fitted, SimStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, SimStats{}, err
 	}
@@ -185,7 +186,7 @@ func (p *Provider) fit(m *uarch.Machine, suiteName string, opts Options) (*Fitte
 			run: RunKey{Machine: m.Name, Suite: suiteName, Workload: w.Name}})
 	}
 	runs := make(map[string]*sim.Result, len(jobs))
-	st, err := runSimJobs(context.Background(), jobs, opts, func(rk RunKey, r *sim.Result) {
+	st, err := runSimJobs(ctx, jobs, opts, func(rk RunKey, r *sim.Result) {
 		runs[rk.Workload] = r
 	})
 	if err != nil {
@@ -241,20 +242,15 @@ func (p *Provider) Plan(plan *Plan) (*PlanResult, error) {
 // fit comes from the cached, singleflight-deduplicated Fitted path, and
 // every probe simulates through the same run store. The returned
 // result's Stats cover only this call's probe simulations (the base is
-// served from the model cache). Safe for concurrent callers.
-func (p *Provider) Optimize(o *Optimize) (*OptimizeResult, error) {
-	return p.OptimizeContext(context.Background(), o, nil)
-}
-
-// OptimizeContext is Optimize with cancellation and a probe hook (see
-// RunOptimizeContext). Note the base fit itself joins the singleflight
-// path and is not cancellable; only the probe phase observes ctx.
-func (p *Provider) OptimizeContext(ctx context.Context, o *Optimize, onProbe func(done int)) (*OptimizeResult, error) {
+// served from the model cache). Safe for concurrent callers. The base
+// fit joins the singleflight path and is not cancellable; only the
+// probe phase observes ctx.
+func (p *Provider) Optimize(ctx context.Context, o *Optimize) (*OptimizeResult, error) {
 	f, err := p.Fitted(o.Plan.Base, o.Plan.Suite)
 	if err != nil {
 		return nil, err
 	}
-	res, st, err := runOptimize(ctx, o, f, p.opts, onProbe)
+	res, st, err := runOptimize(ctx, o, f, p.opts, nil)
 	p.addSimStats(st)
 	if err != nil {
 		return nil, err
@@ -262,28 +258,8 @@ func (p *Provider) OptimizeContext(ctx context.Context, o *Optimize, onProbe fun
 	return res, nil
 }
 
-// Sweep runs a one-axis sensitivity sweep through the provider — a
-// single-axis Plan projected into the sweep shape, exactly as RunSweep
-// adapts RunPlan, so daemon and CLI sweeps stay bit-identical.
-func (p *Provider) Sweep(base *uarch.Machine, param string, values []int, suiteName string) (*SweepResult, error) {
-	// Validate and derive the grid before touching the expensive fit
-	// path: a bogus parameter or value list must not cost a suite
-	// simulation.
-	plan, err := NewPlan(base, []PlanAxis{{Param: param, Values: values}}, suiteName)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Plan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return sweepFromPlan(res)
-}
-
 func (p *Provider) addSimStats(st SimStats) {
 	p.mu.Lock()
-	p.stats.Sim.Hits += st.Hits
-	p.stats.Sim.Simulated += st.Simulated
-	p.stats.Sim.TraceGens += st.TraceGens
+	p.stats.Sim.add(st)
 	p.mu.Unlock()
 }

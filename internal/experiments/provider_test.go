@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -178,21 +179,27 @@ func TestProviderWarmStoreDispatchesZeroSimulations(t *testing.T) {
 	}
 }
 
+// TestProviderSweepMatchesRunSweep: a sweep's one-axis plan served
+// through the provider (the synchronous endpoint path) is bit-identical
+// to the standalone run (the job and cmd/sweep path).
 func TestProviderSweepMatchesRunSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps are slow")
 	}
 	opts := Options{NumOps: 2000, FitStarts: 2}
-	m := testMachine(t, "core2")
-	values := []int{48, 96}
+	plan, err := SweepSpec{Base: MachineSpec{Name: "core2"}, Param: "rob", Values: []int{48, 96},
+		Suite: "cpu2000"}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	want, err := RunSweep(m, "rob", values, "cpu2000", opts)
+	want, err := RunPlan(plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	prov := NewProvider(opts)
-	got, err := prov.Sweep(m, "rob", values, "cpu2000")
+	got, err := prov.Plan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +209,7 @@ func TestProviderSweepMatchesRunSweep(t *testing.T) {
 	}
 	for i := range got.Points {
 		g, w := got.Points[i], want.Points[i]
-		if g.Value != w.Value || g.Machine != w.Machine {
+		if g.Values[0] != w.Values[0] || g.Machine != w.Machine {
 			t.Errorf("point %d identity mismatch: %v vs %v", i, g, w)
 		}
 		if math.Float64bits(g.SimCPI) != math.Float64bits(w.SimCPI) ||
@@ -218,7 +225,7 @@ func TestProviderSweepMatchesRunSweep(t *testing.T) {
 	if fitsAfterOne != 1 {
 		t.Errorf("sweep fitted %d models, want 1", fitsAfterOne)
 	}
-	if _, err := prov.Sweep(m, "rob", values, "cpu2000"); err != nil {
+	if _, err := prov.Plan(plan); err != nil {
 		t.Fatal(err)
 	}
 	if st := prov.Stats(); st.Fits != 1 {
@@ -242,16 +249,26 @@ func TestProviderErrorsAreNotCached(t *testing.T) {
 
 // TestProviderSweepValidatesBeforeFitting: a bogus sweep request must
 // fail before the provider spends a suite simulation and fit on it.
+// TestProviderSweepValidatesBeforeFitting: a sweep is resolved — and
+// rejected — before the provider serves it, so a bogus parameter or
+// value list never costs a suite simulation.
 func TestProviderSweepValidatesBeforeFitting(t *testing.T) {
 	prov := NewProvider(Options{NumOps: 1000, FitStarts: 2})
-	m := testMachine(t, "core2")
-	if _, err := prov.Sweep(m, "bogus", []int{64}, "cpu2000"); err == nil {
+	sweep := func(param string, values []int) error {
+		exp, err := ResolveJob(JobSpec{Kind: JobKindSweep, Sweep: &SweepSpec{
+			Base: MachineSpec{Name: "core2"}, Param: param, Values: values, Suite: "cpu2000"}}, prov.Opts())
+		if err == nil {
+			_, err = exp.Serve(context.Background(), prov)
+		}
+		return err
+	}
+	if err := sweep("bogus", []int{64}); err == nil {
 		t.Fatal("unknown sweep param should fail")
 	}
-	if _, err := prov.Sweep(m, "rob", []int{0}, "cpu2000"); err == nil {
+	if err := sweep("rob", []int{0}); err == nil {
 		t.Fatal("non-positive sweep value should fail")
 	}
-	if _, err := prov.Sweep(m, "rob", nil, "cpu2000"); err == nil {
+	if err := sweep("rob", nil); err == nil {
 		t.Fatal("empty sweep values should fail")
 	}
 	if st := prov.Stats(); st.Fits != 0 || st.Sim.Simulated != 0 {

@@ -3,10 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 
@@ -44,30 +42,15 @@ type SeedsSpec struct {
 // ParseSeedsSpec decodes a seeds document with the scenario-file rules:
 // unknown fields and trailing data are errors.
 func ParseSeedsSpec(data []byte) (SeedsSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var spec SeedsSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &spec); err != nil {
 		return SeedsSpec{}, fmt.Errorf("experiments: parse seeds: %w", err)
-	}
-	if dec.More() {
-		return SeedsSpec{}, fmt.Errorf("experiments: parse seeds: trailing data after seeds document")
 	}
 	return spec, nil
 }
 
 // LoadSeedsSpec reads and parses a seeds file.
-func LoadSeedsSpec(path string) (SeedsSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return SeedsSpec{}, fmt.Errorf("experiments: %w", err)
-	}
-	spec, err := ParseSeedsSpec(data)
-	if err != nil {
-		return SeedsSpec{}, fmt.Errorf("%w (in %s)", err, path)
-	}
-	return spec, nil
-}
+func LoadSeedsSpec(path string) (SeedsSpec, error) { return loadFile(path, ParseSeedsSpec) }
 
 // Seeds is a validated, fully resolved seed sweep: the subject machines
 // materialized through the uarch registry, the suite names checked
@@ -304,11 +287,7 @@ func (r *SeedsResult) Report() *SeedsReport {
 		Machines:  r.Machines,
 		Suites:    r.Suites,
 		Cells:     r.Cells,
-		Sims: RunSourcing{
-			StoreHits: r.Stats.Hits,
-			Simulated: r.Stats.Simulated,
-			TraceGens: r.Stats.TraceGens,
-		},
+		Sims:      r.Stats.Sourcing(),
 	}
 }
 
@@ -434,18 +413,12 @@ func seedsResultFrom(s *Seeds, opts Options, grid [][]seedCellData, st SimStats)
 // RunSeeds executes the seed sweep standalone, simulating and fitting
 // every (machine, suite, seed) cell through opts.Store when configured.
 // For a long-running caller that wants the per-seed fits cached and
-// deduplicated across sweeps, use Provider.Seeds.
-func RunSeeds(s *Seeds, opts Options) (*SeedsResult, error) {
-	return RunSeedsContext(context.Background(), s, opts, nil)
-}
-
-// RunSeedsContext is RunSeeds with cancellation and a progress hook:
-// cancelling ctx stops the dispatch of new simulations (in-flight ones
-// finish and land in the store, so a rerun resumes warm) and skips the
-// remaining fits, returning ctx.Err(). onSeed, when non-nil, is called
-// each time another seed has been fully evaluated, with the cumulative
-// seed count (calls are never concurrent). The async Jobs engine runs
-// seeds jobs through here.
+// deduplicated across sweeps, use Provider.Seeds. Cancelling ctx stops
+// the dispatch of new simulations (in-flight ones finish and land in
+// the store, so a rerun resumes warm) and skips the remaining fits,
+// returning ctx.Err(). onSeed, when non-nil, is called each time
+// another seed has been fully evaluated, with the cumulative seed count
+// (calls are never concurrent).
 //
 // Replications fan out across the worker pool rather than running one
 // lab per seed sequentially: every seed's pending runs join a single
@@ -456,7 +429,7 @@ func RunSeeds(s *Seeds, opts Options) (*SeedsResult, error) {
 // scheduling, each cell's fit consumes only its own seed's
 // observations, and the grid is written by seed index, so aggregation
 // order never depends on completion order.
-func RunSeedsContext(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)) (*SeedsResult, error) {
+func RunSeeds(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)) (*SeedsResult, error) {
 	opts = opts.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -605,9 +578,7 @@ func (p *Provider) Seeds(ctx context.Context, s *Seeds, onSeed func(done int)) (
 					return nil, err
 				}
 				f, fst, err := p.fittedWith(m, suiteName, sopts)
-				st.Hits += fst.Hits
-				st.Simulated += fst.Simulated
-				st.TraceGens += fst.TraceGens
+				st.add(fst)
 				if err != nil {
 					return nil, err
 				}

@@ -23,9 +23,11 @@ func TestParseSeedsSpecStrict(t *testing.T) {
 		t.Errorf("parsed spec = %+v", spec)
 	}
 	for name, doc := range map[string]string{
-		"unknown field": `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 3, "ops": 500}`,
-		"trailing data": `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 3} {}`,
-		"not JSON":      `seeds!`,
+		"unknown field":   `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 3, "ops": 500}`,
+		"trailing data":   `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 3} {}`,
+		"trailing brace":  `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 3}}`,
+		"trailing square": `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 3}]`,
+		"not JSON":        `seeds!`,
 	} {
 		if _, err := ParseSeedsSpec([]byte(doc)); err == nil {
 			t.Errorf("%s should fail to parse", name)
@@ -111,7 +113,7 @@ func TestSeedsSingleSeedMatchesCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSeeds(s, opts)
+	res, err := RunSeeds(context.Background(), s, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestRunSeedsWarmRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold, err := RunSeeds(s, opts)
+	cold, err := RunSeeds(context.Background(), s, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestRunSeedsWarmRerun(t *testing.T) {
 		t.Error("seeds 1 and 2 produced bit-identical CPI; the seed base is not reaching the generators")
 	}
 
-	warm, err := RunSeeds(s, opts)
+	warm, err := RunSeeds(context.Background(), s, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestProviderSeedsMatchesRunSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocking, err := RunSeeds(s, opts)
+	blocking, err := RunSeeds(context.Background(), s, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestProviderSeedsMatchesRunSeeds(t *testing.T) {
 	if _, err := prov.Seeds(ctx, s, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("provider sweep on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := RunSeedsContext(ctx, s, opts, nil); !errors.Is(err, context.Canceled) {
+	if _, err := RunSeeds(ctx, s, opts, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("blocking sweep on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -356,7 +358,7 @@ func TestRunSeedsParallelMatchesSequential(t *testing.T) {
 		wopts := opts
 		wopts.Workers = workers
 		var done []int
-		got, err := RunSeedsContext(context.Background(), s, wopts, func(d int) { done = append(done, d) })
+		got, err := RunSeeds(context.Background(), s, wopts, func(d int) { done = append(done, d) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +409,7 @@ func TestRunSeedsCancelMidFlight(t *testing.T) {
 				}
 			}
 		}}
-	_, err = RunSeedsContext(ctx, s, opts, nil)
+	_, err = RunSeeds(ctx, s, opts, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep error = %v, want context.Canceled", err)
 	}
@@ -418,7 +420,7 @@ func TestRunSeedsCancelMidFlight(t *testing.T) {
 	}
 
 	opts.Progress = nil
-	res, err := RunSeeds(s, opts)
+	res, err := RunSeeds(context.Background(), s, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

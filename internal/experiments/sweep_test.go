@@ -31,6 +31,16 @@ func TestSweepParamByName(t *testing.T) {
 	}
 }
 
+// runSweep runs a sweep the way every surface does: the spec resolved
+// to its one-axis plan, executed by the plan engine.
+func runSweep(spec SweepSpec, opts Options) (*PlanResult, error) {
+	plan, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	return RunPlan(plan, opts)
+}
+
 func TestRunSweepIncrementalThroughStore(t *testing.T) {
 	sn := tinySuite(t)
 	store, err := runstore.Open(t.TempDir())
@@ -38,8 +48,9 @@ func TestRunSweepIncrementalThroughStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{NumOps: 3000, FitStarts: 2, Store: store}
+	spec := SweepSpec{Base: MachineSpec{Name: "core2"}, Param: "mshrs", Values: []int{1, 4, 8}, Suite: sn}
 
-	cold, err := RunSweep(uarch.CoreTwo(), "mshrs", []int{1, 4, 8}, sn, opts)
+	cold, err := runSweep(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +58,15 @@ func TestRunSweepIncrementalThroughStore(t *testing.T) {
 	if cold.Stats.Hits != 0 || cold.Stats.Simulated != 48 {
 		t.Errorf("cold stats %+v, want 0 hits / 48 simulated", cold.Stats)
 	}
-	if len(cold.Points) != 3 || cold.BaseValue != 8 {
+	if len(cold.Points) != 3 || cold.BaseValues[0] != 8 {
 		t.Fatalf("sweep shape wrong: %+v", cold)
 	}
 	for _, p := range cold.Points {
 		if p.SimCPI <= 0 || p.ModelCPI <= 0 {
-			t.Errorf("point %d: degenerate CPIs %+v", p.Value, p)
+			t.Errorf("point %d: degenerate CPIs %+v", p.Values[0], p)
 		}
 		if p.SimStack.Total() == 0 {
-			t.Errorf("point %d: empty ground-truth stack", p.Value)
+			t.Errorf("point %d: empty ground-truth stack", p.Values[0])
 		}
 	}
 	// Starving MSHRs must hurt: simulated CPI at 1 MSHR strictly above 8.
@@ -63,18 +74,18 @@ func TestRunSweepIncrementalThroughStore(t *testing.T) {
 		t.Errorf("MSHR starvation should raise CPI: %+v", cold.Points)
 	}
 
-	warm, err := RunSweep(uarch.CoreTwo(), "mshrs", []int{1, 4, 8}, sn, opts)
+	warm, err := runSweep(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Stats.Hits != 48 || warm.Stats.Simulated != 0 {
 		t.Errorf("warm stats %+v, want 48 hits / 0 simulated", warm.Stats)
 	}
-	if warm.Render() != cold.Render() {
+	if warm.RenderSweep() != cold.RenderSweep() {
 		t.Error("warm sweep output differs from cold")
 	}
 
-	text := cold.Render()
+	text := cold.RenderSweep()
 	for _, want := range []string{"model fitted at mshrs=8", "sim-CPI", "llc-load", "simulated|model"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered sweep missing %q:\n%s", want, text)
@@ -83,23 +94,27 @@ func TestRunSweepIncrementalThroughStore(t *testing.T) {
 }
 
 func TestRunSweepRejectsBadInput(t *testing.T) {
-	base := uarch.CoreTwo()
-	if _, err := RunSweep(base, "cores", []int{1}, "cpu2000", Options{NumOps: 1000}); err == nil {
+	opts := Options{NumOps: 1000}
+	sweep := func(param string, values []int, suite string) error {
+		_, err := runSweep(SweepSpec{Base: MachineSpec{Name: "core2"}, Param: param, Values: values, Suite: suite}, opts)
+		return err
+	}
+	if err := sweep("cores", []int{1}, "cpu2000"); err == nil {
 		t.Error("unknown param should fail")
 	}
-	if _, err := RunSweep(base, "rob", nil, "cpu2000", Options{NumOps: 1000}); err == nil {
+	if err := sweep("rob", nil, "cpu2000"); err == nil {
 		t.Error("empty values should fail")
 	}
-	if _, err := RunSweep(base, "rob", []int{64, 64}, "cpu2000", Options{NumOps: 1000}); err == nil {
+	if err := sweep("rob", []int{64, 64}, "cpu2000"); err == nil {
 		t.Error("duplicate values should fail")
 	}
-	if _, err := RunSweep(base, "rob", []int{0, 64}, "cpu2000", Options{NumOps: 1000}); err == nil {
+	if err := sweep("rob", []int{0, 64}, "cpu2000"); err == nil {
 		t.Error("non-positive value should fail (zero override would mislabel a base rerun)")
 	}
-	if _, err := RunSweep(base, "rob", []int{64}, "cpu2017", Options{NumOps: 1000}); err == nil {
+	if err := sweep("rob", []int{64}, "cpu2017"); err == nil {
 		t.Error("unknown suite should fail")
 	}
-	if _, err := RunSweep(base, "l2kb", []int{3}, "cpu2000", Options{NumOps: 1000}); err == nil {
+	if err := sweep("l2kb", []int{3}, "cpu2000"); err == nil {
 		t.Error("geometrically invalid derived machine should fail")
 	}
 }

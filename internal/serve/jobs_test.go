@@ -168,7 +168,7 @@ func TestJobCampaignMatchesBlockingRun(t *testing.T) {
 	if st.Jobs == nil || st.Jobs.Done != 1 {
 		t.Errorf("stats job gauges = %+v, want one done job", st.Jobs)
 	}
-	if st.Requests.JobSubmit != 1 || st.Requests.JobGet == 0 {
+	if st.Requests["jobSubmit"] != 1 || st.Requests["jobGet"] == 0 {
 		t.Errorf("job request counters = %+v", st.Requests)
 	}
 }

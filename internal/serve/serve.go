@@ -55,10 +55,14 @@ type Server struct {
 	endpoints []EndpointInfo
 
 	inflight atomic.Int64
-	reqs     struct {
-		discovery, healthz, machines, suites, params, predict, sweep, plan, optimize, seeds, stats atomic.Int64
-		jobSubmit, jobList, jobGet, jobCancel                                                      atomic.Int64
-	}
+	requests []routeCounter
+}
+
+// routeCounter counts the requests one route handled, under its
+// /v1/stats key.
+type routeCounter struct {
+	key string
+	n   *atomic.Int64
 }
 
 // New builds a server around the given provider and job engine. jobs may
@@ -68,26 +72,32 @@ func New(prov *experiments.Provider, jobs *experiments.Jobs) *Server {
 	s := &Server{prov: prov, jobs: jobs, mux: http.NewServeMux()}
 	// The route table is registered and served from one place: GET /v1
 	// returns exactly what was mounted, so the discovery index can never
-	// drift from the mux.
-	add := func(method, path, doc string, h http.HandlerFunc) {
-		s.mux.HandleFunc(method+" "+path, h)
+	// drift from the mux, and every route gets its request counter here.
+	add := func(method, path, key, doc string, h http.HandlerFunc) {
+		n := new(atomic.Int64)
+		s.requests = append(s.requests, routeCounter{key: key, n: n})
+		s.mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
+			n.Add(1)
+			h(w, r)
+		})
 		s.endpoints = append(s.endpoints, EndpointInfo{Method: method, Path: path, Doc: doc})
 	}
-	add("GET", "/v1", "API discovery: endpoint index, simulator version, capability flags", s.handleDiscovery)
-	add("GET", "/healthz", "liveness + simulator version", s.handleHealthz)
-	add("GET", "/v1/machines", "registered machine names", s.handleMachines)
-	add("GET", "/v1/suites", "registered suites and their workloads", s.handleSuites)
-	add("GET", "/v1/params", "registered exploration axes (valid sweep/plan params)", s.handleParams)
-	add("POST", "/v1/predict", "CPI + CPI stack for machine spec(s) × suite[/workload]", s.handlePredict)
-	add("POST", "/v1/sweep", "one-axis what-if sweep over a derived machine", s.handleSweep)
-	add("POST", "/v1/plan", "multi-axis exploration grid, fitted once and extrapolated per cell", s.handlePlan)
-	add("POST", "/v1/optimize", "design-space search (min CPI / min cost / Pareto) over a grid", s.handleOptimize)
-	add("POST", "/v1/seeds", "multi-seed replication sweep: mean/CI on CPI and model error, fit stability", s.handleSeeds)
-	add("POST", "/v1/jobs", "submit an async campaign, sweep, plan, optimize or seeds job", s.handleJobSubmit)
-	add("GET", "/v1/jobs", "list jobs (submission order)", s.handleJobList)
-	add("GET", "/v1/jobs/{id}", "one job's state, progress and result", s.handleJobGet)
-	add("DELETE", "/v1/jobs/{id}", "cancel a queued or running job", s.handleJobCancel)
-	add("GET", "/v1/stats", "request, model-cache, simulation, store and job counters", s.handleStats)
+	add("GET", "/v1", "discovery", "API discovery: endpoint index, simulator version, capability flags", s.handleDiscovery)
+	add("GET", "/healthz", "healthz", "liveness + simulator version", s.handleHealthz)
+	add("GET", "/v1/machines", "machines", "registered machine names", s.handleMachines)
+	add("GET", "/v1/suites", "suites", "registered suites and their workloads", s.handleSuites)
+	add("GET", "/v1/params", "params", "registered exploration axes (valid sweep/plan params)", s.handleParams)
+	add("POST", "/v1/predict", "predict", "CPI + CPI stack for machine spec(s) × suite[/workload]", s.handlePredict)
+	for _, k := range experiments.Kinds() {
+		if k.Doc != "" {
+			add("POST", "/v1/"+k.Name, k.Name, k.Doc, s.handleKind(k))
+		}
+	}
+	add("POST", "/v1/jobs", "jobSubmit", "submit an async campaign, sweep, plan, optimize or seeds job", s.handleJobSubmit)
+	add("GET", "/v1/jobs", "jobList", "list jobs (submission order)", s.handleJobList)
+	add("GET", "/v1/jobs/{id}", "jobGet", "one job's state, progress and result", s.jobByID((*experiments.Jobs).Get))
+	add("DELETE", "/v1/jobs/{id}", "jobCancel", "cancel a queued or running job", s.jobByID((*experiments.Jobs).Cancel))
+	add("GET", "/v1/stats", "stats", "request, model-cache, simulation, store and job counters", s.handleStats)
 	return s
 }
 
@@ -171,15 +181,10 @@ func badRequest(w http.ResponseWriter, err error) {
 }
 
 // decodeStrict parses a request body with the same strictness as
-// scenario files: unknown fields and trailing documents are errors.
+// scenario files: unknown fields and trailing data are errors.
 func decodeStrict(r *http.Request, w http.ResponseWriter, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := experiments.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		return fmt.Errorf("parse request: %w", err)
-	}
-	if dec.More() {
-		return errors.New("parse request: trailing data after JSON document")
 	}
 	return nil
 }
@@ -210,7 +215,6 @@ type DiscoveryResponse struct {
 }
 
 func (s *Server) handleDiscovery(w http.ResponseWriter, r *http.Request) {
-	s.reqs.discovery.Add(1)
 	writeJSON(w, http.StatusOK, DiscoveryResponse{
 		SimVersion: sim.Version,
 		Endpoints:  s.endpoints,
@@ -228,7 +232,6 @@ type HealthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.reqs.healthz.Add(1)
 	writeJSON(w, http.StatusOK, HealthzResponse{Status: "ok", SimVersion: sim.Version})
 }
 
@@ -238,7 +241,6 @@ type MachinesResponse struct {
 }
 
 func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
-	s.reqs.machines.Add(1)
 	writeJSON(w, http.StatusOK, MachinesResponse{Machines: uarch.Names()})
 }
 
@@ -260,7 +262,6 @@ type SuitesResponse struct {
 }
 
 func (s *Server) handleSuites(w http.ResponseWriter, r *http.Request) {
-	s.reqs.suites.Add(1)
 	ops := s.prov.Opts().NumOps
 	resp := SuitesResponse{Ops: ops}
 	for _, name := range suites.Names() {
@@ -297,7 +298,6 @@ type ParamsResponse struct {
 }
 
 func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
-	s.reqs.params.Add(1)
 	var resp ParamsResponse
 	for _, p := range experiments.SweepParams() {
 		resp.Params = append(resp.Params, ParamInfo{Name: p.Name, Doc: p.Doc})
@@ -319,64 +319,37 @@ type PredictRequest struct {
 	Workload string                    `json:"workload,omitempty"`
 }
 
-// StackEntry is one CPI-stack component, in stack order (base first).
-type StackEntry struct {
-	Component string  `json:"component"`
-	CPI       float64 `json:"cpi"`
-}
-
-func stackEntries(st sim.Stack) []StackEntry {
-	out := make([]StackEntry, 0, sim.NumComponents)
-	for _, c := range sim.Components() {
-		out = append(out, StackEntry{Component: c.String(), CPI: st.Cycles[c]})
-	}
-	return out
-}
-
 // WorkloadPrediction is the model's answer for one workload: measured
 // (counter-derived) CPI, the model's prediction, and the predicted
 // per-component CPI stack — the paper's headline deliverable, over HTTP.
-// RelErr is signed — negative means the model under-predicts — the
-// convention every relErr field on this wire follows; the accuracy
-// aggregates are magnitudes.
 type WorkloadPrediction struct {
-	Workload     string       `json:"workload"`
-	MeasuredCPI  float64      `json:"measuredCPI"`
-	PredictedCPI float64      `json:"predictedCPI"`
-	RelErr       float64      `json:"relErr"`
-	Stack        []StackEntry `json:"stack"`
-}
-
-// SuiteAccuracy summarizes suite-wide model error, as cmd/mecpi prints.
-type SuiteAccuracy struct {
-	AvgRelErr      float64 `json:"avgRelErr"`
-	MaxRelErr      float64 `json:"maxRelErr"`
-	FracBelow20Pct float64 `json:"fracBelow20pct"`
+	experiments.WorkloadCPI
+	Stack []experiments.StackCPI `json:"stack"`
 }
 
 // PredictResponse is the POST /v1/predict body for the single-machine
 // request form.
 type PredictResponse struct {
-	Machine    string               `json:"machine"`
-	ConfigHash string               `json:"configHash"`
-	Suite      string               `json:"suite"`
-	Ops        int                  `json:"ops"`
-	FitStarts  int                  `json:"fitStarts"`
-	Seed       uint64               `json:"seed"`
-	Params     core.Params          `json:"params"`
-	Workloads  []WorkloadPrediction `json:"workloads"`
-	Accuracy   *SuiteAccuracy       `json:"accuracy,omitempty"`
+	Machine    string                     `json:"machine"`
+	ConfigHash string                     `json:"configHash"`
+	Suite      string                     `json:"suite"`
+	Ops        int                        `json:"ops"`
+	FitStarts  int                        `json:"fitStarts"`
+	Seed       uint64                     `json:"seed"`
+	Params     core.Params                `json:"params"`
+	Workloads  []WorkloadPrediction       `json:"workloads"`
+	Accuracy   *experiments.SuiteAccuracy `json:"accuracy,omitempty"`
 }
 
 // MachinePrediction is one machine's slice of a batch predict response:
 // PredictResponse with the request-wide fields (suite, fit options)
 // hoisted to the batch envelope.
 type MachinePrediction struct {
-	Machine    string               `json:"machine"`
-	ConfigHash string               `json:"configHash"`
-	Params     core.Params          `json:"params"`
-	Workloads  []WorkloadPrediction `json:"workloads"`
-	Accuracy   *SuiteAccuracy       `json:"accuracy,omitempty"`
+	Machine    string                     `json:"machine"`
+	ConfigHash string                     `json:"configHash"`
+	Params     core.Params                `json:"params"`
+	Workloads  []WorkloadPrediction       `json:"workloads"`
+	Accuracy   *experiments.SuiteAccuracy `json:"accuracy,omitempty"`
 }
 
 // BatchPredictResponse is the POST /v1/predict body for the batch
@@ -390,7 +363,6 @@ type BatchPredictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.reqs.predict.Add(1)
 	var req PredictRequest
 	if err := decodeStrict(r, w, &req); err != nil {
 		badRequest(w, err)
@@ -499,274 +471,43 @@ func predictMachine(f *experiments.Fitted, workload string) (MachinePrediction, 
 		mp.Workloads = append(mp.Workloads, wp)
 		errs = append(errs, stats.RelErr(wp.PredictedCPI, wp.MeasuredCPI))
 	}
-	mp.Accuracy = &SuiteAccuracy{
-		AvgRelErr:      stats.Mean(errs),
-		MaxRelErr:      stats.Max(errs),
-		FracBelow20Pct: stats.FractionBelow(errs, 0.20),
-	}
+	acc := experiments.Accuracy(errs)
+	mp.Accuracy = &acc
 	return mp, nil
 }
 
 func predictWorkload(m *core.Model, o *core.Observation) WorkloadPrediction {
-	pred := m.PredictCPI(o.Feat)
-	return WorkloadPrediction{
-		Workload:     o.Name,
-		MeasuredCPI:  o.MeasuredCPI,
-		PredictedCPI: pred,
-		RelErr:       (pred - o.MeasuredCPI) / o.MeasuredCPI,
-		Stack:        stackEntries(m.Stack(o.Feat)),
+	return WorkloadPrediction{experiments.PredictWorkload(m, o), experiments.StackCPIs(m.Stack(o.Feat))}
+}
+
+// handleKind serves POST /v1/<kind>: the body is the kind's job payload,
+// strict-decoded with the spec-file rules and validated by the kind's
+// resolver — every check, suite lookups included, runs before anything
+// simulates — then executed through the provider's cached base fits.
+func (s *Server) handleKind(k experiments.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec := experiments.JobSpec{Kind: k.Name}
+		if err := decodeStrict(r, w, k.Payload(&spec)); err != nil {
+			badRequest(w, err)
+			return
+		}
+		exp, err := experiments.ResolveJob(spec, s.prov.Opts())
+		if err != nil {
+			badRequest(w, err)
+			return
+		}
+		out, err := exp.Serve(r.Context(), s.prov)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, CodeInternal, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, out.Report)
 	}
 }
 
-// SweepRequest asks for a one-axis sensitivity sweep: the model is
-// fitted at the base machine and extrapolated to each derived value.
-type SweepRequest struct {
-	Base   experiments.MachineSpec `json:"base"`
-	Param  string                  `json:"param"`
-	Values []int                   `json:"values"`
-	Suite  string                  `json:"suite"`
-}
-
-// SweepPointResponse is one swept configuration: simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed,
-// matching WorkloadPrediction (negative = model under-predicts).
-type SweepPointResponse struct {
-	Value      int          `json:"value"`
-	Machine    string       `json:"machine"`
-	SimCPI     float64      `json:"simCPI"`
-	ModelCPI   float64      `json:"modelCPI"`
-	RelErr     float64      `json:"relErr"`
-	SimStack   []StackEntry `json:"simStack"`
-	ModelStack []StackEntry `json:"modelStack"`
-}
-
-// SweepResponse is the POST /v1/sweep body.
-type SweepResponse struct {
-	Base      string               `json:"base"`
-	Param     string               `json:"param"`
-	BaseValue int                  `json:"baseValue"`
-	Suite     string               `json:"suite"`
-	Ops       int                  `json:"ops"`
-	Points    []SweepPointResponse `json:"points"`
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.reqs.sweep.Add(1)
-	var req SweepRequest
-	if err := decodeStrict(r, w, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	base, err := req.Base.Resolve()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := experiments.SweepParamByName(req.Param); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := suites.ByName(req.Suite, suites.Options{NumOps: s.prov.Opts().NumOps}); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if err := experiments.ValidateSweepValues(req.Values); err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Sweep(base, req.Param, req.Values, req.Suite)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	resp := SweepResponse{
-		Base:      res.Base,
-		Param:     res.Param.Name,
-		BaseValue: res.BaseValue,
-		Suite:     res.Suite,
-		Ops:       res.NumOps,
-	}
-	for _, p := range res.Points {
-		resp.Points = append(resp.Points, SweepPointResponse{
-			Value:      p.Value,
-			Machine:    p.Machine,
-			SimCPI:     p.SimCPI,
-			ModelCPI:   p.ModelCPI,
-			RelErr:     (p.ModelCPI - p.SimCPI) / p.SimCPI,
-			SimStack:   stackEntries(p.SimStack),
-			ModelStack: stackEntries(p.ModelStack),
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// PlanRequest is the POST /v1/plan body: a declarative multi-axis
-// exploration plan, strict-decoded with the plan-file rules. The axes
-// must name registered params (see GET /v1/params) with positive,
-// duplicate-free values.
-type PlanRequest = experiments.PlanSpec
-
-// PlanCellResponse is one evaluated grid cell: its axis values (aligned
-// with the request's axes), the derived machine, and simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed,
-// matching WorkloadPrediction (negative = model under-predicts).
-type PlanCellResponse struct {
-	Values     []int        `json:"values"`
-	Machine    string       `json:"machine"`
-	SimCPI     float64      `json:"simCPI"`
-	ModelCPI   float64      `json:"modelCPI"`
-	RelErr     float64      `json:"relErr"`
-	SimStack   []StackEntry `json:"simStack"`
-	ModelStack []StackEntry `json:"modelStack"`
-}
-
-// PlanResponse is the POST /v1/plan body: the model fitted once at the
-// base machine and extrapolated to every cell of the crossed grid.
-// Cells appear row-major with the last axis fastest; BaseValues is the
-// fit point on each axis. Sims reports this plan's run sourcing — on a
-// warm store a whole grid answers with zero simulations and zero trace
-// generations.
-type PlanResponse struct {
-	Base       string                 `json:"base"`
-	Suite      string                 `json:"suite"`
-	Ops        int                    `json:"ops"`
-	Axes       []experiments.PlanAxis `json:"axes"`
-	BaseValues []int                  `json:"baseValues"`
-	Cells      []PlanCellResponse     `json:"cells"`
-	Sims       SimSourcing            `json:"sims"`
-}
-
-// PlanResponseFrom converts an executed plan into the wire shape. It is
-// exported so cmd/sweep's -json plan mode emits byte-identical reports
-// to POST /v1/plan — the determinism harness (make sim-nondeterminism)
-// diffs that JSON across GOMAXPROCS settings.
-func PlanResponseFrom(res *experiments.PlanResult) PlanResponse {
-	resp := PlanResponse{
-		Base:       res.Base,
-		Suite:      res.Suite,
-		Ops:        res.NumOps,
-		Axes:       res.Axes,
-		BaseValues: res.BaseValues,
-		Sims: SimSourcing{
-			StoreHits: res.Stats.Hits,
-			Simulated: res.Stats.Simulated,
-			TraceGens: res.Stats.TraceGens,
-		},
-	}
-	for _, pt := range res.Points {
-		resp.Cells = append(resp.Cells, PlanCellResponse{
-			Values:     pt.Values,
-			Machine:    pt.Machine,
-			SimCPI:     pt.SimCPI,
-			ModelCPI:   pt.ModelCPI,
-			RelErr:     (pt.ModelCPI - pt.SimCPI) / pt.SimCPI,
-			SimStack:   stackEntries(pt.SimStack),
-			ModelStack: stackEntries(pt.ModelStack),
-		})
-	}
-	return resp
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.reqs.plan.Add(1)
-	var req PlanRequest
-	if err := decodeStrict(r, w, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := suites.ByName(req.Suite, suites.Options{NumOps: s.prov.Opts().NumOps}); err != nil {
-		badRequest(w, err)
-		return
-	}
-	// Resolve validates everything else — base machine, axis names,
-	// values, grid size, cell derivability — before anything simulates.
-	plan, err := req.Resolve()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Plan(plan)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, PlanResponseFrom(res))
-}
-
-// OptimizeRequest is the POST /v1/optimize body: a declarative
-// design-space search, strict-decoded with the optimize-file rules. See
-// experiments.OptimizeSpec for the objective and search knobs.
-type OptimizeRequest = experiments.OptimizeSpec
-
-// OptimizeResponse is the POST /v1/optimize body: the search outcome —
-// best point or Pareto frontier, probe accounting, and run sourcing (a
-// warm store answers with zero simulations and zero trace generations).
-type OptimizeResponse = experiments.OptimizeReport
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	s.reqs.optimize.Add(1)
-	var req OptimizeRequest
-	if err := decodeStrict(r, w, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := suites.ByName(req.Suite, suites.Options{NumOps: s.prov.Opts().NumOps}); err != nil {
-		badRequest(w, err)
-		return
-	}
-	// Resolve validates everything else — base machine, axes, objective,
-	// search knobs, cell derivability — before anything simulates.
-	o, err := req.Resolve()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Optimize(o)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Report())
-}
-
-// SeedsRequest is the POST /v1/seeds body: a declarative seed-sweep
-// campaign, strict-decoded with the seeds-file rules. See
-// experiments.SeedsSpec for the subject and replication knobs.
-type SeedsRequest = experiments.SeedsSpec
-
-// SeedsResponse is the POST /v1/seeds body: per-(machine, suite)
-// across-seed distributions — mean, sample standard deviation and
-// Student-t 95% CI on CPI and model error, plus per-coefficient fit
-// stability — and run sourcing (a warm store and model cache answer
-// with zero simulations and zero trace generations).
-type SeedsResponse = experiments.SeedsReport
-
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	s.reqs.seeds.Add(1)
-	var req SeedsRequest
-	if err := decodeStrict(r, w, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	// Resolve validates everything — subject machines, suite names (via
-	// the registry sentinels), the seed list — before anything simulates.
-	sweep, err := req.Resolve()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Seeds(r.Context(), sweep, nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Report())
-}
-
-// JobSubmitRequest is the POST /v1/jobs body: a job spec, strict-decoded
-// with exactly the scenario-file rules (unknown fields are errors, down
-// into the nested campaign).
-type JobSubmitRequest = experiments.JobSpec
+// PlanResponseFrom converts an executed plan into its wire report, the
+// body POST /v1/plan answers.
+func PlanResponseFrom(res *experiments.PlanResult) *experiments.PlanReport { return res.Report() }
 
 // JobListResponse is the GET /v1/jobs body, in submission order.
 type JobListResponse struct {
@@ -785,11 +526,13 @@ func (s *Server) jobsEnabled(w http.ResponseWriter) bool {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	s.reqs.jobSubmit.Add(1)
 	if !s.jobsEnabled(w) {
 		return
 	}
-	var req JobSubmitRequest
+	// The body is a job spec, strict-decoded with exactly the
+	// scenario-file rules (unknown fields are errors, down into the
+	// nested payload).
+	var req experiments.JobSpec
 	if err := decodeStrict(r, w, &req); err != nil {
 		badRequest(w, err)
 		return
@@ -812,60 +555,28 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.reqs.jobList.Add(1)
 	if !s.jobsEnabled(w) {
 		return
 	}
 	writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobs.List()})
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.reqs.jobGet.Add(1)
-	if !s.jobsEnabled(w) {
-		return
+// jobByID serves a /v1/jobs/{id} route through op: Get, or Cancel —
+// an idempotent no-op on a terminal job, whose snapshot tells the
+// caller what actually happened either way.
+func (s *Server) jobByID(op func(*experiments.Jobs, string) (experiments.JobStatus, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.jobsEnabled(w) {
+			return
+		}
+		st, ok := op(s.jobs, r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, CodeUnknownJob,
+				fmt.Errorf("unknown job %q", r.PathValue("id")))
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
 	}
-	st, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob,
-			fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.reqs.jobCancel.Add(1)
-	if !s.jobsEnabled(w) {
-		return
-	}
-	st, ok := s.jobs.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob,
-			fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	// Cancelling a terminal job is an idempotent no-op; the snapshot
-	// tells the caller what actually happened either way.
-	writeJSON(w, http.StatusOK, st)
-}
-
-// RequestStats counts handled requests per endpoint.
-type RequestStats struct {
-	Discovery int64 `json:"discovery"`
-	Healthz   int64 `json:"healthz"`
-	Machines  int64 `json:"machines"`
-	Suites    int64 `json:"suites"`
-	Params    int64 `json:"params"`
-	Predict   int64 `json:"predict"`
-	Sweep     int64 `json:"sweep"`
-	Plan      int64 `json:"plan"`
-	Optimize  int64 `json:"optimize"`
-	Seeds     int64 `json:"seeds"`
-	JobSubmit int64 `json:"jobSubmit"`
-	JobList   int64 `json:"jobList"`
-	JobGet    int64 `json:"jobGet"`
-	JobCancel int64 `json:"jobCancel"`
-	Stats     int64 `json:"stats"`
 }
 
 // ModelStats reports the provider's model cache.
@@ -873,15 +584,6 @@ type ModelStats struct {
 	Cached int `json:"cached"`
 	Fits   int `json:"fits"`
 	Hits   int `json:"hits"`
-}
-
-// SimSourcing reports where simulation runs came from, and how many
-// µop streams were actually generated to serve them (shared trace
-// buffers count one generation per workload, not per machine).
-type SimSourcing struct {
-	StoreHits int `json:"storeHits"`
-	Simulated int `json:"simulated"`
-	TraceGens int `json:"traceGens"`
 }
 
 // StoreStats mirrors the run store's counters (present only when the
@@ -892,42 +594,29 @@ type StoreStats struct {
 	Puts   int64 `json:"puts"`
 }
 
-// StatsResponse is the GET /v1/stats body. Jobs is present only when the
-// daemon runs a job engine; Sims covers the provider's synchronous
-// requests only — each job carries its own progress counters.
+// StatsResponse is the GET /v1/stats body. Requests counts handled
+// requests per route. Jobs is present only when the daemon runs a job
+// engine; Sims covers the provider's synchronous requests only — each
+// job carries its own progress counters.
 type StatsResponse struct {
-	Inflight int64                  `json:"inflight"`
-	Requests RequestStats           `json:"requests"`
-	Models   ModelStats             `json:"models"`
-	Sims     SimSourcing            `json:"sims"`
-	Store    *StoreStats            `json:"store,omitempty"`
-	Jobs     *experiments.JobCounts `json:"jobs,omitempty"`
+	Inflight int64                   `json:"inflight"`
+	Requests map[string]int64        `json:"requests"`
+	Models   ModelStats              `json:"models"`
+	Sims     experiments.RunSourcing `json:"sims"`
+	Store    *StoreStats             `json:"store,omitempty"`
+	Jobs     *experiments.JobCounts  `json:"jobs,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.reqs.stats.Add(1)
 	ps := s.prov.Stats()
 	resp := StatsResponse{
 		Inflight: s.inflight.Load(),
-		Requests: RequestStats{
-			Discovery: s.reqs.discovery.Load(),
-			Healthz:   s.reqs.healthz.Load(),
-			Machines:  s.reqs.machines.Load(),
-			Suites:    s.reqs.suites.Load(),
-			Params:    s.reqs.params.Load(),
-			Predict:   s.reqs.predict.Load(),
-			Sweep:     s.reqs.sweep.Load(),
-			Plan:      s.reqs.plan.Load(),
-			Optimize:  s.reqs.optimize.Load(),
-			Seeds:     s.reqs.seeds.Load(),
-			JobSubmit: s.reqs.jobSubmit.Load(),
-			JobList:   s.reqs.jobList.Load(),
-			JobGet:    s.reqs.jobGet.Load(),
-			JobCancel: s.reqs.jobCancel.Load(),
-			Stats:     s.reqs.stats.Load(),
-		},
-		Models: ModelStats{Cached: s.prov.CachedModels(), Fits: ps.Fits, Hits: ps.ModelHits},
-		Sims:   SimSourcing{StoreHits: ps.Sim.Hits, Simulated: ps.Sim.Simulated, TraceGens: ps.Sim.TraceGens},
+		Requests: make(map[string]int64, len(s.requests)),
+		Models:   ModelStats{Cached: s.prov.CachedModels(), Fits: ps.Fits, Hits: ps.ModelHits},
+		Sims:     ps.Sim.Sourcing(),
+	}
+	for _, c := range s.requests {
+		resp.Requests[c.key] = c.n.Load()
 	}
 	if store := s.prov.Opts().Store; store != nil {
 		st := store.Stats()

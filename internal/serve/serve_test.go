@@ -170,8 +170,8 @@ func TestConcurrentPredictSingleflight(t *testing.T) {
 	if st.Models.Hits != callers-1 {
 		t.Errorf("model hits = %d, want %d", st.Models.Hits, callers-1)
 	}
-	if st.Requests.Predict != callers {
-		t.Errorf("predict request count = %d, want %d", st.Requests.Predict, callers)
+	if st.Requests["predict"] != callers {
+		t.Errorf("predict request count = %d, want %d", st.Requests["predict"], callers)
 	}
 	if st.Inflight < 1 {
 		t.Errorf("inflight gauge = %d, want >= 1 (the stats request itself)", st.Inflight)
@@ -297,7 +297,7 @@ func TestSweepEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var resp SweepResponse
+	var resp experiments.SweepReport
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +325,8 @@ func TestSweepEndpoint(t *testing.T) {
 	if st.Models.Fits != 1 {
 		t.Errorf("sweep+predict fitted %d models, want 1 shared fit", st.Models.Fits)
 	}
-	if st.Requests.Sweep != 1 {
-		t.Errorf("sweep request count = %d, want 1", st.Requests.Sweep)
+	if st.Requests["sweep"] != 1 {
+		t.Errorf("sweep request count = %d, want 1", st.Requests["sweep"])
 	}
 }
 
@@ -341,6 +341,8 @@ func TestRequestValidation(t *testing.T) {
 		{"malformed JSON", "/v1/predict", `{`, http.StatusBadRequest, CodeBadRequest, "parse request"},
 		{"unknown field", "/v1/predict", `{"machine": {"name": "core2"}, "suite": "cpu2000", "typo": 1}`, http.StatusBadRequest, CodeBadRequest, "typo"},
 		{"trailing document", "/v1/predict", `{"machine": {"name": "core2"}, "suite": "cpu2000"} {}`, http.StatusBadRequest, CodeBadRequest, "trailing"},
+		{"trailing brace", "/v1/predict", `{"machine": {"name": "core2"}, "suite": "cpu2000"}}`, http.StatusBadRequest, CodeBadRequest, "trailing"},
+		{"trailing square bracket", "/v1/plan", `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000"}]`, http.StatusBadRequest, CodeBadRequest, "trailing"},
 		{"unknown machine", "/v1/predict", `{"machine": {"name": "core9"}, "suite": "cpu2000"}`, http.StatusBadRequest, CodeUnknownMachine, "unknown machine"},
 		{"neither machine nor machines", "/v1/predict", `{"suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "exactly one of machine or machines"},
 		{"both machine and machines", "/v1/predict", `{"machine": {"name": "core2"}, "machines": [{"name": "corei7"}], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "exactly one of machine or machines"},
@@ -501,7 +503,7 @@ func TestPlanEndpointMatchesBlockingRunPlan(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var resp PlanResponse
+	var resp experiments.PlanReport
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -544,8 +546,8 @@ func TestPlanEndpointMatchesBlockingRunPlan(t *testing.T) {
 
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Requests.Plan != 1 {
-		t.Errorf("plan request count = %d, want 1", st.Requests.Plan)
+	if st.Requests["plan"] != 1 {
+		t.Errorf("plan request count = %d, want 1", st.Requests["plan"])
 	}
 	// The daemon-wide gauge additionally counts the base fit's 48
 	// generations (one suite simulated on one machine, nothing shared).
@@ -596,8 +598,8 @@ func TestDiscoveryEndpoint(t *testing.T) {
 
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Requests.Discovery != 1 {
-		t.Errorf("discovery request count = %d, want 1", st.Requests.Discovery)
+	if st.Requests["discovery"] != 1 {
+		t.Errorf("discovery request count = %d, want 1", st.Requests["discovery"])
 	}
 }
 
@@ -679,7 +681,7 @@ func TestOptimizeEndpointMatchesBlockingRun(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var resp OptimizeResponse
+	var resp experiments.OptimizeReport
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +709,7 @@ func TestOptimizeEndpointMatchesBlockingRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := experiments.RunOptimize(o, experiments.Options{NumOps: testOps, FitStarts: 2})
+	ref, err := experiments.RunOptimize(context.Background(), o, experiments.Options{NumOps: testOps, FitStarts: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,8 +726,8 @@ func TestOptimizeEndpointMatchesBlockingRun(t *testing.T) {
 
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Requests.Optimize != 1 {
-		t.Errorf("optimize request count = %d, want 1", st.Requests.Optimize)
+	if st.Requests["optimize"] != 1 {
+		t.Errorf("optimize request count = %d, want 1", st.Requests["optimize"])
 	}
 }
 
@@ -798,7 +800,7 @@ func TestSeedsEndpointMatchesBlockingRunSeeds(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var resp SeedsResponse
+	var resp experiments.SeedsReport
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -821,7 +823,7 @@ func TestSeedsEndpointMatchesBlockingRunSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := experiments.RunSeeds(s, experiments.Options{NumOps: testOps, FitStarts: 2})
+	ref, err := experiments.RunSeeds(context.Background(), s, experiments.Options{NumOps: testOps, FitStarts: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -834,7 +836,7 @@ func TestSeedsEndpointMatchesBlockingRunSeeds(t *testing.T) {
 
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Requests.Seeds != 1 {
-		t.Errorf("seeds request count = %d, want 1", st.Requests.Seeds)
+	if st.Requests["seeds"] != 1 {
+		t.Errorf("seeds request count = %d, want 1", st.Requests["seeds"])
 	}
 }
