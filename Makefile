@@ -316,7 +316,10 @@ fuzz-smoke:
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon
-# answer predict and sweep requests without dispatching one simulation.
+# answer predict and kind requests without dispatching one simulation.
+# The sweep report carries no sourcing of its own, so the same rob axis
+# is posted once more as a one-axis plan, whose response must report
+# its own zero.
 serve-smoke: sim-smoke sweep-smoke
 	@echo "Starting mecpid on a random port against the run store at $(RUNSTORE)..."
 	@mkdir -p $(CURDIR)/.bin
@@ -328,12 +331,15 @@ serve-smoke: sim-smoke sweep-smoke
 	trap "kill $$pid 2>/dev/null" EXIT; \
 	for i in $$(seq 1 100); do [ -s $(CURDIR)/.bin/mecpid.addr ] && break; sleep 0.1; done; \
 	addr=$$(cat $(CURDIR)/.bin/mecpid.addr); \
-	echo "daemon at $$addr; hitting healthz, predict, sweep..." && \
+	echo "daemon at $$addr; hitting healthz, predict, sweep, plan..." && \
 	curl -fsS "http://$$addr/healthz" > /dev/null && \
 	curl -fsS -X POST "http://$$addr/v1/predict" \
 		-d '{"machine": {"name": "core2"}, "suite": "cpu2006", "workload": "mcf"}' > /dev/null && \
 	curl -fsS -X POST "http://$$addr/v1/sweep" \
 		-d '{"base": {"name": "core2"}, "param": "rob", "values": [48, 96, 192], "suite": "cpu2000"}' > /dev/null && \
+	curl -fsS -X POST "http://$$addr/v1/plan" \
+		-d '{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96, 192]}], "suite": "cpu2000"}' \
+		| grep -q '"simulated": 0' && \
 	echo "Asserting the warm store dispatched zero simulations..." && \
 	curl -fsS "http://$$addr/v1/stats" | grep -q '"simulated": 0'
 

@@ -1,7 +1,7 @@
 // Command mecpid is the model-serving daemon: the paper's fitted
 // mechanistic-empirical model behind an HTTP/JSON API, answering the
 // CPI and CPI-stack questions a simulator needs minutes for in
-// microseconds once a model is fitted. Fitted models are cached
+// microseconds once a model is fitted. Predict models are cached
 // content-addressed per (machine configuration, suite, fit options)
 // with singleflight deduplication — N concurrent requests for an
 // unfitted pair trigger exactly one simulate+fit — and simulations are
@@ -22,7 +22,8 @@
 // budget, or mapping a Pareto frontier), and POST /v1/seeds (a
 // multi-seed replication sweep reporting mean, sample deviation and
 // Student-t 95% intervals on CPI and model error plus per-coefficient
-// fit stability) — the daemon runs an async job engine: POST /v1/jobs
+// fit stability), each of the last four running exactly what a job of
+// its kind runs — the daemon runs an async job engine: POST /v1/jobs
 // executes whole campaigns, sweeps, plans, optimizations and seed
 // sweeps in the background through the same entry points as
 // cmd/experiments and cmd/sweep (so batch and daemon answers stay

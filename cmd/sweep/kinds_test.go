@@ -146,7 +146,7 @@ const cliOps = 2000
 // runJSON runs realMain with -json on core2 and cpu2000.
 func runJSON(params, values []string, planFile, optimizeFile, seedsFile string) (string, error) {
 	var out bytes.Buffer
-	err := realMain(&out, "core2", params, values, "cpu2000", cliOps, 2, 0, 0, "", planFile, optimizeFile, seedsFile, true)
+	err := realMain(&out, "core2", params, values, "cpu2000", cliOps, 2, 0, "", planFile, optimizeFile, seedsFile, true)
 	return out.String(), err
 }
 

@@ -90,7 +90,6 @@ func main() {
 	starts := flag.Int("starts", 12, "regression multi-start count")
 	storeDir := flag.String("store", "", "run-store directory for cached simulation results (empty = no cache)")
 	workers := flag.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS)")
-	liveBufs := flag.Int("livebufs", 0, "max materialized µop streams live at once, ≈56·ops bytes each (0 = workers+1)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -100,7 +99,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-	err = realMain(os.Stdout, *base, params, valueLists, *suite, *ops, *starts, *workers, *liveBufs, *storeDir, *planFile, *optimizeFile, *seedsFile, *jsonOut)
+	err = realMain(os.Stdout, *base, params, valueLists, *suite, *ops, *starts, *workers, *storeDir, *planFile, *optimizeFile, *seedsFile, *jsonOut)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -146,8 +145,8 @@ func parseAxes(params, valueLists []string) ([]experiments.PlanAxis, error) {
 	return axes, nil
 }
 
-func realMain(out io.Writer, baseName string, params, valueLists []string, suiteName string, ops, starts, workers, liveBufs int, storeDir, planFile, optimizeFile, seedsFile string, jsonOut bool) error {
-	opts := experiments.Options{NumOps: ops, FitStarts: starts, Workers: workers, LiveBuffers: liveBufs}
+func realMain(out io.Writer, baseName string, params, valueLists []string, suiteName string, ops, starts, workers int, storeDir, planFile, optimizeFile, seedsFile string, jsonOut bool) error {
+	opts := experiments.Options{NumOps: ops, FitStarts: starts, Workers: workers}
 	if storeDir != "" {
 		store, err := runstore.Open(storeDir)
 		if err != nil {

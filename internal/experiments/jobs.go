@@ -250,9 +250,9 @@ func (c JobsConfig) withDefaults() JobsConfig {
 
 // Jobs executes experiments of every registered kind asynchronously:
 // Submit validates through ResolveJob and enqueues, a bounded worker
-// pool executes through Experiment.Run — the standalone path the
-// blocking CLIs use, so batch and daemon answers stay bit-identical and
-// the run store is shared — per-job progress counters are fed from the
+// pool executes through Experiment.Run — the one path the blocking
+// CLIs and the synchronous endpoints use, so batch and daemon answers
+// stay bit-identical and the run store is shared — per-job progress counters are fed from the
 // store-hit/simulated callbacks and the kind's completion unit, Cancel
 // stops a job mid-flight via context cancellation, and terminal states
 // are persisted as JSON artifacts. Safe for concurrent use.

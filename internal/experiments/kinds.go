@@ -98,20 +98,15 @@ type Experiment struct {
 	// search, its upper bound), plus the cells, probes or seeds of the
 	// kinds that count them.
 	Totals JobProgress
-	// Run executes the experiment standalone under opts, simulating
-	// through opts.Store when configured. Cancelling ctx stops the
-	// dispatch of new simulations and returns ctx.Err(); completed runs
-	// stay in the store, so a rerun resumes warm. step, when non-nil,
-	// receives the cumulative count of the kind's completion unit — the
-	// cells, probes or seeds its Totals count — and is never called
+	// Run executes the experiment under opts, simulating through
+	// opts.Store when configured; it is the one execution path of jobs,
+	// POST /v1/<kind> and cmd/sweep. Cancelling ctx stops the dispatch
+	// of new simulations and returns ctx.Err(); completed runs stay in
+	// the store, so a rerun resumes warm. step, when non-nil, receives
+	// the cumulative count of the kind's completion unit — the cells,
+	// probes or seeds its Totals count — and is never called
 	// concurrently.
 	Run func(ctx context.Context, opts Options, step func(done int)) (*Outcome, error)
-	// Serve executes the experiment through the provider, whose cached,
-	// singleflight-deduplicated base fits the synchronous endpoints
-	// share; nil for a kind without a Doc. The two paths are
-	// deliberate: a job's base fit must be cancellable and counted in
-	// its progress, so jobs Run standalone.
-	Serve func(ctx context.Context, p *Provider) (*Outcome, error)
 }
 
 // Outcome is an executed experiment.
@@ -174,18 +169,15 @@ func (sw *SweepSpec) experiment(opts Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	sweep := func(res *PlanResult, err error) (*Outcome, error) {
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Report: res.SweepReport(), Stats: res.Stats, Render: res.RenderSweep}, nil
-	}
 	return &Experiment{
 		Totals: JobProgress{TotalRuns: len(plan.Machines) * workloads},
 		Run: func(ctx context.Context, opts Options, _ func(int)) (*Outcome, error) {
-			return sweep(RunPlanContext(ctx, plan, opts))
+			res, err := RunPlanContext(ctx, plan, opts)
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Report: res.SweepReport(), Stats: res.Stats, Render: res.RenderSweep}, nil
 		},
-		Serve: func(_ context.Context, p *Provider) (*Outcome, error) { return sweep(p.Plan(plan)) },
 	}, nil
 }
 
@@ -198,21 +190,18 @@ func (ps *PlanSpec) experiment(opts Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	grid := func(res *PlanResult, err error) (*Outcome, error) {
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
-	}
 	return &Experiment{
 		Totals: JobProgress{TotalRuns: len(plan.Machines) * workloads, TotalCells: len(plan.Machines)},
 		Run: func(ctx context.Context, opts Options, step func(int)) (*Outcome, error) {
 			if step != nil {
 				opts.Progress = countCells(plan, workloads, opts.Progress, step)
 			}
-			return grid(RunPlanContext(ctx, plan, opts))
+			res, err := RunPlanContext(ctx, plan, opts)
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
 		},
-		Serve: func(_ context.Context, p *Provider) (*Outcome, error) { return grid(p.Plan(plan)) },
 	}, nil
 }
 
@@ -246,19 +235,14 @@ func (spec *OptimizeSpec) experiment(opts Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	search := func(res *OptimizeResult, err error) (*Outcome, error) {
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
-	}
 	return &Experiment{
 		Totals: JobProgress{TotalRuns: o.runBound(workloads), TotalProbes: o.ProbeBound()},
 		Run: func(ctx context.Context, opts Options, step func(int)) (*Outcome, error) {
-			return search(RunOptimize(ctx, o, opts, step))
-		},
-		Serve: func(ctx context.Context, p *Provider) (*Outcome, error) {
-			return search(p.Optimize(ctx, o))
+			res, err := RunOptimize(ctx, o, opts, step)
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
 		},
 	}, nil
 }
@@ -268,19 +252,14 @@ func (spec *SeedsSpec) experiment(opts Options) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	replicate := func(res *SeedsResult, err error) (*Outcome, error) {
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
-	}
 	return &Experiment{
 		Totals: JobProgress{TotalRuns: s.TotalRuns(), TotalSeeds: len(s.SeedList)},
 		Run: func(ctx context.Context, opts Options, step func(int)) (*Outcome, error) {
-			return replicate(RunSeeds(ctx, s, opts, step))
-		},
-		Serve: func(ctx context.Context, p *Provider) (*Outcome, error) {
-			return replicate(p.Seeds(ctx, s, nil))
+			res, err := RunSeeds(ctx, s, opts, step)
+			if err != nil {
+				return nil, err
+			}
+			return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
 		},
 	}, nil
 }

@@ -43,15 +43,6 @@ type Options struct {
 	SeedBase uint64
 	// Workers bounds simulation parallelism (default GOMAXPROCS).
 	Workers int
-	// LiveBuffers bounds how many materialized shared µop streams may be
-	// live at once (default Workers+1: every worker replaying a distinct
-	// buffer while the materializer fills the next). Each live buffer
-	// holds one workload's stream — NumOps µops ≈ 56·NumOps bytes, so
-	// e.g. 300K ops ≈ 16 MB per buffer — which makes the pipeline's
-	// memory ceiling ≈ LiveBuffers·56·NumOps bytes. Raising it past the
-	// default only helps when materialization, not simulation, is the
-	// bottleneck; results are identical either way.
-	LiveBuffers int
 	// Store, when non-nil, is consulted before every simulation and
 	// updated as workers finish, making Simulate incremental across
 	// processes: a warm store satisfies the whole campaign without
@@ -62,14 +53,6 @@ type Options struct {
 	// are never concurrent. The async Jobs engine feeds its per-job
 	// run and grid-cell progress counters through this hook.
 	Progress func(run RunKey, hit bool)
-	// NoSharedTraces disables the per-workload materialized trace
-	// buffers runSimJobs shares across machines, regenerating every
-	// stream per (machine, workload) pair instead. Results are
-	// bit-identical either way; this trades the grid-plan speedup back
-	// for the lower memory floor of pure streaming (one buffer holds
-	// NumOps µops ≈ 56·NumOps bytes). BenchmarkGridPlan measures the
-	// difference.
-	NoSharedTraces bool
 }
 
 func (o Options) withDefaults() Options {
@@ -359,14 +342,4 @@ func fitModel(m *uarch.Machine, obs []core.Observation, opts Options) (*core.Mod
 		Starts: opts.FitStarts,
 		Seed:   opts.Seed,
 	})
-}
-
-// adopt seeds the lab with a provider-fitted (machine, suite) pair: its
-// runs and its model. Provider.Sweep uses this so the sweep's base point
-// neither re-simulates nor re-fits.
-func (l *Lab) adopt(machine, suite string, f *Fitted) {
-	for w, r := range f.Runs {
-		l.runs[RunKey{Machine: machine, Suite: suite, Workload: w}] = r
-	}
-	l.models[modelKey{machine: machine, suite: suite}] = f.Model
 }

@@ -396,30 +396,6 @@ func (r *OptimizeResult) Report() *OptimizeReport {
 	return rep
 }
 
-// RunOptimize executes the optimization standalone: the base suite is
-// simulated (through opts.Store when configured) and fitted here, then
-// the grid is searched. The result's Stats include the base fit. For a
-// long-running caller that wants the base fit cached and deduplicated
-// across optimizations, use Provider.Optimize. Cancelling ctx stops the
-// dispatch of new simulations and returns ctx.Err(), with every
-// completed run already persisted to the store so a rerun resumes warm.
-// onProbe, when non-nil, is called after each batch of full-fidelity
-// probes with the cumulative probe count (calls are never concurrent).
-func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(done int)) (*OptimizeResult, error) {
-	opts = opts.withDefaults()
-	f, baseSt, err := fitSuite(ctx, o.Plan.Base, o.Plan.Suite, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, st, err := runOptimize(ctx, o, f, opts, onProbe)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = baseSt
-	res.Stats.add(st)
-	return res, nil
-}
-
 // optimizer is one search execution over a resolved grid: the probe
 // memo (full-fidelity cells are evaluated at most once, no matter how
 // many axis lines or scalarizations revisit them), the reduced-fidelity
@@ -453,11 +429,20 @@ type lowKey struct {
 // strict order (a point never beats itself) so the descent terminates.
 type better func(a, b *OptimizePoint) bool
 
-// runOptimize searches the grid against an already-fitted base — the
-// shared back half of RunOptimize and Provider.Optimize. The returned
-// SimStats cover the probe simulations only (the caller accounts for the
-// base fit).
-func runOptimize(ctx context.Context, o *Optimize, base *Fitted, opts Options, onProbe func(done int)) (*OptimizeResult, SimStats, error) {
+// RunOptimize executes the optimization: the base suite is simulated
+// (through opts.Store when configured) and fitted, then the grid is
+// searched. The result's Stats include the base fit. Cancelling ctx
+// stops the dispatch of new simulations and returns ctx.Err(), with
+// every completed run already persisted to the store so a rerun resumes
+// warm. onProbe, when non-nil, is called after each batch of
+// full-fidelity probes with the cumulative probe count (calls are never
+// concurrent).
+func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(done int)) (*OptimizeResult, error) {
+	opts = opts.withDefaults()
+	base, baseSt, err := fitSuite(ctx, o.Plan.Base, o.Plan.Suite, opts)
+	if err != nil {
+		return nil, err
+	}
 	z := &optimizer{
 		ctx:       ctx,
 		o:         o,
@@ -469,6 +454,7 @@ func runOptimize(ctx context.Context, o *Optimize, base *Fitted, opts Options, o
 		memo:      map[int]*OptimizePoint{},
 		low:       map[lowKey]*OptimizePoint{},
 		rungEvals: map[int]int{},
+		stats:     baseSt,
 	}
 	cpis := make([]float64, 0, len(base.Obs))
 	for i := range base.Obs {
@@ -495,14 +481,13 @@ func runOptimize(ctx context.Context, o *Optimize, base *Fitted, opts Options, o
 		CPIBudget:  z.budgetCPI,
 	}
 
-	var err error
 	if o.Objective.Kind == ObjectivePareto {
 		res.Frontier, err = z.pareto()
 	} else {
 		res.Best, err = z.search(z.scalarBetter())
 	}
 	if err != nil {
-		return nil, z.stats, err
+		return nil, err
 	}
 	res.Probes = len(z.memo)
 	res.Refits = z.refits
@@ -512,7 +497,7 @@ func runOptimize(ctx context.Context, o *Optimize, base *Fitted, opts Options, o
 	}
 	sort.Slice(res.Rungs, func(a, b int) bool { return res.Rungs[a].Ops < res.Rungs[b].Ops })
 	res.Stats = z.stats
-	return res, z.stats, nil
+	return res, nil
 }
 
 // search runs the configured algorithm under one comparator.

@@ -430,46 +430,3 @@ func TestOptimizeRefitBeyondTrustRadius(t *testing.T) {
 		t.Error("re-fit must not change the measured CPI")
 	}
 }
-
-func TestProviderOptimizeReusesBaseFit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grid simulation is slow")
-	}
-	store, err := runstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProvider(Options{NumOps: 2000, FitStarts: 2, Store: store})
-	o := optimizeGrid(t, ObjectiveSpec{Kind: ObjectiveMinCPI}, SearchSpec{TrustRadius: 99})
-
-	first, err := p.Optimize(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.Fits != 1 {
-		t.Errorf("first optimize fitted %d models, want 1", st.Fits)
-	}
-	second, err := p.Optimize(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.Fits != 1 || st.ModelHits != 1 {
-		t.Errorf("second optimize should join the cached fit: %+v", p.Stats())
-	}
-	if second.Best.Machine != first.Best.Machine || second.Best.ModelCPI != first.Best.ModelCPI {
-		t.Errorf("cached-fit rerun disagrees: %+v vs %+v", second.Best, first.Best)
-	}
-	if second.Stats.Simulated != 0 || second.Stats.TraceGens != 0 {
-		t.Errorf("warm provider rerun simulated: %+v", second.Stats)
-	}
-
-	// The provider path matches the standalone path bit-for-bit (same
-	// fit inputs, same extrapolation).
-	standalone, err := RunOptimize(context.Background(), o, Options{NumOps: 2000, FitStarts: 2, Store: store}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if standalone.Best.Machine != first.Best.Machine || standalone.Best.ModelCPI != first.Best.ModelCPI {
-		t.Errorf("provider and standalone optimizers disagree: %+v vs %+v", standalone.Best, first.Best)
-	}
-}

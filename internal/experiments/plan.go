@@ -208,9 +208,7 @@ type PlanResult struct {
 // (through opts.Store when configured, so reruns are incremental, and
 // with one materialized trace buffer shared across all the grid's
 // machines per workload), fits the model at base, and evaluates it at
-// every cell. For a long-running caller that wants the base fit cached
-// and deduplicated across plans, use Provider.Plan, which shares the
-// extrapolation below.
+// every cell.
 func RunPlan(p *Plan, opts Options) (*PlanResult, error) {
 	return RunPlanContext(context.Background(), p, opts)
 }
@@ -218,7 +216,10 @@ func RunPlan(p *Plan, opts Options) (*PlanResult, error) {
 // RunPlanContext is RunPlan with cancellation: cancelling ctx stops the
 // dispatch of new cell simulations and skips the fit, returning
 // ctx.Err(). Completed simulations stay in the store, so a rerun
-// resumes warm. The async Jobs engine runs plan jobs through here.
+// resumes warm. Every plan and sweep, on every surface, runs through
+// here. The extrapolation's accumulation order is fixed (observations
+// sorted by workload name, components in stack order), so identical
+// inputs produce bit-identical floats.
 func RunPlanContext(ctx context.Context, p *Plan, opts Options) (*PlanResult, error) {
 	opts = opts.withDefaults()
 	suite, err := suites.ByName(p.Suite, suites.Options{NumOps: opts.NumOps, SeedBase: opts.SeedBase})
@@ -236,15 +237,6 @@ func RunPlanContext(ctx context.Context, p *Plan, opts Options) (*PlanResult, er
 	if err != nil {
 		return nil, err
 	}
-	return planResult(lab, p, fitted)
-}
-
-// planResult extrapolates the base-fitted model to every cell of a
-// simulated lab — the shared back half of RunPlan and Provider.Plan,
-// and so of every plan and sweep. The accumulation order is fixed
-// (observations sorted by workload name, components in stack order),
-// so identical inputs produce bit-identical floats on every path.
-func planResult(lab *Lab, p *Plan, fitted *core.Model) (*PlanResult, error) {
 	res := &PlanResult{
 		Base:       p.Base.Name,
 		Axes:       p.Axes,

@@ -150,50 +150,46 @@ func TestParsePlanSpecStrict(t *testing.T) {
 	}
 }
 
-// legacySweep reimplements the pre-plan one-axis sweep path verbatim —
-// explicit derived machines, a custom lab, generator-fed simulations
-// (trace sharing disabled), and the inline extrapolation loop — as the
-// reference the plan engine must match float-for-float. It returns the
-// one-axis plan result the sweep report and text project from.
-func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, suiteName string, opts Options) *PlanResult {
+// streamedLabs simulates every machine in a single-machine lab of its
+// own, so no workload is ever shared across machines and every run
+// streams from the generator instead of a materialized buffer. It
+// returns the labs by machine name and their summed sourcing.
+func streamedLabs(t *testing.T, machines []*uarch.Machine, suite suites.Suite, opts Options) (map[string]*Lab, SimStats) {
 	t.Helper()
-	opts.NoSharedTraces = true
-	p, err := SweepParamByName(param)
-	if err != nil {
-		t.Fatal(err)
-	}
-	machines := []*uarch.Machine{base}
-	for _, v := range values {
-		d, err := uarch.Derive(base, fmt.Sprintf("%s-%s%d", base.Name, p.Name, v), p.Set(v))
+	labs := make(map[string]*Lab, len(machines))
+	var st SimStats
+	for _, m := range machines {
+		lab, err := NewCustomLab([]*uarch.Machine{m}, []suites.Suite{suite}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		machines = append(machines, d)
+		if err := lab.Simulate(); err != nil {
+			t.Fatal(err)
+		}
+		labs[m.Name] = lab
+		st.add(lab.SimStats())
 	}
-	suite, err := suites.ByName(suiteName, suites.Options{NumOps: opts.NumOps})
+	return labs, st
+}
+
+// legacyPoints is the pre-plan inline extrapolation loop: the model
+// fitted on machines[0]'s lab, evaluated on every other machine's own
+// runs. cells[i] labels machines[i+1].
+func legacyPoints(t *testing.T, labs map[string]*Lab, machines []*uarch.Machine, cells [][]int, suiteName string) []PlanPoint {
+	t.Helper()
+	fitted, err := labs[machines[0].Name].Model(machines[0].Name, suiteName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := NewCustomLab(machines, []suites.Suite{suite}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lab.Simulate(); err != nil {
-		t.Fatal(err)
-	}
-	fitted, err := lab.Model(base.Name, suiteName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &PlanResult{Base: base.Name, Axes: []PlanAxis{{Param: p.Name, Values: values}},
-		BaseValues: []int{p.Get(base)}, Suite: suiteName, NumOps: lab.NumOps()}
-	for _, m := range lab.Machines()[1:] {
+	var points []PlanPoint
+	for ci, m := range machines[1:] {
+		lab := labs[m.Name]
 		extrap := &core.Model{Machine: m.Params(), P: fitted.P}
 		obs, err := lab.Observations(m.Name, suiteName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt := PlanPoint{Values: []int{p.Get(m)}, Machine: m.Name}
+		pt := PlanPoint{Values: cells[ci], Machine: m.Name}
 		n := float64(len(obs))
 		for _, o := range obs {
 			pt.SimCPI += o.MeasuredCPI / n
@@ -209,9 +205,44 @@ func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, 
 				pt.ModelStack.Cycles[c] += ms.Cycles[c] / n
 			}
 		}
-		res.Points = append(res.Points, pt)
+		points = append(points, pt)
 	}
-	return res
+	return points
+}
+
+// legacySweep reimplements the pre-plan one-axis sweep path verbatim —
+// explicit derived machines, generator-fed simulations (one
+// single-machine lab per machine) and the inline extrapolation loop —
+// as the reference the plan engine must match float-for-float. It
+// returns the one-axis plan result the sweep report and text project
+// from.
+func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, suiteName string, opts Options) *PlanResult {
+	t.Helper()
+	p, err := SweepParamByName(param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := []*uarch.Machine{base}
+	var cells [][]int
+	for _, v := range values {
+		d, err := uarch.Derive(base, fmt.Sprintf("%s-%s%d", base.Name, p.Name, v), p.Set(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines = append(machines, d)
+		cells = append(cells, []int{p.Get(d)})
+	}
+	suite, err := suites.ByName(suiteName, suites.Options{NumOps: opts.NumOps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labs, st := streamedLabs(t, machines, suite, opts)
+	if st.TraceGens != st.Simulated {
+		t.Fatalf("reference generated %d streams for %d simulations, want one each", st.TraceGens, st.Simulated)
+	}
+	return &PlanResult{Base: base.Name, Axes: []PlanAxis{{Param: p.Name, Values: values}},
+		BaseValues: []int{p.Get(base)}, Suite: suiteName, NumOps: labs[base.Name].NumOps(),
+		Points: legacyPoints(t, labs, machines, cells, suiteName)}
 }
 
 // TestSingleAxisPlanMatchesLegacySweep is the sweep's bit-identity
@@ -282,8 +313,9 @@ func TestSingleAxisPlanMatchesLegacySweep(t *testing.T) {
 
 // TestRunPlanSharedTraceStats pins the trace-replay economics: a cold
 // grid generates each workload's stream once (not once per cell), a
-// warm rerun generates none, and disabling sharing falls back to one
-// generation per simulation — all with bit-identical results.
+// warm rerun generates none, and streaming every run from the
+// generator pays one generation per simulation — all with bit-identical
+// results.
 func TestRunPlanSharedTraceStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation is slow")
@@ -336,22 +368,24 @@ func TestRunPlanSharedTraceStats(t *testing.T) {
 		t.Error("warm plan output differs from cold")
 	}
 
-	// Per-cell regeneration (sharing disabled, fresh store) must agree
-	// float-for-float while paying one generation per simulation.
+	// Regenerating every stream instead — one single-machine lab per
+	// machine on a fresh store — must agree float-for-float while paying
+	// one generation per simulation.
 	regenOpts := opts
-	regenOpts.NoSharedTraces = true
 	if regenOpts.Store, err = runstore.Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	regen, err := RunPlan(plan, regenOpts)
+	suite, err := suites.ByName(sn, suites.Options{NumOps: opts.NumOps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regen.Stats.TraceGens != machines*workloads {
-		t.Errorf("unshared plan generated %d traces, want %d", regen.Stats.TraceGens, machines*workloads)
+	labs, regenStats := streamedLabs(t, plan.Machines, suite, regenOpts)
+	if regenStats.TraceGens != machines*workloads {
+		t.Errorf("unshared plan generated %d traces, want %d", regenStats.TraceGens, machines*workloads)
 	}
+	regen := legacyPoints(t, labs, plan.Machines, plan.Cells, sn)
 	for i := range cold.Points {
-		g, w := regen.Points[i], cold.Points[i]
+		g, w := regen[i], cold.Points[i]
 		if g.SimCPI != w.SimCPI || g.ModelCPI != w.ModelCPI {
 			t.Errorf("cell %d: shared vs regenerated traces disagree: %+v vs %+v", i, g, w)
 		}

@@ -21,7 +21,8 @@ import (
 // requests for an uncached key are deduplicated singleflight-style —
 // exactly one caller simulates and fits (warm-started from the run store
 // when one is configured) while the others block on the same result.
-// Failed fits are not cached; the next request retries.
+// Failed fits are not cached; the next request retries. Run executes
+// any other experiment uncached, counting its sourcing alongside.
 //
 // The cache only grows: a Fitted entry (model, observations, runs) is a
 // few hundred KB, so even thousands of distinct machine×suite keys stay
@@ -43,7 +44,7 @@ type ProviderStats struct {
 	// from the cache, or by joining an in-flight fit of the same key.
 	ModelHits int
 	// Sim aggregates run sourcing (store hits vs dispatched simulations)
-	// across all fits and sweeps.
+	// across all fits and every successful Run.
 	Sim SimStats
 }
 
@@ -104,29 +105,19 @@ func (p *Provider) CachedModels() int {
 }
 
 // key content-addresses one fitted model: everything that determines its
-// value — the complete machine configuration, the suite, and the fit
-// options (ops and seedbase are part of the suite instantiation; starts
-// and seed drive the regression restarts).
-func (p *Provider) key(m *uarch.Machine, suiteName string, opts Options) string {
+// value — the complete machine configuration, the suite, and the
+// provider's fit options (ops and seedbase are part of the suite
+// instantiation; starts and seed drive the regression restarts).
+func (p *Provider) key(m *uarch.Machine, suiteName string) string {
 	return fmt.Sprintf("%s\n%s\nops=%d starts=%d seed=%d seedbase=%d",
-		m.ConfigHash(), suiteName, opts.NumOps, opts.FitStarts, opts.Seed, opts.SeedBase)
+		m.ConfigHash(), suiteName, p.opts.NumOps, p.opts.FitStarts, p.opts.Seed, p.opts.SeedBase)
 }
 
 // Fitted returns the fitted model (plus its observations and runs) for
 // the machine on the named suite, simulating and fitting at most once
 // per distinct key no matter how many callers ask concurrently.
 func (p *Provider) Fitted(m *uarch.Machine, suiteName string) (*Fitted, error) {
-	f, _, err := p.fittedWith(m, suiteName, p.opts)
-	return f, err
-}
-
-// fittedWith is Fitted parametrized by fit options — the seeds path
-// varies Seed/SeedBase per replication while sharing the provider's
-// model cache, since the key covers the options. The returned SimStats
-// are this call's alone: a cache or singleflight join reports zeros,
-// which is how warm seeds reruns can prove "simulated": 0 end to end.
-func (p *Provider) fittedWith(m *uarch.Machine, suiteName string, opts Options) (*Fitted, SimStats, error) {
-	key := p.key(m, suiteName, opts)
+	key := p.key(m, suiteName)
 	p.mu.Lock()
 	if c, ok := p.models[key]; ok {
 		p.mu.Unlock()
@@ -138,7 +129,7 @@ func (p *Provider) fittedWith(m *uarch.Machine, suiteName string, opts Options) 
 			p.stats.ModelHits++
 			p.mu.Unlock()
 		}
-		return c.res, SimStats{}, c.err
+		return c.res, c.err
 	}
 	c := &fitCall{done: make(chan struct{})}
 	p.models[key] = c
@@ -162,15 +153,15 @@ func (p *Provider) fittedWith(m *uarch.Machine, suiteName string, opts Options) 
 		close(c.done)
 	}()
 	var st SimStats
-	c.res, st, c.err = fitSuite(context.Background(), m, suiteName, opts)
+	c.res, st, c.err = fitSuite(context.Background(), m, suiteName, p.opts)
 	p.addSimStats(st)
-	return c.res, st, c.err
+	return c.res, c.err
 }
 
 // fitSuite simulates the suite on the machine (through the run store
 // when configured) and fits the model, via the same runSimJobs /
 // observationsFor / fitModel path Lab uses: the provider's cached fits
-// and a standalone optimize search's base fit. The caller accounts the
+// and an optimize search's base fit. The caller accounts the
 // returned SimStats.
 func fitSuite(ctx context.Context, m *uarch.Machine, suiteName string, opts Options) (*Fitted, SimStats, error) {
 	if err := m.Validate(); err != nil {
@@ -209,53 +200,19 @@ func fitSuite(ctx context.Context, m *uarch.Machine, suiteName string, opts Opti
 	return &Fitted{Machine: m, Suite: suite, Model: model, Obs: obs, Runs: runs}, st, nil
 }
 
-// Plan runs a multi-axis exploration plan through the provider: the
-// base fit comes from the cached, singleflight-deduplicated Fitted
-// path, the grid cells simulate through the same run store (with one
-// materialized trace buffer shared per workload across all cells), and
-// the per-cell extrapolation is RunPlan's. The returned result's Stats
-// cover only this call's cell simulations (the base is served from the
-// model cache). Safe for concurrent callers; concurrent plans over the
-// same base share the fit but may race benignly on cell simulations.
-// The caller provides an already-validated Plan (NewPlan or
-// PlanSpec.Resolve), so a bogus axis or value list never costs a suite
-// simulation.
-func (p *Provider) Plan(plan *Plan) (*PlanResult, error) {
-	f, err := p.Fitted(plan.Base, plan.Suite)
+// Run executes a resolved experiment under the provider's options —
+// exactly what a job of its kind and cmd/sweep run, so the report is the
+// same bytes — and adds its run sourcing to the provider's counters.
+// Nothing is cached: every call reads its runs back from the run store
+// (or simulates them) and fits anew. A failed or cancelled run returns
+// its error and counts nothing.
+func (p *Provider) Run(ctx context.Context, exp *Experiment) (*Outcome, error) {
+	out, err := exp.Run(ctx, p.opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	lab, err := NewCustomLab(plan.Machines, []suites.Suite{f.Suite}, p.opts)
-	if err != nil {
-		return nil, err
-	}
-	lab.adopt(plan.Base.Name, plan.Suite, f)
-	if err := lab.Simulate(); err != nil {
-		p.addSimStats(lab.SimStats())
-		return nil, err
-	}
-	p.addSimStats(lab.SimStats())
-	return planResult(lab, plan, f.Model)
-}
-
-// Optimize searches a design-space grid through the provider: the base
-// fit comes from the cached, singleflight-deduplicated Fitted path, and
-// every probe simulates through the same run store. The returned
-// result's Stats cover only this call's probe simulations (the base is
-// served from the model cache). Safe for concurrent callers. The base
-// fit joins the singleflight path and is not cancellable; only the
-// probe phase observes ctx.
-func (p *Provider) Optimize(ctx context.Context, o *Optimize) (*OptimizeResult, error) {
-	f, err := p.Fitted(o.Plan.Base, o.Plan.Suite)
-	if err != nil {
-		return nil, err
-	}
-	res, st, err := runOptimize(ctx, o, f, p.opts, nil)
-	p.addSimStats(st)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	p.addSimStats(out.Stats)
+	return out, nil
 }
 
 func (p *Provider) addSimStats(st SimStats) {

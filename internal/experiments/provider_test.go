@@ -179,16 +179,17 @@ func TestProviderWarmStoreDispatchesZeroSimulations(t *testing.T) {
 	}
 }
 
-// TestProviderSweepMatchesRunSweep: a sweep's one-axis plan served
-// through the provider (the synchronous endpoint path) is bit-identical
-// to the standalone run (the job and cmd/sweep path).
+// TestProviderSweepMatchesRunSweep: a sweep run through the provider
+// (the synchronous endpoint path) is bit-identical to the standalone
+// run (the job and cmd/sweep path), and its sourcing lands in the
+// provider's counters.
 func TestProviderSweepMatchesRunSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps are slow")
 	}
 	opts := Options{NumOps: 2000, FitStarts: 2}
-	plan, err := SweepSpec{Base: MachineSpec{Name: "core2"}, Param: "rob", Values: []int{48, 96},
-		Suite: "cpu2000"}.Resolve()
+	spec := &SweepSpec{Base: MachineSpec{Name: "core2"}, Param: "rob", Values: []int{48, 96}, Suite: "cpu2000"}
+	plan, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,17 +200,22 @@ func TestProviderSweepMatchesRunSweep(t *testing.T) {
 	}
 
 	prov := NewProvider(opts)
-	got, err := prov.Plan(plan)
+	exp, err := ResolveJob(JobSpec{Kind: JobKindSweep, Sweep: spec}, prov.Opts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, err := prov.Run(context.Background(), exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out.Report.(*SweepReport)
 
 	if len(got.Points) != len(want.Points) {
 		t.Fatalf("point count %d, want %d", len(got.Points), len(want.Points))
 	}
 	for i := range got.Points {
 		g, w := got.Points[i], want.Points[i]
-		if g.Values[0] != w.Values[0] || g.Machine != w.Machine {
+		if g.Value != w.Values[0] || g.Machine != w.Machine {
 			t.Errorf("point %d identity mismatch: %v vs %v", i, g, w)
 		}
 		if math.Float64bits(g.SimCPI) != math.Float64bits(w.SimCPI) ||
@@ -218,18 +224,8 @@ func TestProviderSweepMatchesRunSweep(t *testing.T) {
 				i, g.SimCPI, w.SimCPI, g.ModelCPI, w.ModelCPI)
 		}
 	}
-
-	// The sweep shares the provider's model cache: a predict for the
-	// same base is now a hit, and a second identical sweep fits nothing.
-	fitsAfterOne := prov.Stats().Fits
-	if fitsAfterOne != 1 {
-		t.Errorf("sweep fitted %d models, want 1", fitsAfterOne)
-	}
-	if _, err := prov.Plan(plan); err != nil {
-		t.Fatal(err)
-	}
-	if st := prov.Stats(); st.Fits != 1 {
-		t.Errorf("second sweep re-fitted (fits=%d), want cached base model", st.Fits)
+	if st := prov.Stats(); st.Sim != want.Stats || st.Fits != 0 {
+		t.Errorf("provider stats %+v, want the sweep's sourcing %+v and no cached fit", st, want.Stats)
 	}
 }
 
@@ -247,18 +243,15 @@ func TestProviderErrorsAreNotCached(t *testing.T) {
 	}
 }
 
-// TestProviderSweepValidatesBeforeFitting: a bogus sweep request must
-// fail before the provider spends a suite simulation and fit on it.
-// TestProviderSweepValidatesBeforeFitting: a sweep is resolved — and
-// rejected — before the provider serves it, so a bogus parameter or
-// value list never costs a suite simulation.
+// TestProviderSweepValidatesBeforeFitting: a bogus sweep is refused
+// before any suite is simulated or fitted.
 func TestProviderSweepValidatesBeforeFitting(t *testing.T) {
 	prov := NewProvider(Options{NumOps: 1000, FitStarts: 2})
 	sweep := func(param string, values []int) error {
 		exp, err := ResolveJob(JobSpec{Kind: JobKindSweep, Sweep: &SweepSpec{
 			Base: MachineSpec{Name: "core2"}, Param: param, Values: values, Suite: "cpu2000"}}, prov.Opts())
 		if err == nil {
-			_, err = exp.Serve(context.Background(), prov)
+			_, err = prov.Run(context.Background(), exp)
 		}
 		return err
 	}

@@ -61,15 +61,16 @@ type sharedTrace struct {
 // of the order jobs were enqueued in, and a dedicated materializer
 // goroutine produces the buffers in that same order, ahead of the
 // workers — cells simulate while the next workload's stream generates
-// instead of stalling on it. At most opts.LiveBuffers streams (default
-// workers+1, ≈56·NumOps bytes each) are live at once: the materializer
-// blocks until a slot frees, and the last user
-// of each buffer returns its backing store for the next workload to
-// refill in place, so a long plan touches a bounded set of stores
-// instead of allocating one per workload. Results are deterministic
-// regardless of scheduling, sourcing and stream kind (a replayed buffer
-// is bit-identical to its generating stream, and a cached Result is
-// exactly what re-simulating would produce).
+// instead of stalling on it. At most workers+1 streams are live at
+// once — every worker replaying a distinct buffer while the
+// materializer fills the next — so the pipeline's memory is bounded at
+// ≈(workers+1)·56·NumOps bytes: the materializer blocks until a slot
+// frees, and the last user of each buffer returns its backing store for
+// the next workload to refill in place, so a long plan touches a
+// bounded set of stores instead of allocating one per workload. Results
+// are deterministic regardless of scheduling, sourcing and stream kind
+// (a replayed buffer is bit-identical to its generating stream, and a
+// cached Result is exactly what re-simulating would produce).
 //
 // Cancelling ctx stops the dispatch of new simulations: jobs already
 // running on a worker finish (and are recorded and stored), everything
@@ -150,22 +151,20 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options, record func(Ru
 		return first[misses[a].specHash] < first[misses[b].specHash]
 	})
 	var groups []*sharedTrace // shared workloads in dispatch order
-	if !opts.NoSharedTraces {
-		buffers := make(map[string]*sharedTrace)
-		for i := range misses {
-			h := misses[i].specHash
-			if uses[h] <= 1 {
-				continue
-			}
-			sh, ok := buffers[h]
-			if !ok {
-				sh = &sharedTrace{spec: misses[i].spec, ready: make(chan struct{})}
-				sh.left.Store(int64(uses[h]))
-				buffers[h] = sh
-				groups = append(groups, sh)
-			}
-			misses[i].shared = sh
+	buffers := make(map[string]*sharedTrace)
+	for i := range misses {
+		h := misses[i].specHash
+		if uses[h] <= 1 {
+			continue
 		}
+		sh, ok := buffers[h]
+		if !ok {
+			sh = &sharedTrace{spec: misses[i].spec, ready: make(chan struct{})}
+			sh.left.Store(int64(uses[h]))
+			buffers[h] = sh
+			groups = append(groups, sh)
+		}
+		misses[i].shared = sh
 	}
 
 	var (
@@ -191,13 +190,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options, record func(Ru
 	// worker blocks forever, even when aborting.
 	var freeSlots chan []trace.MicroOp
 	if len(groups) > 0 {
-		liveBufs := opts.LiveBuffers
-		if liveBufs <= 0 {
-			liveBufs = workers + 1
-		}
-		if liveBufs > len(groups) {
-			liveBufs = len(groups)
-		}
+		liveBufs := min(workers+1, len(groups))
 		freeSlots = make(chan []trace.MicroOp, liveBufs)
 		for i := 0; i < liveBufs; i++ {
 			freeSlots <- nil

@@ -371,9 +371,9 @@ func evalSeedCell(model *core.Model, obs []core.Observation) (cpi, mare float64)
 }
 
 // seedsResultFrom aggregates the accumulated per-seed cells into the
-// result, in the fixed machine-major order both execution paths share —
-// the aggregation arithmetic runs in one place, so the blocking and
-// provider paths emit per-float identical reports.
+// result in a fixed machine-major order, independent of the order the
+// cells were fitted in, so every scheduling emits per-float identical
+// reports.
 func seedsResultFrom(s *Seeds, opts Options, grid [][]seedCellData, st SimStats) *SeedsResult {
 	names := core.ParamNames()
 	machines := make([]string, len(s.Machines))
@@ -410,15 +410,13 @@ func seedsResultFrom(s *Seeds, opts Options, grid [][]seedCellData, st SimStats)
 	return res
 }
 
-// RunSeeds executes the seed sweep standalone, simulating and fitting
-// every (machine, suite, seed) cell through opts.Store when configured.
-// For a long-running caller that wants the per-seed fits cached and
-// deduplicated across sweeps, use Provider.Seeds. Cancelling ctx stops
-// the dispatch of new simulations (in-flight ones finish and land in
-// the store, so a rerun resumes warm) and skips the remaining fits,
-// returning ctx.Err(). onSeed, when non-nil, is called each time
-// another seed has been fully evaluated, with the cumulative seed count
-// (calls are never concurrent).
+// RunSeeds executes the seed sweep, simulating and fitting every
+// (machine, suite, seed) cell through opts.Store when configured.
+// Cancelling ctx stops the dispatch of new simulations (in-flight ones
+// finish and land in the store, so a rerun resumes warm) and skips the
+// remaining fits, returning ctx.Err(). onSeed, when non-nil, is called
+// each time another seed has been fully evaluated, with the cumulative
+// seed count (calls are never concurrent).
 //
 // Replications fan out across the worker pool rather than running one
 // lab per seed sequentially: every seed's pending runs join a single
@@ -555,40 +553,4 @@ func RunSeeds(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)
 		return nil, firstErr
 	}
 	return seedsResultFrom(s, opts, grid, st), nil
-}
-
-// Seeds runs a seed sweep through the provider: every (machine, suite,
-// seed) cell joins the singleflight-deduplicated model cache — whose
-// key covers the seed knobs — so repeated sweeps, overlapping sweeps
-// and single-seed requests for the same cells all share fits. The
-// returned result's Stats cover only this call's simulations: a sweep
-// served entirely from cache (or a warm run store) reports zeros.
-// onSeed, when non-nil, is called after each fully evaluated seed with
-// the cumulative seed count. The fits themselves are not cancellable
-// (they complete for any concurrent joiner); ctx is observed between
-// cells.
-func (p *Provider) Seeds(ctx context.Context, s *Seeds, onSeed func(done int)) (*SeedsResult, error) {
-	grid := newSeedCellGrid(len(s.Machines), len(s.Suites), len(core.ParamNames()), len(s.SeedList))
-	var st SimStats
-	for i, seed := range s.SeedList {
-		sopts := seedOptions(p.opts, seed)
-		for mi, m := range s.Machines {
-			for si, suiteName := range s.Suites {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				f, fst, err := p.fittedWith(m, suiteName, sopts)
-				st.add(fst)
-				if err != nil {
-					return nil, err
-				}
-				cpi, mare := evalSeedCell(f.Model, f.Obs)
-				grid[mi][si].set(i, cpi, mare, f.Model.P.Slice())
-			}
-		}
-		if onSeed != nil {
-			onSeed(i + 1)
-		}
-	}
-	return seedsResultFrom(s, p.opts, grid, st), nil
 }

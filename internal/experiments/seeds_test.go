@@ -223,10 +223,10 @@ func TestRunSeedsWarmRerun(t *testing.T) {
 	}
 }
 
-// TestProviderSeedsMatchesRunSeeds: the provider path — per-cell fits
-// joining the seed-keyed model cache — emits the same report per-float
-// as the blocking path, reports only its own sourcing (zeros once the
-// cache is warm), and observes cancellation.
+// TestProviderSeedsMatchesRunSeeds: a seeds experiment run through the
+// provider (the synchronous endpoint path) emits the same report
+// per-float as the blocking path, adds exactly its own sourcing to the
+// provider's counters, and observes cancellation.
 func TestProviderSeedsMatchesRunSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end fit is slow")
@@ -237,58 +237,54 @@ func TestProviderSeedsMatchesRunSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{NumOps: 2000, FitStarts: 2, Store: store}
-	s, err := SeedsSpec{Base: &MachineSpec{Name: "core2"}, Suite: sn, Count: 2}.Resolve()
+	spec := SeedsSpec{Base: &MachineSpec{Name: "core2"}, Suite: sn, Count: 2}
+	s, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocking, err := RunSeeds(context.Background(), s, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prov := NewProvider(opts)
 	var done []int
-	res, err := prov.Seeds(context.Background(), s, func(d int) { done = append(done, d) })
+	blocking, err := RunSeeds(context.Background(), s, opts, func(d int) { done = append(done, d) })
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Cells, blocking.Cells) {
-		t.Error("provider sweep diverged from the blocking sweep")
 	}
 	if !reflect.DeepEqual(done, []int{1, 2}) {
 		t.Errorf("onSeed calls = %v, want [1 2]", done)
 	}
-	// The blocking sweep warmed the run store, so the provider's own
-	// sourcing is all hits; its model cache now holds one fit per seed.
-	if res.Stats.Simulated != 0 || res.Stats.TraceGens != 0 || res.Stats.Hits != s.TotalRuns() {
-		t.Errorf("provider sweep stats %+v, want %d store hits and nothing simulated",
-			res.Stats, s.TotalRuns())
-	}
-	if prov.CachedModels() != len(s.SeedList) {
-		t.Errorf("cached models = %d, want one per seed", prov.CachedModels())
-	}
 
-	// A repeated sweep joins the cache outright: identical cells, zero
-	// sourcing of any kind.
-	again, err := prov.Seeds(context.Background(), s, nil)
+	prov := NewProvider(opts)
+	exp, err := ResolveJob(JobSpec{Kind: JobKindSeeds, Seeds: &spec}, prov.Opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Cells, res.Cells) {
-		t.Error("cached provider sweep diverged")
+	out, err := prov.Run(context.Background(), exp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if again.Stats != (SimStats{}) {
-		t.Errorf("cached sweep stats %+v, want zeros", again.Stats)
+	if !reflect.DeepEqual(out.Report.(*SeedsReport).Cells, blocking.Report().Cells) {
+		t.Error("provider sweep diverged from the blocking sweep")
+	}
+	// The blocking sweep warmed the run store, so the provider's run is
+	// all hits, and that sourcing is all its counters hold.
+	if out.Stats.Simulated != 0 || out.Stats.TraceGens != 0 || out.Stats.Hits != s.TotalRuns() {
+		t.Errorf("provider sweep stats %+v, want %d store hits and nothing simulated",
+			out.Stats, s.TotalRuns())
+	}
+	if st := prov.Stats(); st.Sim != out.Stats {
+		t.Errorf("provider counters %+v, want the run's sourcing %+v", st.Sim, out.Stats)
 	}
 
-	// Cancellation is observed before any work on both paths.
+	// Cancellation is observed before any work on both paths, and a
+	// cancelled run counts nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := prov.Seeds(ctx, s, nil); !errors.Is(err, context.Canceled) {
+	if _, err := prov.Run(ctx, exp); !errors.Is(err, context.Canceled) {
 		t.Errorf("provider sweep on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if _, err := RunSeeds(ctx, s, opts, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("blocking sweep on cancelled ctx = %v, want context.Canceled", err)
+	}
+	if st := prov.Stats(); st.Sim != out.Stats {
+		t.Errorf("cancelled run changed the provider counters to %+v", st.Sim)
 	}
 }
 

@@ -89,13 +89,17 @@ func TestSuitesGoldenResponse(t *testing.T) {
 	checkGolden(t, "suites_ops2000.golden", body)
 }
 
-// TestOptimizeGoldenResponse pins the /v1/optimize wire format the same
-// way: a one-axis min-CPI descent over core2's dispatch width on cpu2000.
+// The synchronous kind endpoints run exactly what a job of their kind
+// runs, so each endpoint body is pinned against its kind's job golden
+// (see TestJobResultGoldens): one golden per kind, on both surfaces.
+
+// TestOptimizeGoldenResponse pins the /v1/optimize wire format: a
+// one-axis min-CPI descent over core2's dispatch width on cpu2000.
 func TestOptimizeGoldenResponse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end optimize is slow")
 	}
-	postGolden(t, "/v1/optimize", goldenOptimize, "optimize_core2_cpu2000_ops2000.golden")
+	postGolden(t, "/v1/optimize", goldenOptimize, "job_optimize_core2_cpu2000_ops2000.golden")
 }
 
 // TestSweepGoldenResponse pins the /v1/sweep wire format.
@@ -103,7 +107,7 @@ func TestSweepGoldenResponse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end sweep is slow")
 	}
-	postGolden(t, "/v1/sweep", goldenSweep, "sweep_core2_cpu2000_ops2000.golden")
+	postGolden(t, "/v1/sweep", goldenSweep, "job_sweep_core2_cpu2000_ops2000.golden")
 }
 
 // TestPlanGoldenResponse pins the /v1/plan wire format.
@@ -111,7 +115,7 @@ func TestPlanGoldenResponse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end plan is slow")
 	}
-	postGolden(t, "/v1/plan", goldenPlan, "plan_core2_cpu2000_ops2000.golden")
+	postGolden(t, "/v1/plan", goldenPlan, "job_plan_core2_cpu2000_ops2000.golden")
 }
 
 // TestSeedsGoldenResponse pins the /v1/seeds wire format.
@@ -119,10 +123,10 @@ func TestSeedsGoldenResponse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end seeds are slow")
 	}
-	postGolden(t, "/v1/seeds", goldenSeeds, "seeds_core2_cpu2000_ops2000.golden")
+	postGolden(t, "/v1/seeds", goldenSeeds, "job_seeds_core2_cpu2000_ops2000.golden")
 }
 
-// The request bodies the synchronous goldens and the job goldens share.
+// The request bodies the endpoint and job goldens share.
 const (
 	goldenSweep    = `{"base": {"name": "core2"}, "param": "rob", "values": [48, 96], "suite": "cpu2000"}`
 	goldenPlan     = `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96]}, {"param": "mshrs", "values": [4, 8]}], "suite": "cpu2000"}`

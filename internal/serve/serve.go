@@ -1,12 +1,14 @@
 // Package serve implements the HTTP/JSON layer of the mecpid daemon:
 // the paper's fitted mechanistic-empirical model, exposed as a
 // long-running prediction service. Handlers are thin translations from
-// wire requests to the experiments.Provider — the concurrent model
-// cache with singleflight fitting — so N identical in-flight predict
-// requests cost one simulate+fit, and a warm run store costs zero
-// simulations. All responses are JSON; errors come back as a structured
-// envelope, {"error": {"code": "<stable-slug>", "message": "..."}} with
-// a 4xx/5xx status — clients branch on the code, never on message text.
+// wire requests to the experiments.Provider: predicts go through its
+// concurrent model cache with singleflight fitting, so N identical
+// in-flight predict requests cost one simulate+fit, and each
+// POST /v1/<kind> runs the same experiment a job of that kind runs. A
+// warm run store costs zero simulations on every route. All responses
+// are JSON; errors come back as a structured envelope,
+// {"error": {"code": "<stable-slug>", "message": "..."}} with a 4xx/5xx
+// status — clients branch on the code, never on message text.
 //
 // Endpoints (GET /v1 serves this index over the wire):
 //
@@ -483,7 +485,8 @@ func predictWorkload(m *core.Model, o *core.Observation) WorkloadPrediction {
 // handleKind serves POST /v1/<kind>: the body is the kind's job payload,
 // strict-decoded with the spec-file rules and validated by the kind's
 // resolver — every check, suite lookups included, runs before anything
-// simulates — then executed through the provider's cached base fits.
+// simulates — then run under the request's context, so a client that
+// disconnects stops the dispatch of new simulations.
 func (s *Server) handleKind(k experiments.Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		spec := experiments.JobSpec{Kind: k.Name}
@@ -496,7 +499,7 @@ func (s *Server) handleKind(k experiments.Kind) http.HandlerFunc {
 			badRequest(w, err)
 			return
 		}
-		out, err := exp.Serve(r.Context(), s.prov)
+		out, err := s.prov.Run(r.Context(), exp)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, CodeInternal, err)
 			return
@@ -596,8 +599,9 @@ type StoreStats struct {
 
 // StatsResponse is the GET /v1/stats body. Requests counts handled
 // requests per route. Jobs is present only when the daemon runs a job
-// engine; Sims covers the provider's synchronous requests only — each
-// job carries its own progress counters.
+// engine; Sims covers the synchronous requests only (predict fits and
+// every completed POST /v1/<kind>) — each job carries its own progress
+// counters.
 type StatsResponse struct {
 	Inflight int64                   `json:"inflight"`
 	Requests map[string]int64        `json:"requests"`

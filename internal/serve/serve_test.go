@@ -313,8 +313,8 @@ func TestSweepEndpoint(t *testing.T) {
 		}
 	}
 
-	// The sweep's base fit lands in the shared model cache: a predict
-	// for the same machine and suite must not re-fit.
+	// A sweep runs standalone and leaves the model cache alone: the one
+	// fit is the predict's.
 	code, body = postJSON(t, ts.URL+"/v1/predict",
 		`{"machine": {"name": "core2"}, "suite": "cpu2000", "workload": "mcf"}`)
 	if code != http.StatusOK {
@@ -323,15 +323,17 @@ func TestSweepEndpoint(t *testing.T) {
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Models.Fits != 1 {
-		t.Errorf("sweep+predict fitted %d models, want 1 shared fit", st.Models.Fits)
+		t.Errorf("sweep+predict fitted %d models, want the predict's 1", st.Models.Fits)
 	}
 	if st.Requests["sweep"] != 1 {
 		t.Errorf("sweep request count = %d, want 1", st.Requests["sweep"])
 	}
 }
 
+// TestRequestValidation asserts every bogus request is rejected with
+// the structured error envelope before anything is fitted or simulated.
 func TestRequestValidation(t *testing.T) {
-	ts, _ := newTestServer(t, experiments.Options{})
+	ts, prov := newTestServer(t, experiments.Options{})
 	cases := []struct {
 		name, path, body string
 		wantStatus       int
@@ -353,6 +355,7 @@ func TestRequestValidation(t *testing.T) {
 		{"batch with unknown member", "/v1/predict", `{"machines": [{"name": "core2"}, {"name": "core9"}], "suite": "cpu2000"}`, http.StatusBadRequest, CodeUnknownMachine, "unknown machine"},
 		{"unknown sweep param", "/v1/sweep", `{"base": {"name": "core2"}, "param": "cores", "values": [2], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "unknown sweep parameter"},
 		{"no sweep values", "/v1/sweep", `{"base": {"name": "core2"}, "param": "rob", "values": [], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "at least one value"},
+		{"zero sweep value", "/v1/sweep", `{"base": {"name": "core2"}, "param": "rob", "values": [0], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "must be positive"},
 		{"negative sweep value", "/v1/sweep", `{"base": {"name": "core2"}, "param": "rob", "values": [-8], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "must be positive"},
 		{"duplicate sweep value", "/v1/sweep", `{"base": {"name": "core2"}, "param": "rob", "values": [64, 64], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "listed twice"},
 		{"optimize unknown objective", "/v1/optimize", `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2000", "objective": {"kind": "max-fun"}}`, http.StatusBadRequest, CodeBadRequest, "unknown objective kind"},
@@ -376,6 +379,10 @@ func TestRequestValidation(t *testing.T) {
 				t.Errorf("error %q should mention %q", e.Error.Message, tc.wantErr)
 			}
 		})
+	}
+	if st := prov.Stats(); st.Fits != 0 || st.Sim.Simulated != 0 {
+		t.Errorf("invalid requests spent work: fits=%d simulated=%d, want 0/0",
+			st.Fits, st.Sim.Simulated)
 	}
 
 	// Wrong methods get 405 from the method-scoped mux patterns.
@@ -510,11 +517,11 @@ func TestPlanEndpointMatchesBlockingRunPlan(t *testing.T) {
 	if resp.Base != "core2" || resp.Suite != "cpu2000" || len(resp.Cells) != 4 {
 		t.Fatalf("plan response shape: %+v", resp)
 	}
-	// The response's sourcing covers the 4 grid cells (the base fit is
-	// a separate, cached provider fit): 4×48 simulations served by one
+	// The response's sourcing is the whole plan's, as a plan job reports
+	// it: the base and the 4 grid cells, 5×48 simulations served by one
 	// materialized buffer per workload.
-	if resp.Sims.Simulated != 4*48 || resp.Sims.TraceGens != 48 {
-		t.Errorf("sourcing %+v, want 192 simulated from 48 trace generations", resp.Sims)
+	if resp.Sims.Simulated != 5*48 || resp.Sims.TraceGens != 48 {
+		t.Errorf("sourcing %+v, want 240 simulated from 48 trace generations", resp.Sims)
 	}
 
 	// Blocking reference: RunPlan with the daemon's options.
@@ -549,11 +556,42 @@ func TestPlanEndpointMatchesBlockingRunPlan(t *testing.T) {
 	if st.Requests["plan"] != 1 {
 		t.Errorf("plan request count = %d, want 1", st.Requests["plan"])
 	}
-	// The daemon-wide gauge additionally counts the base fit's 48
-	// generations (one suite simulated on one machine, nothing shared).
-	if st.Sims.TraceGens != resp.Sims.TraceGens+48 {
-		t.Errorf("stats traceGens %d, want %d (cells) + 48 (base fit)",
-			st.Sims.TraceGens, resp.Sims.TraceGens)
+	// The daemon-wide gauge counts the plan request and nothing else.
+	if st.Sims != resp.Sims {
+		t.Errorf("stats sims %+v, want the plan response's %+v", st.Sims, resp.Sims)
+	}
+}
+
+// TestKindEndpointsStopOnCancelledRequest: a kind request whose client
+// is already gone answers an error without dispatching a simulation or
+// writing the run store.
+func TestKindEndpointsStopOnCancelledRequest(t *testing.T) {
+	store, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(experiments.NewProvider(experiments.Options{NumOps: testOps, FitStarts: 2, Store: store}), nil).Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/plan", goldenPlan},
+		{"/v1/seeds", goldenSeeds},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(ctx))
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code < 400 || e.Error.Code == "" {
+			t.Errorf("%s on a cancelled request: status %d, body %s; want an error response", tc.path, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Sims.Simulated != 0 || st.Store == nil || st.Store.Puts != 0 {
+		t.Errorf("cancelled requests spent work: sims %+v, store %+v", st.Sims, st.Store)
 	}
 }
 
