@@ -478,12 +478,11 @@ func BenchmarkIQSchedule(b *testing.B) {
 	b.ReportMetric(float64(w.NumOps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
 }
 
-// BenchmarkSeedsParallel measures a whole seed sweep — PR 10 fans the
-// replications out across the worker pool instead of running one lab
-// per seed sequentially — end to end: simulation of every (seed,
-// workload) run plus the per-seed fits, no store, so every iteration
-// pays the full cost. The bench-baseline CI job gates the wall-clock
-// ns/op.
+// BenchmarkSeedsParallel measures a whole seed sweep end to end: every
+// (seed, workload) run simulated in one batch across the worker pool,
+// then the fits seed by seed, each spreading its multi-starts across
+// the cores. No store, so every iteration pays the full cost. The
+// bench-baseline CI job gates the wall-clock ns/op.
 func BenchmarkSeedsParallel(b *testing.B) {
 	s, err := experiments.SeedsSpec{
 		Base:  &experiments.MachineSpec{Name: "core2"},

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/suites"
+	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
@@ -114,7 +115,8 @@ func (c Campaign) resolveMachines() ([]*uarch.Machine, error) {
 
 // NewCampaignLab builds a Lab executing the given campaign. Explicit
 // Options fields win over the campaign's fit options; both fall back to
-// the usual defaults.
+// the usual defaults. The effective op count must not exceed
+// trace.MaxFileOps.
 func NewCampaignLab(c Campaign, opts Options) (*Lab, error) {
 	if opts.NumOps <= 0 {
 		opts.NumOps = c.NumOps
@@ -126,6 +128,11 @@ func NewCampaignLab(c Campaign, opts Options) (*Lab, error) {
 		opts.Seed = c.Seed
 	}
 	opts = opts.withDefaults()
+	// A longer trace could not be exported to a trace file, and
+	// materializing it would exhaust memory before anything simulates.
+	if opts.NumOps > trace.MaxFileOps {
+		return nil, fmt.Errorf("experiments: %d ops per workload exceed the %d-op trace cap", opts.NumOps, trace.MaxFileOps)
+	}
 	machines, err := c.resolveMachines()
 	if err != nil {
 		return nil, err

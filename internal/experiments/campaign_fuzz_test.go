@@ -78,6 +78,15 @@ func FuzzParseCampaign(f *testing.F) {
 // marshalled form re-decodes to a spec that is accepted with the same
 // totals and marshals identically. The seed corpus is every example
 // spec wrapped in its kind, plus mis-tagged and double-payload specs.
+// oversizedJobs are job specs whose sizes once ended the process in a
+// fatal out-of-memory error: a seeds count expanded into a list before
+// the MaxSeeds check, and campaign ops materialized into one trace
+// buffer. ResolveJob must reject both before allocating anything.
+var oversizedJobs = []string{
+	`{"kind":"seeds","seeds":{"base":{"name":"core2"},"suite":"cpu2000","count":1073741824}}`,
+	`{"kind":"campaign","campaign":{"machines":[{"name":"core2"},{"name":"pentium4"}],"suites":["cpu2000"],"ops":100000000000}}`,
+}
+
 func FuzzJobSpec(f *testing.F) {
 	for dir, kind := range map[string]string{
 		"scenarios": JobKindCampaign, "plans": JobKindPlan, "optimize": JobKindOptimize, "seeds": JobKindSeeds,
@@ -99,7 +108,7 @@ func FuzzJobSpec(f *testing.F) {
 	}
 	const sweep = `{"base": {"name": "core2"}, "param": "rob", "values": [48, 96], "suite": "cpu2000"}`
 	const plan = `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [64]}], "suite": "cpu2000"}`
-	for _, seed := range []string{
+	for _, seed := range append([]string{
 		`{"kind": "sweep", "sweep": ` + sweep + `}`,
 		`{"kind": "sweep", "plan": ` + plan + `}`,
 		`{"kind": "plan", "plan": ` + plan + `, "sweep": ` + sweep + `}`,
@@ -109,7 +118,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind": "plan", "plan": ` + plan + `}}`,
 		`{}`,
 		``,
-	} {
+	}, oversizedJobs...) {
 		f.Add([]byte(seed))
 	}
 

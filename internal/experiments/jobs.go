@@ -170,8 +170,8 @@ type CampaignModelResult struct {
 // CampaignJobResult is a campaign job's terminal result: one fitted
 // model per machine × suite, in campaign order. The numbers are
 // bit-identical to what the equivalent blocking cmd/experiments run
-// computes — both paths share Lab.Simulate, observationsFor and
-// fitModel.
+// computes — both paths share Lab.Simulate, Lab.Observations and
+// Lab.Model.
 type CampaignJobResult struct {
 	Ops       int                   `json:"ops"`
 	FitStarts int                   `json:"fitStarts"`

@@ -86,6 +86,22 @@ func TestJobsSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestResolveJobRejectsOversizedInputs: a seeds count far past MaxSeeds
+// and campaign ops past the trace cap fail validation instead of
+// exhausting memory.
+func TestResolveJobRejectsOversizedInputs(t *testing.T) {
+	for i, body := range oversizedJobs {
+		var spec JobSpec
+		if err := DecodeStrict(strings.NewReader(body), &spec); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		if _, err := ResolveJob(spec, Options{NumOps: 1000}); err == nil ||
+			!strings.Contains(err.Error(), "exceed") {
+			t.Errorf("%s: ResolveJob error = %v, want a size limit", spec.Kind, err)
+		}
+	}
+}
+
 // TestJobsCampaignRunsAndPersists executes a small campaign job to done
 // and checks the terminal artifact on disk.
 func TestJobsCampaignRunsAndPersists(t *testing.T) {

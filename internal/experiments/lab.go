@@ -210,7 +210,7 @@ func (l *Lab) Simulate() error {
 // completed before the cancellation, so a later Simulate call resumes
 // incrementally.
 func (l *Lab) SimulateContext(ctx context.Context) error {
-	st, err := runSimJobs(ctx, l.pendingJobs(), l.opts, nil)
+	st, err := runSimJobs(ctx, l.pendingJobs(), l.opts)
 	l.stats.add(st)
 	return err
 }
@@ -253,31 +253,22 @@ func (l *Lab) Run(machine, suite, workload string) (*sim.Result, error) {
 }
 
 // Observations converts a (machine, suite) run set into model
-// observations, sorted by workload name for determinism.
+// observations, sorted by workload name for determinism — the one fit
+// input ordering of every kind and of the Provider.
 func (l *Lab) Observations(machine, suite string) ([]core.Observation, error) {
 	s, ok := l.suiteSet[suite]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown suite %q", suite)
 	}
-	return observationsFor(machine, s, func(workload string) (*sim.Result, error) {
-		return l.Run(machine, suite, workload)
-	})
-}
-
-// observationsFor converts one (machine, suite) run set into model
-// observations, sorted by workload name for determinism. The run lookup
-// is abstracted so the Lab (RunKey map) and the Provider (per-fit map)
-// share one conversion — and therefore one fit input ordering.
-func observationsFor(machine string, s suites.Suite, run func(workload string) (*sim.Result, error)) ([]core.Observation, error) {
 	obs := make([]core.Observation, 0, len(s.Workloads))
 	for _, w := range s.Workloads {
-		r, err := run(w.Name)
+		r, err := l.Run(machine, suite, w.Name)
 		if err != nil {
 			return nil, err
 		}
 		o, err := core.ObservationFrom(w.Name, &r.Counters)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s on %s: %w", s.Name, w.Name, machine, err)
+			return nil, fmt.Errorf("experiments: %s/%s on %s: %w", suite, w.Name, machine, err)
 		}
 		obs = append(obs, o)
 	}
@@ -311,7 +302,9 @@ func (l *Lab) ResetModels() {
 // Model fits (or returns the cached) mechanistic-empirical model for the
 // (machine, suite) pair — e.g. the paper's "CPU2006 model" for Core i7.
 // The machine parameters come from the campaign machine itself, so
-// derived variants fit against their own configuration.
+// derived variants fit against their own configuration. It is the one
+// fit entry point of every kind and of the Provider, so batch and
+// serving paths produce bit-identical models for identical inputs.
 func (l *Lab) Model(machine, suite string) (*core.Model, error) {
 	key := modelKey{machine: machine, suite: suite}
 	if m, ok := l.models[key]; ok {
@@ -325,7 +318,7 @@ func (l *Lab) Model(machine, suite string) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := fitModel(mc, obs, l.opts)
+	m, err := core.Fit(mc.Params(), obs, core.FitOptions{Starts: l.opts.FitStarts, Seed: l.opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -333,13 +326,34 @@ func (l *Lab) Model(machine, suite string) (*core.Model, error) {
 	return m, nil
 }
 
-// fitModel fits the mechanistic-empirical model for one machine over one
-// observation set with the campaign-level fit options — the single fit
-// entry point under Lab.Model and the Provider, so batch and serving
-// paths produce bit-identical models for identical inputs.
-func fitModel(m *uarch.Machine, obs []core.Observation, opts Options) (*core.Model, error) {
-	return core.Fit(m.Params(), obs, core.FitOptions{
-		Starts: opts.FitStarts,
-		Seed:   opts.Seed,
-	})
+// extrapolate evaluates the model with coefficients p at machine m over
+// the named suite: frozen empirical coefficients, m's own machine
+// parameters, m's measured counters. It fills pt's suite-mean simulated
+// and model CPIs and stacks, accumulated in a fixed order (observations
+// sorted by workload name, components in stack order), so identical
+// inputs produce bit-identical floats. Plans and the optimizer both
+// evaluate their cells through here.
+func (l *Lab) extrapolate(pt *PlanPoint, m *uarch.Machine, suite string, p core.Params) error {
+	obs, err := l.Observations(m.Name, suite)
+	if err != nil {
+		return err
+	}
+	extrap := &core.Model{Machine: m.Params(), P: p}
+	n := float64(len(obs))
+	for i := range obs {
+		o := &obs[i]
+		pt.SimCPI += o.MeasuredCPI / n
+		pt.ModelCPI += extrap.PredictCPI(o.Feat) / n
+		ms := extrap.Stack(o.Feat)
+		r, err := l.Run(m.Name, suite, o.Name)
+		if err != nil {
+			return err
+		}
+		ts := r.Truth.CPIStack(r.Counters.Uops)
+		for _, c := range sim.Components() {
+			pt.SimStack.Cycles[c] += ts.Cycles[c] / n
+			pt.ModelStack.Cycles[c] += ms.Cycles[c] / n
+		}
+	}
+	return nil
 }

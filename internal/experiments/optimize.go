@@ -8,10 +8,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/suites"
+	"repro/internal/uarch"
 )
 
 // Objective kinds: minimize the suite-mean model CPI outright, minimize
@@ -236,18 +236,12 @@ func (o *Optimize) runBound(workloads int) int {
 	return n * workloads
 }
 
-// OptimizePoint is one probed grid cell: its axis values (in axis
-// order), the derived machine, the suite-mean simulated and
-// model-predicted CPI, the cost proxy, and how the prediction was made
-// (frozen-base extrapolation, or a re-fit beyond the trust radius).
+// OptimizePoint is one probed grid cell: the evaluated cell (axis
+// values, derived machine, suite-mean simulated vs model-predicted CPI
+// and stacks — the prediction extrapolated, or re-fitted when Refit is
+// set), the cost proxy, and how the prediction was made.
 type OptimizePoint struct {
-	Values  []int
-	Machine string
-	// SimCPI and ModelCPI are suite-mean CPIs: the simulator's measured
-	// value vs the model's prediction (extrapolated, or re-fitted when
-	// Refit is set).
-	SimCPI   float64
-	ModelCPI float64
+	PlanPoint
 	// Cost is the hardware-cost proxy: the sum over explored axes of the
 	// cell's value relative to base (inverted on CostDown axes), so the
 	// base point costs exactly the axis count.
@@ -261,13 +255,7 @@ type OptimizePoint struct {
 	// Feasible reports ModelCPI within the CPI budget (always true when
 	// the objective carries none).
 	Feasible bool
-	// SimStack and ModelStack are suite-mean per-µop cycle stacks.
-	SimStack   sim.Stack
-	ModelStack sim.Stack
 }
-
-// Err returns the model's relative CPI error at this point.
-func (p OptimizePoint) Err() float64 { return stats.RelErr(p.ModelCPI, p.SimCPI) }
 
 // OptimizeRung counts one successive-halving screen: how many cells were
 // evaluated at the rung's reduced µop count. The final full-fidelity
@@ -642,59 +630,39 @@ func (z *optimizer) cost(values []int) float64 {
 }
 
 // evalCells simulates the given cells' machines over one suite
-// instantiation (through the run store, with traces shared workload-wise
-// across the batch) and turns each into an OptimizePoint: the base fit's
-// frozen coefficients extrapolated with the cell's own machine
-// parameters and measured counters — or, when allowRefit is set and the
-// cell sits beyond the trust radius, a model re-fitted at the cell.
+// instantiation in one Lab (through the run store, with traces shared
+// workload-wise across the batch) and turns each into an OptimizePoint:
+// the base fit's frozen coefficients extrapolated with the cell's own
+// machine parameters and measured counters — or, when allowRefit is set
+// and the cell sits beyond the trust radius, a model re-fitted at the
+// cell.
 func (z *optimizer) evalCells(suite suites.Suite, idxs []int, allowRefit bool) (map[int]*OptimizePoint, error) {
-	jobs := make([]simJob, 0, len(idxs)*len(suite.Workloads))
-	cellOf := make(map[string]int, len(idxs))
-	for _, idx := range idxs {
-		m := z.o.Plan.Machines[1+idx]
-		cellOf[m.Name] = idx
-		for _, w := range suite.Workloads {
-			jobs = append(jobs, simJob{machine: m, spec: w,
-				run: RunKey{Machine: m.Name, Suite: z.o.Plan.Suite, Workload: w.Name}})
-		}
+	machines := make([]*uarch.Machine, len(idxs))
+	for i, idx := range idxs {
+		machines[i] = z.o.Plan.Machines[1+idx]
 	}
-	runs := make(map[int]map[string]*sim.Result, len(idxs))
-	st, err := runSimJobs(z.ctx, jobs, z.opts, func(rk RunKey, r *sim.Result) {
-		c := cellOf[rk.Machine]
-		if runs[c] == nil {
-			runs[c] = make(map[string]*sim.Result, len(suite.Workloads))
-		}
-		runs[c][rk.Workload] = r
-	})
-	z.stats.add(st)
+	lab, err := NewCustomLab(machines, []suites.Suite{suite}, z.opts)
+	if err != nil {
+		return nil, err
+	}
+	err = lab.SimulateContext(z.ctx)
+	z.stats.add(lab.SimStats())
 	if err != nil {
 		return nil, err
 	}
 
 	out := make(map[int]*OptimizePoint, len(idxs))
-	for _, idx := range idxs {
-		m := z.o.Plan.Machines[1+idx]
-		cellRuns := runs[idx]
-		obs, err := observationsFor(m.Name, suite, func(workload string) (*sim.Result, error) {
-			r, ok := cellRuns[workload]
-			if !ok {
-				return nil, fmt.Errorf("experiments: missing run for %s/%s on %s", z.o.Plan.Suite, workload, m.Name)
-			}
-			return r, nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	for i, idx := range idxs {
+		m := machines[i]
 		values := z.o.Plan.Cells[idx]
 		pt := &OptimizePoint{
-			Values:   values,
-			Machine:  m.Name,
-			Cost:     z.cost(values),
-			Distance: z.distance(values),
+			PlanPoint: PlanPoint{Values: values, Machine: m.Name},
+			Cost:      z.cost(values),
+			Distance:  z.distance(values),
 		}
 		p := z.base.Model.P
 		if allowRefit && pt.Distance > z.o.Search.TrustRadius {
-			model, err := fitModel(m, obs, z.opts)
+			model, err := lab.Model(m.Name, suite.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -702,19 +670,8 @@ func (z *optimizer) evalCells(suite suites.Suite, idxs []int, allowRefit bool) (
 			pt.Refit = true
 			z.refits++
 		}
-		extrap := &core.Model{Machine: m.Params(), P: p}
-		n := float64(len(obs))
-		for i := range obs {
-			o := &obs[i]
-			pt.SimCPI += o.MeasuredCPI / n
-			pt.ModelCPI += extrap.PredictCPI(o.Feat) / n
-			ms := extrap.Stack(o.Feat)
-			r := cellRuns[o.Name]
-			ts := r.Truth.CPIStack(r.Counters.Uops)
-			for _, c := range sim.Components() {
-				pt.SimStack.Cycles[c] += ts.Cycles[c] / n
-				pt.ModelStack.Cycles[c] += ms.Cycles[c] / n
-			}
+		if err := lab.extrapolate(&pt.PlanPoint, m, suite.Name, p); err != nil {
+			return nil, err
 		}
 		pt.Feasible = z.budgetCPI == 0 || pt.ModelCPI <= z.budgetCPI
 		out[idx] = pt

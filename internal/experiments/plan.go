@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/suites"
@@ -217,9 +216,8 @@ func RunPlan(p *Plan, opts Options) (*PlanResult, error) {
 // dispatch of new cell simulations and skips the fit, returning
 // ctx.Err(). Completed simulations stay in the store, so a rerun
 // resumes warm. Every plan and sweep, on every surface, runs through
-// here. The extrapolation's accumulation order is fixed (observations
-// sorted by workload name, components in stack order), so identical
-// inputs produce bit-identical floats.
+// here; each cell is evaluated by Lab.extrapolate, as the optimizer's
+// probes are.
 func RunPlanContext(ctx context.Context, p *Plan, opts Options) (*PlanResult, error) {
 	opts = opts.withDefaults()
 	suite, err := suites.ByName(p.Suite, suites.Options{NumOps: opts.NumOps, SeedBase: opts.SeedBase})
@@ -246,28 +244,9 @@ func RunPlanContext(ctx context.Context, p *Plan, opts Options) (*PlanResult, er
 		Stats:      lab.SimStats(),
 	}
 	for ci, m := range lab.Machines()[1:] {
-		// Extrapolate: frozen empirical coefficients, this cell's
-		// machine parameters, this cell's measured counters.
-		extrap := &core.Model{Machine: m.Params(), P: fitted.P}
-		obs, err := lab.Observations(m.Name, p.Suite)
-		if err != nil {
-			return nil, err
-		}
 		pt := PlanPoint{Values: p.Cells[ci], Machine: m.Name}
-		n := float64(len(obs))
-		for _, o := range obs {
-			pt.SimCPI += o.MeasuredCPI / n
-			pt.ModelCPI += extrap.PredictCPI(o.Feat) / n
-			ms := extrap.Stack(o.Feat)
-			r, err := lab.Run(m.Name, p.Suite, o.Name)
-			if err != nil {
-				return nil, err
-			}
-			ts := r.Truth.CPIStack(r.Counters.Uops)
-			for _, c := range sim.Components() {
-				pt.SimStack.Cycles[c] += ts.Cycles[c] / n
-				pt.ModelStack.Cycles[c] += ms.Cycles[c] / n
-			}
+		if err := lab.extrapolate(&pt, m, p.Suite, fitted.P); err != nil {
+			return nil, err
 		}
 		res.Points = append(res.Points, pt)
 	}

@@ -159,45 +159,35 @@ func (p *Provider) Fitted(m *uarch.Machine, suiteName string) (*Fitted, error) {
 }
 
 // fitSuite simulates the suite on the machine (through the run store
-// when configured) and fits the model, via the same runSimJobs /
-// observationsFor / fitModel path Lab uses: the provider's cached fits
-// and an optimize search's base fit. The caller accounts the
+// when configured) and fits the model in a one-machine Lab — the same
+// simulate, observe and fit path every kind takes: the provider's cached
+// fits and an optimize search's base fit. The caller accounts the
 // returned SimStats.
 func fitSuite(ctx context.Context, m *uarch.Machine, suiteName string, opts Options) (*Fitted, SimStats, error) {
-	if err := m.Validate(); err != nil {
-		return nil, SimStats{}, err
-	}
 	suite, err := suites.ByName(suiteName, suites.Options{NumOps: opts.NumOps, SeedBase: opts.SeedBase})
 	if err != nil {
 		return nil, SimStats{}, err
 	}
-	jobs := make([]simJob, 0, len(suite.Workloads))
-	for _, w := range suite.Workloads {
-		jobs = append(jobs, simJob{machine: m, spec: w,
-			run: RunKey{Machine: m.Name, Suite: suiteName, Workload: w.Name}})
+	lab, err := NewCustomLab([]*uarch.Machine{m}, []suites.Suite{suite}, opts)
+	if err != nil {
+		return nil, SimStats{}, err
 	}
-	runs := make(map[string]*sim.Result, len(jobs))
-	st, err := runSimJobs(ctx, jobs, opts, func(rk RunKey, r *sim.Result) {
+	if err := lab.SimulateContext(ctx); err != nil {
+		return nil, lab.SimStats(), err
+	}
+	model, err := lab.Model(m.Name, suiteName)
+	if err != nil {
+		return nil, lab.SimStats(), err
+	}
+	obs, err := lab.Observations(m.Name, suiteName)
+	if err != nil {
+		return nil, lab.SimStats(), err
+	}
+	runs := make(map[string]*sim.Result, len(lab.runs))
+	for rk, r := range lab.runs {
 		runs[rk.Workload] = r
-	})
-	if err != nil {
-		return nil, st, err
 	}
-	obs, err := observationsFor(m.Name, suite, func(workload string) (*sim.Result, error) {
-		r, ok := runs[workload]
-		if !ok {
-			return nil, fmt.Errorf("experiments: missing run for %s/%s on %s", suiteName, workload, m.Name)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	model, err := fitModel(m, obs, opts)
-	if err != nil {
-		return nil, st, err
-	}
-	return &Fitted{Machine: m, Suite: suite, Model: model, Obs: obs, Runs: runs}, st, nil
+	return &Fitted{Machine: m, Suite: suite, Model: model, Obs: obs, Runs: runs}, lab.SimStats(), nil
 }
 
 // Run executes a resolved experiment under the provider's options —

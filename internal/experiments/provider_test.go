@@ -49,8 +49,8 @@ func TestProviderFitMatchesLabModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The provider and the lab share runSimJobs, observationsFor and
-	// fitModel, so identical inputs must yield bit-identical parameters.
+	// The provider fits through a one-machine Lab, so identical inputs
+	// must yield bit-identical parameters.
 	if f.Model.P != lm.P {
 		t.Errorf("provider fit diverged from lab fit:\n  provider %+v\n  lab      %+v", f.Model.P, lm.P)
 	}

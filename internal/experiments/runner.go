@@ -14,18 +14,16 @@ import (
 	"repro/internal/uarch"
 )
 
-// simJob is one (machine, workload) simulation request, tagged with the
-// caller's RunKey so results can be recorded wherever the caller keeps
-// them.
+// simJob is one (machine, workload) simulation request of a Lab (see
+// Lab.pendingJobs), tagged with its RunKey and the callback that records
+// the result into its lab. A combined batch (a seed sweep's per-seed
+// labs) thereby routes every result to its own lab while sharing one
+// worker pool.
 type simJob struct {
 	machine *uarch.Machine
 	spec    trace.Spec
 	run     RunKey
-	// record, when non-nil, overrides the batch-level record callback
-	// for this job. Combined batches (a seed sweep's per-seed labs)
-	// use it to route each result to its own accumulator while sharing
-	// one worker pool; the serialization guarantee is unchanged.
-	record func(RunKey, *sim.Result)
+	record  func(RunKey, *sim.Result)
 }
 
 // sharedTrace is one workload's materialized µop stream, shared across
@@ -42,16 +40,17 @@ type sharedTrace struct {
 	left  atomic.Int64
 }
 
-// runSimJobs is the shared simulation path under Lab.Simulate (batch
-// campaigns and grid plans), Provider fits (on-demand serving) and the
-// async Jobs engine: every job is first resolved against the run store
-// (when one is configured in opts), and only the misses are dispatched
-// to a bounded worker pool, their results written back to the store as
-// workers finish. record is invoked once per completed job; calls are
-// never concurrent, so record may touch shared state without further
-// locking. opts.Progress, when set, is additionally invoked once per
-// completed job with its RunKey and sourcing (store hit vs simulated),
-// under the same serialization guarantee.
+// runSimJobs is the one simulation path, running the pending jobs of a
+// Lab (Lab.SimulateContext) or of several (a seed sweep's combined
+// batch) — and so under every kind, the Provider's fits and the async
+// Jobs engine: every job is first resolved against the run store (when
+// one is configured in opts), and only the misses are dispatched to a
+// bounded worker pool, their results written back to the store as
+// workers finish. Each job's record is invoked once it completes; calls
+// are never concurrent, so record may touch shared state without
+// further locking. opts.Progress, when set, is additionally invoked
+// once per completed job with its RunKey and sourcing (store hit vs
+// simulated), under the same serialization guarantee.
 //
 // Workloads simulated on more than one machine (a campaign's machine
 // grid, a plan's cells) share one materialized trace.Buffer per spec:
@@ -79,7 +78,7 @@ type sharedTrace struct {
 // entry is a complete, exact result — so a follow-up run resumes warm.
 // The returned SimStats reports how many runs each path served and how
 // many µop streams were actually generated.
-func runSimJobs(ctx context.Context, jobs []simJob, opts Options, record func(RunKey, *sim.Result)) (SimStats, error) {
+func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, error) {
 	var st SimStats
 	store := opts.Store
 	// Workers can reach here unclamped (callers that build Options by
@@ -94,12 +93,6 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options, record func(Ru
 		if opts.Progress != nil {
 			opts.Progress(run, hit)
 		}
-	}
-	recordFor := func(override func(RunKey, *sim.Result)) func(RunKey, *sim.Result) {
-		if override != nil {
-			return override
-		}
-		return record
 	}
 	type missJob struct {
 		simJob
@@ -120,7 +113,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options, record func(Ru
 				return st, fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err)
 			}
 			if ok {
-				recordFor(j.record)(j.run, res)
+				j.record(j.run, res)
 				st.Hits++
 				progress(j.run, true)
 				continue
@@ -274,7 +267,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options, record func(Ru
 					}
 				}
 				mu.Lock()
-				recordFor(j.record)(j.run, res)
+				j.record(j.run, res)
 				st.Simulated++
 				progress(j.run, false)
 				mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -136,9 +135,13 @@ func (spec SeedsSpec) Resolve() (*Seeds, error) {
 		s.runsPerMachine += len(suite.Workloads)
 	}
 
-	switch {
+	// The limit is checked before a count expands into a list, so a huge
+	// count is rejected instead of allocated.
+	switch n := max(len(spec.Seeds), spec.Count); {
 	case len(spec.Seeds) > 0 && spec.Count != 0:
 		return nil, fmt.Errorf("experiments: seeds take a seed list or a count, not both")
+	case n > MaxSeeds:
+		return nil, fmt.Errorf("experiments: %d seeds exceed the limit of %d", n, MaxSeeds)
 	case len(spec.Seeds) > 0:
 		seen := map[uint64]bool{}
 		for _, seed := range spec.Seeds {
@@ -160,9 +163,6 @@ func (spec SeedsSpec) Resolve() (*Seeds, error) {
 		return nil, fmt.Errorf("experiments: seeds count must be positive, got %d", spec.Count)
 	default:
 		return nil, fmt.Errorf("experiments: seeds need a seed list or a count")
-	}
-	if len(s.SeedList) > MaxSeeds {
-		return nil, fmt.Errorf("experiments: %d seeds exceed the limit of %d", len(s.SeedList), MaxSeeds)
 	}
 	return s, nil
 }
@@ -320,9 +320,7 @@ func (r *SeedsResult) Render() string {
 
 // seedCellData accumulates one (machine, suite) cell across seeds. All
 // per-seed slots are preallocated and written by seed index, so the
-// aggregation order is SeedList order no matter which seed's fit
-// finishes first — the concurrent and sequential execution paths fill
-// identical grids.
+// aggregation order is SeedList order.
 type seedCellData struct {
 	cpis   []float64
 	mares  []float64
@@ -371,9 +369,7 @@ func evalSeedCell(model *core.Model, obs []core.Observation) (cpi, mare float64)
 }
 
 // seedsResultFrom aggregates the accumulated per-seed cells into the
-// result in a fixed machine-major order, independent of the order the
-// cells were fitted in, so every scheduling emits per-float identical
-// reports.
+// result in a fixed machine-major order.
 func seedsResultFrom(s *Seeds, opts Options, grid [][]seedCellData, st SimStats) *SeedsResult {
 	names := core.ParamNames()
 	machines := make([]string, len(s.Machines))
@@ -416,27 +412,21 @@ func seedsResultFrom(s *Seeds, opts Options, grid [][]seedCellData, st SimStats)
 // finish and land in the store, so a rerun resumes warm) and skips the
 // remaining fits, returning ctx.Err(). onSeed, when non-nil, is called
 // each time another seed has been fully evaluated, with the cumulative
-// seed count (calls are never concurrent).
+// seed count.
 //
-// Replications fan out across the worker pool rather than running one
-// lab per seed sequentially: every seed's pending runs join a single
-// runSimJobs batch (each job recording into its own seed's lab), and
-// the per-cell fits are then dispatched to the same worker bound. The
-// report is per-float identical to the sequential execution: run
+// Each seed has its own lab, carrying the seed's fit options, but every
+// seed's pending runs join a single runSimJobs batch (each job recording
+// into its own seed's lab), so replications share the worker pool and
+// the materializer pipeline. The fits then run seed by seed through
+// Lab.Model, each spreading its multi-starts across the cores. Run
 // results are keyed by (machine, spec, seed base) independent of
-// scheduling, each cell's fit consumes only its own seed's
-// observations, and the grid is written by seed index, so aggregation
-// order never depends on completion order.
+// scheduling, so the report is per-float identical to simulating each
+// seed's lab on its own.
 func RunSeeds(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)) (*SeedsResult, error) {
 	opts = opts.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	grid := newSeedCellGrid(len(s.Machines), len(s.Suites), len(core.ParamNames()), len(s.SeedList))
-
-	// One lab per seed — each carries its seed's fit options and
-	// accumulates its own runs — but one combined simulation batch, so
-	// seeds share the worker pool and the materializer pipeline.
 	labs := make([]*Lab, len(s.SeedList))
 	var jobs []simJob
 	for i, seed := range s.SeedList {
@@ -456,101 +446,35 @@ func RunSeeds(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)
 		labs[i] = lab
 		jobs = append(jobs, lab.pendingJobs()...)
 	}
-	st, err := runSimJobs(ctx, jobs, opts, nil)
+	st, err := runSimJobs(ctx, jobs, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	// Fit phase: every (seed, machine, suite) cell is independent, so
-	// they run concurrently under the same worker bound. onSeed fires
-	// under the mutex whenever some seed's last cell completes, keeping
-	// the cumulative count monotone and the calls serialized.
-	type fitCell struct{ seedIdx, mi, si int }
-	cells := make([]fitCell, 0, len(s.SeedList)*len(s.Machines)*len(s.Suites))
-	for i := range s.SeedList {
-		for mi := range s.Machines {
-			for si := range s.Suites {
-				cells = append(cells, fitCell{seedIdx: i, mi: mi, si: si})
-			}
-		}
-	}
-	var (
-		mu        sync.Mutex
-		firstErr  error
-		doneSeeds int
-		remaining = make([]int, len(s.SeedList))
-		wg        sync.WaitGroup
-	)
-	for i := range remaining {
-		remaining[i] = len(s.Machines) * len(s.Suites)
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	stopped := func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	workers := opts.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	cellCh := make(chan fitCell)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range cellCh {
+	grid := newSeedCellGrid(len(s.Machines), len(s.Suites), len(core.ParamNames()), len(s.SeedList))
+	for i, lab := range labs {
+		for mi, m := range s.Machines {
+			for si, suiteName := range s.Suites {
 				// Fits are not individually cancellable, but a cancelled
-				// or failed sweep stops between them.
-				if stopped() {
-					continue
+				// sweep stops between them.
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
-				m := s.Machines[c.mi]
-				suiteName := s.Suites[c.si]
-				lab := labs[c.seedIdx]
+				model, err := lab.Model(m.Name, suiteName)
+				if err != nil {
+					return nil, err
+				}
 				obs, err := lab.Observations(m.Name, suiteName)
 				if err != nil {
-					fail(err)
-					continue
-				}
-				model, err := fitModel(m, obs, seedOptions(opts, s.SeedList[c.seedIdx]))
-				if err != nil {
-					fail(err)
-					continue
+					return nil, err
 				}
 				cpi, mare := evalSeedCell(model, obs)
-				mu.Lock()
-				grid[c.mi][c.si].set(c.seedIdx, cpi, mare, model.P.Slice())
-				remaining[c.seedIdx]--
-				if remaining[c.seedIdx] == 0 {
-					doneSeeds++
-					if onSeed != nil {
-						onSeed(doneSeeds)
-					}
-				}
-				mu.Unlock()
+				grid[mi][si].set(i, cpi, mare, model.P.Slice())
 			}
-		}()
-	}
-	for _, c := range cells {
-		cellCh <- c
-	}
-	close(cellCh)
-	wg.Wait()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		}
+		if onSeed != nil {
+			onSeed(i + 1)
+		}
 	}
 	return seedsResultFrom(s, opts, grid, st), nil
 }

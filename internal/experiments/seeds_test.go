@@ -61,6 +61,7 @@ func TestSeedsSpecValidation(t *testing.T) {
 		{"duplicate seed", SeedsSpec{Base: base, Suite: "cpu2000", Seeds: []uint64{3, 3}}, "listed twice"},
 		{"negative count", SeedsSpec{Base: base, Suite: "cpu2000", Count: -1}, "positive"},
 		{"count over limit", SeedsSpec{Base: base, Suite: "cpu2000", Count: MaxSeeds + 1}, "exceed"},
+		{"count far over limit", SeedsSpec{Base: base, Suite: "cpu2000", Count: 1 << 30}, "exceed"},
 		{"list over limit", SeedsSpec{Base: base, Suite: "cpu2000",
 			Seeds: func() []uint64 {
 				xs := make([]uint64, MaxSeeds+1)
@@ -290,7 +291,7 @@ func TestProviderSeedsMatchesRunSeeds(t *testing.T) {
 
 // sequentialSeedsReference is the pre-fan-out RunSeeds algorithm — one
 // lab per seed, simulated and fitted in SeedList order — kept as the
-// behavioral reference for the concurrent execution path.
+// behavioral reference for the combined simulation batch.
 func sequentialSeedsReference(t *testing.T, s *Seeds, opts Options) *SeedsResult {
 	t.Helper()
 	opts = opts.withDefaults()
@@ -334,10 +335,11 @@ func sequentialSeedsReference(t *testing.T, s *Seeds, opts Options) *SeedsResult
 	return seedsResultFrom(s, opts, grid, st)
 }
 
-// TestRunSeedsParallelMatchesSequential pins the fan-out contract: the
-// concurrent sweep — all seeds' runs in one worker-pool batch, fits
-// dispatched cell-parallel — must emit a report per-float identical to
-// the sequential lab-per-seed execution, with the same sourcing totals,
+// TestRunSeedsParallelMatchesSequential pins the combined-batch
+// contract: the sweep — all seeds' runs in one worker-pool batch, each
+// recorded into its own seed's lab, then fitted seed by seed — must
+// emit a report per-float identical to simulating each seed's lab on
+// its own, with the same sourcing totals and cumulative onSeed calls,
 // at any worker count.
 func TestRunSeedsParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {

@@ -361,6 +361,9 @@ func TestRequestValidation(t *testing.T) {
 		{"optimize unknown objective", "/v1/optimize", `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2000", "objective": {"kind": "max-fun"}}`, http.StatusBadRequest, CodeBadRequest, "unknown objective kind"},
 		{"optimize unknown suite", "/v1/optimize", `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2017", "objective": {"kind": "min-cpi"}}`, http.StatusBadRequest, CodeUnknownSuite, "unknown suite"},
 		{"optimize unknown base", "/v1/optimize", `{"base": {"name": "core9"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`, http.StatusBadRequest, CodeUnknownMachine, "unknown machine"},
+		{"seeds count far over limit", "/v1/seeds", `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 1073741824}`, http.StatusBadRequest, CodeBadRequest, "exceed"},
+		{"seeds job count far over limit", "/v1/jobs", `{"kind": "seeds", "seeds": {"base": {"name": "core2"}, "suite": "cpu2000", "count": 1073741824}}`, http.StatusBadRequest, CodeBadRequest, "exceed"},
+		{"campaign job ops over the trace cap", "/v1/jobs", `{"kind": "campaign", "campaign": {"machines": [{"name": "core2"}, {"name": "pentium4"}], "suites": ["cpu2000"], "ops": 100000000000}}`, http.StatusBadRequest, CodeBadRequest, "trace cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
