@@ -171,10 +171,11 @@ plan-smoke:
 # sim-nondeterminism runs the same 2x2 grid plan single-threaded and
 # with every core — each against its own fresh run store — and asserts
 # byte-identical wire-format plan JSON and byte-identical run-store
-# artifacts. Plan cells simulate concurrently over shared trace
-# buffers, so this is the gate that scheduling, worker count and
-# GOMAXPROCS never leak into results (first slice of the ROADMAP
-# determinism harness).
+# artifacts: every simulation entry and the plan's stored base fit.
+# Plan cells simulate concurrently over shared trace buffers and a
+# fit's multi-starts run on every core, so this is the gate that
+# scheduling, worker count and GOMAXPROCS never leak into results
+# (first slice of the ROADMAP determinism harness).
 sim-nondeterminism:
 	@mkdir -p $(CURDIR)/.bin
 	@rm -rf $(CURDIR)/.bin/det-store-1 $(CURDIR)/.bin/det-store-n
@@ -313,6 +314,8 @@ fuzz-smoke:
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime 20s
 	@echo "Fuzzing job-spec decoding and validation for 20s..."
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s
+	@echo "Fuzzing run-store entry decoding for 20s..."
+	@go test ./internal/runstore -run '^$$' -fuzz '^FuzzStoreEnvelope$$' -fuzztime 20s
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon

@@ -7,6 +7,19 @@ import (
 	"repro/internal/uarch"
 )
 
+// FitVersion names the regression algorithm: the objective, bounds,
+// start vector, multi-start scheme, Nelder–Mead and LM polish, and the
+// model equations they fit. It is part of every stored fit's run-store
+// key, so bump it with any change that can move a fitted parameter by
+// one bit; fitCanaryDigest then needs its new value too.
+const FitVersion = "fit-v1"
+
+// fitCanaryDigest is the sha256 of the ten fitted parameters' float64
+// bits on the pinned input of TestFitCanary. A change to the fit's
+// math that leaves it unchanged fails that test, which is the reminder
+// to bump FitVersion along with it.
+const fitCanaryDigest = "08a2a51f60f8701b9e8dc55122d48a54d7072a7726b9f66820694f2554ecb7d6"
+
 // FitOptions tunes the regression (sensible defaults everywhere).
 type FitOptions struct {
 	// Starts is the number of random multi-start restarts (default 12).
@@ -24,7 +37,9 @@ type FitOptions struct {
 	NoWindowCap    bool // Eq. 2 without the min(128, ·) window cap
 }
 
-func (o FitOptions) withDefaults() FitOptions {
+// WithDefaults returns the options Fit actually runs with: zero Starts,
+// Seed and MaxIter replaced by their defaults.
+func (o FitOptions) WithDefaults() FitOptions {
 	if o.Starts <= 0 {
 		o.Starts = 12
 	}
@@ -60,7 +75,7 @@ func defaultStart() []float64 {
 // (the paper's SPSS setup, Section 4). At least as many observations as
 // parameters are required.
 func Fit(machine uarch.ModelParams, obs []Observation, opts FitOptions) (*Model, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if len(obs) < 10 {
 		return nil, fmt.Errorf("core: need at least 10 observations to fit 10 parameters, have %d", len(obs))
 	}

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -119,6 +123,49 @@ func TestFitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: %s = %v, want %v (GOMAXPROCS=1)", procs, ParamNames()[i], got[i], want[i])
 			}
 		}
+	}
+}
+
+// canaryMachine and canaryObservations are TestFitCanary's pinned fit
+// input. They are written out in full, so the input depends on nothing
+// but this file: no registry machine, generator or model evaluation.
+var canaryMachine = uarch.ModelParams{DispatchWidth: 4, FrontEndDepth: 14, L2Lat: 14, MemLat: 180, TLBLat: 30}
+
+func canaryObservations() []Observation {
+	obs := make([]Observation, 24)
+	for i := range obs {
+		x := float64(i+1) / float64(len(obs))
+		obs[i] = Observation{
+			Name: fmt.Sprintf("w%02d", i),
+			Feat: Features{
+				MpuL1I: 0.004 * x * x, MpuLLCI: 0.0004 * (1 - x), MpuITLB: 0.0002 * x,
+				MpuBr: 0.001 + 0.01*x*(1-x), MpuDL1: 0.02 * (1 - x*x),
+				MpuLLCD: 0.003 * x * x * x, MpuDTLB: 0.0008 * x, FP: 0.3 * (1 - x),
+			},
+			MeasuredCPI: 0.6 + 1.5*x + 0.4*(1-x)*(1-x),
+		}
+	}
+	return obs
+}
+
+// TestFitCanary guards FitVersion: stored fits are keyed by it, so a
+// change to the fit's math that keeps the version would serve the old
+// math's parameters from every warm run store. The digest of the ten
+// fitted parameters' bits on a pinned input must equal fitCanaryDigest;
+// when it changes on purpose, bump FitVersion and update both.
+func TestFitCanary(t *testing.T) {
+	m, err := Fit(canaryMachine, canaryObservations(), FitOptions{Starts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b []byte
+	for _, v := range m.P.Slice() {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != fitCanaryDigest {
+		t.Errorf("fit of the pinned input changed: digest %s, want %s (params %+v);\n"+
+			"bump FitVersion (%q) and set fitCanaryDigest to the new digest", got, fitCanaryDigest, m.P, FitVersion)
 	}
 }
 

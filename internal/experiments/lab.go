@@ -44,9 +44,10 @@ type Options struct {
 	// Workers bounds simulation parallelism (default GOMAXPROCS).
 	Workers int
 	// Store, when non-nil, is consulted before every simulation and
-	// updated as workers finish, making Simulate incremental across
-	// processes: a warm store satisfies the whole campaign without
-	// dispatching a single job.
+	// fit and updated as workers and fits finish, making Simulate and
+	// Model incremental across processes: a warm store satisfies the
+	// whole campaign without dispatching a single job or running a
+	// single regression.
 	Store *runstore.Store
 	// Progress, when non-nil, is invoked once per completed run with its
 	// RunKey and sourcing (true = store hit, false = simulated). Calls
@@ -102,6 +103,9 @@ type Lab struct {
 	runs     map[RunKey]*sim.Result
 	models   map[modelKey]*core.Model
 	stats    SimStats
+	// skipFitStore, set by ResetModels, keeps Model from reading or
+	// writing fits in the run store, so every fit re-runs the regression.
+	skipFitStore bool
 }
 
 // SimStats reports how Simulate sourced its runs, cumulatively over all
@@ -294,17 +298,23 @@ func (l *Lab) MachineRuns(machine, suite string) ([]core.MachineRun, error) {
 }
 
 // ResetModels drops all cached fitted models (simulation results are
-// kept). Benchmarks use this so every iteration re-runs the regression.
+// kept), and from then on the lab neither reads nor writes fits in the
+// run store. Benchmarks use this so every iteration re-runs the
+// regression.
 func (l *Lab) ResetModels() {
 	l.models = map[modelKey]*core.Model{}
+	l.skipFitStore = true
 }
 
 // Model fits (or returns the cached) mechanistic-empirical model for the
 // (machine, suite) pair — e.g. the paper's "CPU2006 model" for Core i7.
 // The machine parameters come from the campaign machine itself, so
-// derived variants fit against their own configuration. It is the one
-// fit entry point of every kind and of the Provider, so batch and
-// serving paths produce bit-identical models for identical inputs.
+// derived variants fit against their own configuration. With a run
+// store, a fit of the same inputs stored by any earlier run is read
+// instead of re-running the regression (runstore.FitKey), and a new fit
+// is written back. It is the one fit entry point of every kind and of
+// the Provider, so batch and serving paths produce bit-identical models
+// for identical inputs.
 func (l *Lab) Model(machine, suite string) (*core.Model, error) {
 	key := modelKey{machine: machine, suite: suite}
 	if m, ok := l.models[key]; ok {
@@ -318,11 +328,40 @@ func (l *Lab) Model(machine, suite string) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.Fit(mc.Params(), obs, core.FitOptions{Starts: l.opts.FitStarts, Seed: l.opts.Seed})
+	m, err := l.fit(mc, suite, obs)
 	if err != nil {
 		return nil, err
 	}
 	l.models[key] = m
+	return m, nil
+}
+
+// fit runs Model's regression of obs, the named suite's observations on
+// mc, through the run store when the lab has one and ResetModels has not
+// been called. Lab fits never ablate, so a stored fit's coefficients and
+// the machine's parameters are the whole model.
+func (l *Lab) fit(mc *uarch.Machine, suite string, obs []core.Observation) (*core.Model, error) {
+	mp := mc.Params()
+	opts := core.FitOptions{Starts: l.opts.FitStarts, Seed: l.opts.Seed}
+	store := l.opts.Store
+	if store == nil || l.skipFitStore {
+		return core.Fit(mp, obs, opts)
+	}
+	key := runstore.FitKey(mp, obs, opts)
+	p, ok, err := store.GetFit(key)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s fit on %s: %w", suite, mc.Name, err)
+	}
+	if ok {
+		return &core.Model{Machine: mp, P: p}, nil
+	}
+	m, err := core.Fit(mp, obs, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := store.Put(key, m.P); err != nil {
+		return nil, fmt.Errorf("experiments: %s fit on %s: %w", suite, mc.Name, err)
+	}
 	return m, nil
 }
 

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/runstore"
 	"repro/internal/uarch"
 )
@@ -116,5 +119,132 @@ func TestSimulateAbortsOnError(t *testing.T) {
 	}
 	if len(l.runs) != 0 {
 		t.Errorf("failed campaign left %d runs", len(l.runs))
+	}
+}
+
+// storeFig2 runs the paper campaign and Figure 2 with a fresh lab on a
+// fresh handle of the store in dir, returning the lab, the store handle
+// and the figure.
+func storeFig2(t *testing.T, dir string) (*Lab, *runstore.Store, []Fig2Panel, string) {
+	t.Helper()
+	store, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLab(Options{NumOps: 5000, FitStarts: 2, Store: store})
+	if err := l.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	panels, text, err := l.Fig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, store, panels, text
+}
+
+// fitEntry returns the run-store key and file of the lab's fit of suite
+// on machine.
+func fitEntry(t *testing.T, l *Lab, machine, suite string) (key, path string) {
+	t.Helper()
+	obs, err := l.Observations(machine, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := l.Machine(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key = runstore.FitKey(m.Params(), obs, core.FitOptions{Starts: l.opts.FitStarts, Seed: l.opts.Seed})
+	return key, filepath.Join(l.opts.Store.Dir(), key[:2], key+".json")
+}
+
+// TestWarmStoreContract: a fresh lab on a store a cold campaign filled
+// reproduces Figure 2 byte for byte from store reads alone — every run
+// and all six fits are hits, and nothing is simulated or written.
+func TestWarmStoreContract(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign is slow")
+	}
+	dir := t.TempDir()
+	cold, coldStore, _, want := storeFig2(t, dir)
+	fits := len(cold.Machines()) * len(cold.SuiteNames())
+	if st := coldStore.Stats(); st.Puts != int64(totalRuns(cold)+fits) {
+		t.Errorf("cold store stats = %+v, want %d puts (runs and fits)", st, totalRuns(cold)+fits)
+	}
+
+	warm, warmStore, _, got := storeFig2(t, dir)
+	if got != want {
+		t.Errorf("warm Figure 2 differs from the cold one:\n%s\nwant:\n%s", got, want)
+	}
+	if st := warm.SimStats(); st.Simulated != 0 {
+		t.Errorf("warm lab simulated %d runs", st.Simulated)
+	}
+	if st := warmStore.Stats(); st.Puts != 0 || st.Misses != 0 || st.Hits != int64(totalRuns(warm)+fits) {
+		t.Errorf("warm store stats = %+v, want %d hits, 0 misses, 0 puts", st, totalRuns(warm)+fits)
+	}
+}
+
+// TestCorruptFitEntryRefits: a fit entry that is truncated, is not JSON,
+// or holds something other than the coefficients is a miss; the lab
+// refits, rewrites the entry byte for byte, and draws the same Figure 2.
+func TestCorruptFitEntryRefits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign is slow")
+	}
+	dir := t.TempDir()
+	cold, _, _, want := storeFig2(t, dir)
+	key, path := fitEntry(t, cold, "core2", "cpu2006")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoil, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func() error{
+		"truncated":  func() error { return os.WriteFile(path, good[:len(good)/2], 0o644) },
+		"not JSON":   func() error { return os.WriteFile(path, []byte("not json"), 0o644) },
+		"not params": func() error { return spoil.Put(key, map[string]string{"B1": "x"}) },
+	} {
+		if err := corrupt(); err != nil {
+			t.Fatal(err)
+		}
+		warm, st, _, got := storeFig2(t, dir)
+		if got != want {
+			t.Errorf("%s: Figure 2 after the refit differs from the cold one", name)
+		}
+		if s := st.Stats(); s.Misses != 1 || s.Puts != 1 || warm.SimStats().Simulated != 0 {
+			t.Errorf("%s: store stats %+v, sims %+v; want exactly the one fit refitted and rewritten",
+				name, s, warm.SimStats())
+		}
+		if healed, err := os.ReadFile(path); err != nil || string(healed) != string(good) {
+			t.Errorf("%s: rewritten entry differs from the original (err %v)", name, err)
+		}
+	}
+}
+
+// TestResetModelsBypassesFitStore: after ResetModels a lab re-runs the
+// regression without touching fit entries — the store-backed benchmarks
+// reset every iteration to time six real fits — and gets the same
+// panels the stored fits gave.
+func TestResetModelsBypassesFitStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign is slow")
+	}
+	dir := t.TempDir()
+	storeFig2(t, dir)
+	l, store, want, _ := storeFig2(t, dir)
+	before := store.Stats()
+	l.ResetModels()
+	got, _, err := l.Fig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := store.Stats(); after != before {
+		t.Errorf("Fig2 after ResetModels used the store: %+v -> %+v", before, after)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("refitted panels differ from the stored fits' panels")
 	}
 }

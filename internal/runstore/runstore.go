@@ -1,11 +1,20 @@
 // Package runstore is a disk-backed, content-addressed cache of
-// simulation results. An entry is keyed by a stable hash of everything
-// that determines its value — the full machine configuration, the full
-// workload spec, and the simulator version — so a hit is always exact:
-// the cached Result is byte-for-byte what re-simulating would produce.
-// Any change to a machine parameter, a workload knob, or the simulator's
-// timing semantics changes the key and cold-misses instead of returning
-// stale data.
+// simulation results and the artifacts derived from them. An entry is
+// keyed by a stable hash of everything that determines its value, so a
+// hit is always exact: the cached value is byte-for-byte what
+// recomputing it would produce. Any change to an input changes the key
+// and cold-misses instead of returning stale data. There are three key
+// kinds, each covering sim.Version:
+//
+//   - SimKey: one simulation, keyed by the full machine configuration
+//     and the full workload spec;
+//   - CalibrationKey: one latency calibration, keyed by the machine
+//     configuration and calibrator.Version;
+//   - FitKey: one model fit, keyed by the machine's model parameters,
+//     every observation bit for bit in fit order, the fit options after
+//     defaults, and core.FitVersion. Bump core.FitVersion with any change
+//     to the regression or the model equations; its canary test fails
+//     until then.
 //
 // The store is a directory of JSON envelope files sharded by key prefix
 // (dir/ab/abcd….json). Writes are atomic (temp file + rename in the same
@@ -15,23 +24,27 @@
 // version-mismatched entries are treated as misses and evicted so the
 // next Put rewrites them.
 //
-// experiments.Lab consults the store before dispatching simulations,
-// which makes every downstream experiment incremental: a warm rerun of
-// cmd/experiments, cmd/mecpi, or the top-level benchmarks performs zero
-// new simulations.
+// experiments.Lab consults the store before dispatching simulations and
+// before fitting, which makes every downstream experiment incremental: a
+// warm rerun of cmd/experiments, cmd/mecpi, or the top-level benchmarks
+// performs zero new simulations and zero regressions.
 package runstore
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 
 	"repro/internal/calibrator"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uarch"
@@ -54,6 +67,50 @@ func SimKey(m *uarch.Machine, spec trace.Spec) string {
 // version, and the calibration algorithm (calibrator.Version).
 func CalibrationKey(m *uarch.Machine) string {
 	return keyOf("calibration@"+calibrator.Version, m.ConfigHash())
+}
+
+// FitKey returns the content address of fitting a model to obs (in the
+// order given) on a machine with model parameters mp. The fit is a pure
+// function of exactly these inputs, the options after defaults, and the
+// algorithm (core.FitVersion), so a stored fit is bit-identical to
+// refitting. Floats are hashed as their IEEE-754 bits: a one-ulp change
+// to any observation is a different fit.
+func FitKey(mp uarch.ModelParams, obs []core.Observation, opts core.FitOptions) string {
+	opts = opts.WithDefaults()
+	// 14 fixed words, then per observation 11 words and a short name.
+	b := make([]byte, 0, 8*14+len(obs)*(8*11+16))
+	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	f := func(v float64) { u(math.Float64bits(v)) }
+	flag := func(v bool) {
+		if v {
+			u(1)
+		} else {
+			u(0)
+		}
+	}
+	for _, v := range [...]int{mp.DispatchWidth, mp.FrontEndDepth, mp.L2Lat, mp.L3Lat, mp.MemLat, mp.TLBLat} {
+		u(uint64(v))
+	}
+	u(uint64(len(obs)))
+	for i := range obs {
+		o := &obs[i]
+		u(uint64(len(o.Name)))
+		b = append(b, o.Name...)
+		ft := &o.Feat
+		for _, v := range [...]float64{ft.MpuL1I, ft.MpuL2I, ft.MpuLLCI, ft.MpuITLB,
+			ft.MpuBr, ft.MpuDL1, ft.MpuLLCD, ft.MpuDTLB, ft.FP, o.MeasuredCPI} {
+			f(v)
+		}
+	}
+	u(uint64(opts.Starts))
+	u(opts.Seed)
+	u(uint64(opts.MaxIter))
+	flag(opts.AdditiveBranch)
+	flag(opts.ConstantMLP)
+	flag(opts.UnscaledStall)
+	flag(opts.NoWindowCap)
+	sum := sha256.Sum256(b)
+	return keyOf("fit@"+core.FitVersion, hex.EncodeToString(sum[:]))
 }
 
 func keyOf(kind string, parts ...string) string {
@@ -209,12 +266,32 @@ func (s *Store) GetResult(key string) (*sim.Result, bool, error) {
 	}
 	r, err := sim.DecodeResult(raw)
 	if err != nil {
-		s.evict(key)
-		s.hits.Add(-1)
-		s.misses.Add(1)
+		s.reject(key)
 		return nil, false, nil
 	}
 	return r, true, nil
+}
+
+// GetFit looks up the model parameters stored by Put(key, p) for a
+// FitKey. Only a payload in exactly the form Put writes for a
+// core.Params — all ten coefficients, nothing else — is a hit; any other
+// payload is evicted and reported as a miss, so it is refitted and
+// rewritten.
+func (s *Store) GetFit(key string) (core.Params, bool, error) {
+	var raw json.RawMessage
+	ok, err := s.Get(key, &raw)
+	if !ok || err != nil {
+		return core.Params{}, false, err
+	}
+	var p core.Params
+	if err := json.Unmarshal(raw, &p); err == nil {
+		// Decoded JSON numbers are finite, so marshalling cannot fail.
+		if canon, _ := json.Marshal(p); bytes.Equal(canon, raw) {
+			return p, true, nil
+		}
+	}
+	s.reject(key)
+	return core.Params{}, false, nil
 }
 
 // PutResult stores a simulation Result under key using sim's
@@ -225,6 +302,14 @@ func (s *Store) PutResult(key string, r *sim.Result) error {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return s.Put(key, json.RawMessage(data))
+}
+
+// reject turns a hit whose payload turned out unusable into an evicted
+// miss.
+func (s *Store) reject(key string) {
+	s.evict(key)
+	s.hits.Add(-1)
+	s.misses.Add(1)
 }
 
 // evict removes a corrupt or stale entry (best effort).

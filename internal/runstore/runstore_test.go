@@ -15,7 +15,7 @@ import (
 )
 
 // simulateOne produces a small but real Result to cache.
-func simulateOne(t *testing.T) (*uarch.Machine, trace.Spec, *sim.Result) {
+func simulateOne(t testing.TB) (*uarch.Machine, trace.Spec, *sim.Result) {
 	t.Helper()
 	m := uarch.CoreTwo()
 	suite := suites.CPU2000Like(suites.Options{NumOps: 20000})
