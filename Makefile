@@ -316,6 +316,8 @@ fuzz-smoke:
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s
 	@echo "Fuzzing run-store entry decoding for 20s..."
 	@go test ./internal/runstore -run '^$$' -fuzz '^FuzzStoreEnvelope$$' -fuzztime 20s
+	@echo "Fuzzing .mtrc trace decoding for 20s..."
+	@go test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon

@@ -26,7 +26,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/runstore"
 	"repro/internal/stack"
-	"repro/internal/stats"
 	"repro/internal/suites"
 	"repro/internal/uarch"
 )
@@ -103,32 +102,20 @@ func realMain(machineName, suiteName, workload string, ops, starts int, truth, c
 
 	if workload == "" {
 		fmt.Println(model)
-		pred := model.PredictAll(obs)
-		meas := make([]float64, len(obs))
-		for i := range obs {
-			meas[i] = obs[i].MeasuredCPI
-		}
-		errs := stats.RelErrs(pred, meas)
+		ws, acc := experiments.Score(model, obs)
 		fmt.Printf("\nsuite accuracy on %s/%s: avg err %.1f%%, max %.1f%%, %.0f%% of benchmarks < 20%%\n",
-			m.Name, suite.Name, 100*stats.Mean(errs), 100*stats.Max(errs),
-			100*stats.FractionBelow(errs, 0.20))
+			m.Name, suite.Name, 100*acc.AvgRelErr, 100*acc.MaxRelErr, 100*acc.FracBelow20Pct)
 		fmt.Printf("\nper-workload CPI (measured → predicted):\n")
-		for i, o := range obs {
+		for _, w := range ws {
 			fmt.Printf("  %-14s %7.3f → %7.3f  (%+5.1f%%)\n",
-				o.Name, o.MeasuredCPI, pred[i], 100*(pred[i]-o.MeasuredCPI)/o.MeasuredCPI)
+				w.Workload, w.MeasuredCPI, w.PredictedCPI, 100*w.RelErr)
 		}
 		return nil
 	}
 
-	var target *core.Observation
-	for i := range obs {
-		if obs[i].Name == workload {
-			target = &obs[i]
-			break
-		}
-	}
-	if target == nil {
-		return fmt.Errorf("workload %q not in suite %s", workload, suite.Name)
+	target, err := f.Observation(workload)
+	if err != nil {
+		return err
 	}
 	predStack := model.Stack(target.Feat)
 	if truth {

@@ -101,9 +101,14 @@ func Fit(machine uarch.ModelParams, obs []Observation, opts FitOptions) (*Model,
 			NM:     regress.NMOptions{MaxIter: opts.MaxIter},
 		})
 
-	m := &Model{Machine: machine, P: paramsFromSlice(res.Params)}
-	m.ablation = ablationFrom(opts)
-	return m, nil
+	return NewModel(machine, paramsFromSlice(res.Params), opts), nil
+}
+
+// NewModel rebuilds the model Fit returns for machine, coefficients p
+// and opts, whose ablation switches decide the model's structure: a fit
+// stored as its Params predicts exactly as the fitted Model did.
+func NewModel(machine uarch.ModelParams, p Params, opts FitOptions) *Model {
+	return &Model{Machine: machine, P: p, ablation: ablationFrom(opts)}
 }
 
 // modelEvaluator returns a function writing the per-observation CPI

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // AblationResult quantifies one structural choice of the model: the
@@ -20,7 +19,9 @@ type AblationResult struct {
 }
 
 // Ablations fits ablated model variants on cpu2000 and evaluates on
-// cpu2006 (the harder transfer direction) for the given machine.
+// cpu2006 (the harder transfer direction) for the given machine. The
+// full model is Model's cpu2000 fit, and every variant fits through the
+// run store like it, so a warm store runs no regression.
 func (l *Lab) Ablations(machine string) ([]AblationResult, string, error) {
 	trainObs, err := l.Observations(machine, "cpu2000")
 	if err != nil {
@@ -34,25 +35,15 @@ func (l *Lab) Ablations(machine string) ([]AblationResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	meas := make([]float64, len(evalObs))
-	for i, o := range evalObs {
-		meas[i] = o.MeasuredCPI
+	cvErr := func(m *core.Model) float64 {
+		_, acc := Score(m, evalObs)
+		return acc.AvgRelErr
 	}
-
-	cvErr := func(opts core.FitOptions) (float64, error) {
-		opts.Starts = l.opts.FitStarts
-		opts.Seed = l.opts.Seed
-		m, err := core.Fit(mc.Params(), trainObs, opts)
-		if err != nil {
-			return 0, err
-		}
-		return stats.MARE(m.PredictAll(evalObs), meas), nil
-	}
-
-	full, err := cvErr(core.FitOptions{})
+	fullModel, err := l.Model(machine, "cpu2000")
 	if err != nil {
 		return nil, "", err
 	}
+	full := cvErr(fullModel)
 	variants := []struct {
 		name string
 		opts core.FitOptions
@@ -67,10 +58,11 @@ func (l *Lab) Ablations(machine string) ([]AblationResult, string, error) {
 	fmt.Fprintf(&b, "Ablations on %s (train cpu2000, evaluate cpu2006):\n", machine)
 	fmt.Fprintf(&b, "  %-48s %10s %10s\n", "variant", "full", "ablated")
 	for _, v := range variants {
-		e, err := cvErr(v.opts)
+		m, err := l.fit(mc, "cpu2000", trainObs, v.opts)
 		if err != nil {
 			return nil, "", err
 		}
+		e := cvErr(m)
 		out = append(out, AblationResult{Name: v.name, Machine: machine, FullCVErr: full, AblatedCVErr: e})
 		fmt.Fprintf(&b, "  %-48s %9.1f%% %9.1f%%\n", v.name, 100*full, 100*e)
 	}

@@ -79,12 +79,18 @@ func FuzzParseCampaign(f *testing.F) {
 // totals and marshals identically. The seed corpus is every example
 // spec wrapped in its kind, plus mis-tagged and double-payload specs.
 // oversizedJobs are job specs whose sizes once ended the process in a
-// fatal out-of-memory error: a seeds count expanded into a list before
-// the MaxSeeds check, and campaign ops materialized into one trace
-// buffer. ResolveJob must reject both before allocating anything.
+// fatal out-of-memory error or mislabelled a cell: a seeds count
+// expanded into a list before the MaxSeeds check, campaign ops
+// materialized into one trace buffer, a ROB of 2^40 entries allocated
+// by the simulator (from a plan axis or a scenario override), and an
+// l2kb value whose shift to bytes overflowed to "keep base". ResolveJob
+// must reject each before allocating anything.
 var oversizedJobs = []string{
 	`{"kind":"seeds","seeds":{"base":{"name":"core2"},"suite":"cpu2000","count":1073741824}}`,
 	`{"kind":"campaign","campaign":{"machines":[{"name":"core2"},{"name":"pentium4"}],"suites":["cpu2000"],"ops":100000000000}}`,
+	`{"kind":"plan","plan":{"base":{"name":"core2"},"axes":[{"param":"rob","values":[1099511627776]}],"suite":"cpu2000"}}`,
+	`{"kind":"plan","plan":{"base":{"name":"core2"},"axes":[{"param":"l2kb","values":[18014398509481984]}],"suite":"cpu2000"}}`,
+	`{"kind":"campaign","campaign":{"machines":[{"name":"big","base":"core2","overrides":{"robSize":1099511627776}}],"suites":["cpu2000"]}}`,
 }
 
 func FuzzJobSpec(f *testing.F) {

@@ -125,20 +125,14 @@ func (l *Lab) Fig2() ([]Fig2Panel, string, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			panel := Fig2Panel{Suite: suite, Machine: m.Name}
-			var pred, meas []float64
-			for _, o := range obs {
-				p := model.PredictCPI(o.Feat)
-				pred = append(pred, p)
-				meas = append(meas, o.MeasuredCPI)
+			ws, acc := Score(model, obs)
+			panel := Fig2Panel{Suite: suite, Machine: m.Name,
+				MARE: acc.AvgRelErr, MaxErr: acc.MaxRelErr, FracBelow20: acc.FracBelow20Pct}
+			for _, w := range ws {
 				panel.Points = append(panel.Points, stack.ScatterPoint{
-					Name: o.Name, Measured: o.MeasuredCPI, Predicted: p,
+					Name: w.Workload, Measured: w.MeasuredCPI, Predicted: w.PredictedCPI,
 				})
 			}
-			errs := stats.RelErrs(pred, meas)
-			panel.MARE = stats.Mean(errs)
-			panel.MaxErr = stats.Max(errs)
-			panel.FracBelow20 = stats.FractionBelow(errs, 0.20)
 			panels = append(panels, panel)
 
 			b.WriteString(stack.RenderScatter(
@@ -240,7 +234,8 @@ func (l *Lab) Fig4() ([]Fig4Cell, string, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			cell.Mechanistic = stats.MARE(meModel.PredictAll(evalObs), meas)
+			_, acc := Score(meModel, evalObs)
+			cell.Mechanistic = acc.AvgRelErr
 
 			// Linear regression on the same inputs.
 			X := make([][]float64, len(trainObs))

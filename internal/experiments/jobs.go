@@ -134,24 +134,30 @@ type WorkloadCPI struct {
 	RelErr       float64 `json:"relErr"`
 }
 
-// PredictWorkload returns the model's prediction for one observation.
-func PredictWorkload(m *core.Model, o *core.Observation) WorkloadCPI {
-	pred := m.PredictCPI(o.Feat)
-	return WorkloadCPI{Workload: o.Name, MeasuredCPI: o.MeasuredCPI, PredictedCPI: pred,
-		RelErr: (pred - o.MeasuredCPI) / o.MeasuredCPI}
-}
-
-// SuiteAccuracy summarizes suite-wide model error, as cmd/mecpi prints.
+// SuiteAccuracy summarizes suite-wide model error, the paper's accuracy
+// judgement (Fig. 2): mean and max error magnitude, and the share of
+// workloads below 20%.
 type SuiteAccuracy struct {
 	AvgRelErr      float64 `json:"avgRelErr"`
 	MaxRelErr      float64 `json:"maxRelErr"`
 	FracBelow20Pct float64 `json:"fracBelow20pct"`
 }
 
-// Accuracy aggregates a suite's prediction error magnitudes
-// (stats.RelErr of each workload).
-func Accuracy(errs []float64) SuiteAccuracy {
-	return SuiteAccuracy{AvgRelErr: stats.Mean(errs), MaxRelErr: stats.Max(errs),
+// Score predicts every observation with model and judges the suite: the
+// one scorer of every figure, kind, endpoint and command. The aggregates
+// reduce the stats.RelErr magnitudes in observation order, so identical
+// inputs score bit-identically on every surface.
+func Score(model *core.Model, obs []core.Observation) ([]WorkloadCPI, SuiteAccuracy) {
+	ws := make([]WorkloadCPI, len(obs))
+	errs := make([]float64, len(obs))
+	for i := range obs {
+		o := &obs[i]
+		pred := model.PredictCPI(o.Feat)
+		ws[i] = WorkloadCPI{Workload: o.Name, MeasuredCPI: o.MeasuredCPI, PredictedCPI: pred,
+			RelErr: (pred - o.MeasuredCPI) / o.MeasuredCPI}
+		errs[i] = stats.RelErr(pred, o.MeasuredCPI)
+	}
+	return ws, SuiteAccuracy{AvgRelErr: stats.Mean(errs), MaxRelErr: stats.Max(errs),
 		FracBelow20Pct: stats.FractionBelow(errs, 0.20)}
 }
 
@@ -569,13 +575,7 @@ func runCampaign(ctx context.Context, c Campaign, opts Options) (*Outcome, error
 				Suite:      suiteName,
 				Params:     model.P,
 			}
-			errs := make([]float64, 0, len(obs))
-			for i := range obs {
-				w := PredictWorkload(model, &obs[i])
-				mr.Workloads = append(mr.Workloads, w)
-				errs = append(errs, stats.RelErr(w.PredictedCPI, w.MeasuredCPI))
-			}
-			mr.SuiteAccuracy = Accuracy(errs)
+			mr.Workloads, mr.SuiteAccuracy = Score(model, obs)
 			out.Models = append(out.Models, mr)
 		}
 	}

@@ -328,7 +328,7 @@ func (l *Lab) Model(machine, suite string) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := l.fit(mc, suite, obs)
+	m, err := l.fit(mc, suite, obs, core.FitOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -336,13 +336,14 @@ func (l *Lab) Model(machine, suite string) (*core.Model, error) {
 	return m, nil
 }
 
-// fit runs Model's regression of obs, the named suite's observations on
-// mc, through the run store when the lab has one and ResetModels has not
-// been called. Lab fits never ablate, so a stored fit's coefficients and
-// the machine's parameters are the whole model.
-func (l *Lab) fit(mc *uarch.Machine, suite string, obs []core.Observation) (*core.Model, error) {
+// fit runs the regression of obs, the named suite's observations on mc,
+// with the lab's starts and seed and the ablation switches of opts,
+// through the run store when the lab has one and ResetModels has not
+// been called. It is the lab's one core.Fit call: Model and the
+// ablation study both fit here, so both read stored fits.
+func (l *Lab) fit(mc *uarch.Machine, suite string, obs []core.Observation, opts core.FitOptions) (*core.Model, error) {
 	mp := mc.Params()
-	opts := core.FitOptions{Starts: l.opts.FitStarts, Seed: l.opts.Seed}
+	opts.Starts, opts.Seed = l.opts.FitStarts, l.opts.Seed
 	store := l.opts.Store
 	if store == nil || l.skipFitStore {
 		return core.Fit(mp, obs, opts)
@@ -353,7 +354,7 @@ func (l *Lab) fit(mc *uarch.Machine, suite string, obs []core.Observation) (*cor
 		return nil, fmt.Errorf("experiments: %s fit on %s: %w", suite, mc.Name, err)
 	}
 	if ok {
-		return &core.Model{Machine: mp, P: p}, nil
+		return core.NewModel(mp, p, opts), nil
 	}
 	m, err := core.Fit(mp, obs, opts)
 	if err != nil {

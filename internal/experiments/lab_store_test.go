@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/runstore"
+	"repro/internal/suites"
 	"repro/internal/uarch"
 )
 
@@ -246,5 +247,60 @@ func TestResetModelsBypassesFitStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("refitted panels differ from the stored fits' panels")
+	}
+}
+
+// storeAblations runs the core2 ablation study with a fresh lab on a
+// fresh handle of the store in dir.
+func storeAblations(t *testing.T, dir string) (*Lab, *runstore.Store, []AblationResult, string) {
+	t.Helper()
+	store, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{NumOps: 5000, FitStarts: 2, Store: store}
+	var suiteList []suites.Suite
+	for _, name := range []string{"cpu2000", "cpu2006"} {
+		s, err := suites.ByName(name, suites.Options{NumOps: opts.NumOps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		suiteList = append(suiteList, s)
+	}
+	l, err := NewCustomLab([]*uarch.Machine{uarch.CoreTwo()}, suiteList, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	res, text, err := l.Ablations("core2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, store, res, text
+}
+
+// TestWarmStoreAblations: the ablation study fits the full model and its
+// four variants through the run store, so a fresh lab on a warm store
+// reads all five fits, writes nothing, and reproduces every error bit
+// for bit — which also pins that a stored variant is rebuilt with its
+// ablated structure, not as the full model.
+func TestWarmStoreAblations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two ablation studies are slow")
+	}
+	dir := t.TempDir()
+	const fits = 5
+	cold, coldStore, want, wantText := storeAblations(t, dir)
+	if st := coldStore.Stats(); st.Puts != int64(totalRuns(cold)+fits) {
+		t.Errorf("cold store stats = %+v, want %d puts (runs and fits)", st, totalRuns(cold)+fits)
+	}
+	warm, warmStore, got, gotText := storeAblations(t, dir)
+	if !reflect.DeepEqual(got, want) || gotText != wantText {
+		t.Errorf("warm ablations differ from the cold ones:\n%s\nwant:\n%s", gotText, wantText)
+	}
+	if st := warmStore.Stats(); st.Puts != 0 || st.Misses != 0 || st.Hits != int64(totalRuns(warm)+fits) {
+		t.Errorf("warm store stats = %+v, want %d hits, 0 misses, 0 puts", st, totalRuns(warm)+fits)
 	}
 }

@@ -100,8 +100,8 @@ func LoadOptimizeSpec(path string) (OptimizeSpec, error) { return loadFile(path,
 
 // Optimize is a validated, fully resolved optimization: the grid
 // expanded through NewPlan (base machine via the uarch registry, axes
-// via the param registry, every cell derived and validated up front) and
-// the objective/search sections with defaults applied.
+// via the sweep-param table, every cell derived and validated up
+// front) and the objective/search sections with defaults applied.
 type Optimize struct {
 	Spec OptimizeSpec
 	Plan *Plan
@@ -717,8 +717,12 @@ func (z *optimizer) probeFull(idxs []int) error {
 
 // probeLow evaluates cells at a reduced µop count for successive-halving
 // screens, cached per (ops, cell) so pareto's repeated scalarizations
-// never re-screen. No re-fits at reduced fidelity: the screen only ranks
-// candidates, and the full-fidelity final rung re-judges the survivors.
+// never re-screen. The cache changes no result, since a re-screen would
+// rank the same runs the same way; what it saves is probes, which
+// rungs[].probes shows: each cell is counted once per rung, not once per
+// scalarization (TestOptimizeParetoSuccessiveHalving). No re-fits at
+// reduced fidelity: the screen only ranks candidates, and the
+// full-fidelity final rung re-judges the survivors.
 func (z *optimizer) probeLow(ops int, idxs []int) (map[int]*OptimizePoint, error) {
 	out := make(map[int]*OptimizePoint, len(idxs))
 	var missing []int
@@ -812,7 +816,7 @@ func (z *optimizer) successiveHalving(b better) (*OptimizePoint, error) {
 	for i := range cand {
 		cand[i] = i
 	}
-	sizes := z.rungSizes()
+	sizes := z.o.rungSizes()
 	for r := 0; r < z.o.Search.Rungs-1; r++ {
 		ops := z.rungOps(r)
 		pts, err := z.probeLow(ops, cand)
@@ -827,9 +831,6 @@ func (z *optimizer) successiveHalving(b better) (*OptimizePoint, error) {
 	}
 	return z.bestProbed(b), nil
 }
-
-// rungSizes delegates to the resolved spec (shared with runBound).
-func (z *optimizer) rungSizes() []int { return z.o.rungSizes() }
 
 // rungOps is rung r's µop count: the full count halved once per
 // remaining rung, floored at 500 so a screen still exercises every

@@ -374,6 +374,31 @@ func TestOptimizeParetoFrontier(t *testing.T) {
 	}
 }
 
+// TestOptimizeParetoSuccessiveHalving: every pareto scalarization runs
+// its own successive-halving search, and the reduced-fidelity screen
+// cache shares the rung screens among them, so the first rung screens
+// each grid cell once in total, not once per scalarization.
+func TestOptimizeParetoSuccessiveHalving(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid simulation is slow")
+	}
+	opts := Options{NumOps: 2000, FitStarts: 2}
+	o := optimizeGrid(t, ObjectiveSpec{Kind: ObjectivePareto},
+		SearchSpec{Algorithm: SearchSuccessiveHalving, Rungs: 2, TrustRadius: 99})
+	res, err := RunOptimize(context.Background(), o, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rungs) != 1 || res.Rungs[0].Probes != res.GridCells {
+		t.Errorf("rungs %+v, want one screen of the %d-cell grid across %d scalarizations",
+			res.Rungs, res.GridCells, o.Objective.Points)
+	}
+	if len(res.Frontier) == 0 || res.Probes > res.GridCells {
+		t.Errorf("frontier of %d points from %d full-fidelity probes on %d cells",
+			len(res.Frontier), res.Probes, res.GridCells)
+	}
+}
+
 func TestOptimizeRefitBeyondTrustRadius(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation is slow")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/uarch"
 )
@@ -12,7 +11,7 @@ import (
 // string, a reader for the current value, and a translation of an
 // explored value into machine overrides. The same axes drive one-axis
 // sweeps (RunSweep, cmd/sweep, POST /v1/sweep) and multi-axis plans
-// (RunPlan, POST /v1/plan); GET /v1/params serves the registered set so
+// (RunPlan, POST /v1/plan); GET /v1/params serves the set so
 // clients can discover valid axes instead of hard-coding them.
 type SweepParam struct {
 	Name string
@@ -27,52 +26,44 @@ type SweepParam struct {
 	CostDown bool
 }
 
-// The param registry is the single source of axis knowledge, shared by
-// the sweep/plan engines, cmd/sweep's flag documentation and the
-// serving layer's validation and discovery endpoint. The stock axes
-// self-register below; extensions can RegisterSweepParam their own.
-var (
-	paramMu  sync.RWMutex
-	paramReg []SweepParam
-)
-
-// RegisterSweepParam adds an axis to the registry. Registering a
-// duplicate or incomplete axis is an error, so two packages cannot
-// silently fight over an axis name.
-func RegisterSweepParam(p SweepParam) error {
-	if p.Name == "" {
-		return fmt.Errorf("experiments: cannot register sweep param with empty name")
-	}
-	if p.Get == nil || p.Set == nil {
-		return fmt.Errorf("experiments: sweep param %q needs Get and Set", p.Name)
-	}
-	paramMu.Lock()
-	defer paramMu.Unlock()
-	for _, q := range paramReg {
-		if q.Name == p.Name {
-			return fmt.Errorf("experiments: sweep param %q already registered", p.Name)
-		}
-	}
-	paramReg = append(paramReg, p)
-	return nil
+// sweepParams is the single source of axis knowledge, in display order,
+// shared by the sweep/plan engines, cmd/sweep's flag documentation and
+// the serving layer's validation and discovery endpoint.
+var sweepParams = []SweepParam{
+	{Name: "rob", Doc: "reorder-buffer entries",
+		Get: func(m *uarch.Machine) int { return m.ROBSize },
+		Set: func(v int) uarch.Overrides { return uarch.Overrides{ROBSize: v} }},
+	{Name: "mshrs", Doc: "outstanding memory misses",
+		Get: func(m *uarch.Machine) int { return m.MSHRs },
+		Set: func(v int) uarch.Overrides { return uarch.Overrides{MSHRs: v} }},
+	{Name: "memlat", Doc: "main-memory latency (cycles)",
+		Get:      func(m *uarch.Machine) int { return m.MemLat },
+		Set:      func(v int) uarch.Overrides { return uarch.Overrides{MemLat: v} },
+		CostDown: true}, // lower latency = faster, pricier memory
+	{Name: "depth", Doc: "front-end pipeline depth",
+		Get: func(m *uarch.Machine) int { return m.FrontEndDepth },
+		Set: func(v int) uarch.Overrides { return uarch.Overrides{FrontEndDepth: v} }},
+	{Name: "width", Doc: "dispatch/issue/commit width",
+		Get: func(m *uarch.Machine) int { return m.DispatchWidth },
+		Set: func(v int) uarch.Overrides {
+			return uarch.Overrides{DispatchWidth: v, IssueWidth: v, CommitWidth: v}
+		}},
+	{Name: "l2kb", Doc: "L2 capacity (KB)",
+		Get: func(m *uarch.Machine) int { return m.L2.SizeBytes >> 10 },
+		Set: func(v int) uarch.Overrides {
+			return uarch.Overrides{L2: uarch.CacheOverrides{SizeBytes: v << 10}}
+		}},
 }
 
-// SweepParams lists the registered axes in registration (display)
-// order.
+// SweepParams lists the axes in display order.
 func SweepParams() []SweepParam {
-	paramMu.RLock()
-	defer paramMu.RUnlock()
-	out := make([]SweepParam, len(paramReg))
-	copy(out, paramReg)
-	return out
+	return append([]SweepParam(nil), sweepParams...)
 }
 
 // SweepParamByName resolves an axis; unknown names list the valid ones.
 func SweepParamByName(name string) (SweepParam, error) {
-	paramMu.RLock()
-	defer paramMu.RUnlock()
 	var known []string
-	for _, p := range paramReg {
+	for _, p := range sweepParams {
 		if p.Name == name {
 			return p, nil
 		}
@@ -80,36 +71,4 @@ func SweepParamByName(name string) (SweepParam, error) {
 	}
 	return SweepParam{}, fmt.Errorf("experiments: unknown sweep parameter %q (want one of %s)",
 		name, strings.Join(known, ", "))
-}
-
-func init() {
-	for _, p := range []SweepParam{
-		{Name: "rob", Doc: "reorder-buffer entries",
-			Get: func(m *uarch.Machine) int { return m.ROBSize },
-			Set: func(v int) uarch.Overrides { return uarch.Overrides{ROBSize: v} }},
-		{Name: "mshrs", Doc: "outstanding memory misses",
-			Get: func(m *uarch.Machine) int { return m.MSHRs },
-			Set: func(v int) uarch.Overrides { return uarch.Overrides{MSHRs: v} }},
-		{Name: "memlat", Doc: "main-memory latency (cycles)",
-			Get:      func(m *uarch.Machine) int { return m.MemLat },
-			Set:      func(v int) uarch.Overrides { return uarch.Overrides{MemLat: v} },
-			CostDown: true}, // lower latency = faster, pricier memory
-		{Name: "depth", Doc: "front-end pipeline depth",
-			Get: func(m *uarch.Machine) int { return m.FrontEndDepth },
-			Set: func(v int) uarch.Overrides { return uarch.Overrides{FrontEndDepth: v} }},
-		{Name: "width", Doc: "dispatch/issue/commit width",
-			Get: func(m *uarch.Machine) int { return m.DispatchWidth },
-			Set: func(v int) uarch.Overrides {
-				return uarch.Overrides{DispatchWidth: v, IssueWidth: v, CommitWidth: v}
-			}},
-		{Name: "l2kb", Doc: "L2 capacity (KB)",
-			Get: func(m *uarch.Machine) int { return m.L2.SizeBytes >> 10 },
-			Set: func(v int) uarch.Overrides {
-				return uarch.Overrides{L2: uarch.CacheOverrides{SizeBytes: v << 10}}
-			}},
-	} {
-		if err := RegisterSweepParam(p); err != nil {
-			panic(err) // static registrations cannot collide
-		}
-	}
 }

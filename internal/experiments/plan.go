@@ -60,7 +60,7 @@ func ParsePlanSpec(data []byte) (PlanSpec, error) {
 func LoadPlanSpec(path string) (PlanSpec, error) { return loadFile(path, ParsePlanSpec) }
 
 // Resolve materializes the spec into a validated Plan: the base machine
-// through the uarch registry, every axis through the param registry,
+// through the uarch registry, every axis through the sweep-param table,
 // and the full cross product into derived machines.
 func (ps PlanSpec) Resolve() (*Plan, error) {
 	base, err := ps.Base.Resolve()
@@ -97,8 +97,8 @@ func (p *Plan) BaseValues() []int {
 	return out
 }
 
-// NewPlan validates the axes against the param registry and expands the
-// cross product into derived machines. Every axis must be a registered
+// NewPlan validates the axes against the sweep-param table and expands the
+// cross product into derived machines. Every axis must be a known
 // param with positive, duplicate-free values; axes must not repeat; and
 // the grid must stay within MaxPlanCells. Derivations are validated, so
 // a geometrically impossible cell fails here, before anything

@@ -358,14 +358,12 @@ func (d *seedCellData) set(seedIdx int, cpi, mare float64, coeffs []float64) {
 // observation order — the same numbers every other reporting surface
 // derives, so a sweep over seed {1} is bit-identical to them.
 func evalSeedCell(model *core.Model, obs []core.Observation) (cpi, mare float64) {
-	cpis := make([]float64, 0, len(obs))
-	errs := make([]float64, 0, len(obs))
-	for i := range obs {
-		o := &obs[i]
-		cpis = append(cpis, o.MeasuredCPI)
-		errs = append(errs, stats.RelErr(model.PredictCPI(o.Feat), o.MeasuredCPI))
+	ws, acc := Score(model, obs)
+	cpis := make([]float64, len(ws))
+	for i, w := range ws {
+		cpis[i] = w.MeasuredCPI
 	}
-	return stats.Mean(cpis), stats.Mean(errs)
+	return stats.Mean(cpis), acc.AvgRelErr
 }
 
 // seedsResultFrom aggregates the accumulated per-seed cells into the

@@ -29,10 +29,16 @@ func (sw SweepSpec) Resolve() (*Plan, error) {
 	return NewPlan(base, []PlanAxis{{Param: sw.Param, Values: sw.Values}}, sw.Suite)
 }
 
+// maxSweepValue caps every axis value. It matches the largest windows
+// and latencies uarch.Machine.Validate accepts, and keeps l2kb's KB to
+// bytes shift far from overflowing into a non-positive "keep base" size.
+const maxSweepValue = 1 << 16
+
 // validateSweepValues rejects value lists a sweep or plan axis cannot
 // run: empty, non-positive (overrides treat zero as "keep base", which
-// would silently mislabel the point as a second base run), or
-// duplicated (which would silently double-simulate the same cell).
+// would silently mislabel the point as a second base run), above
+// maxSweepValue, or duplicated (which would silently double-simulate
+// the same cell).
 // NewPlan checks every axis through here, so this is the single
 // validation source for plans, sweeps and optimize grids on every
 // surface.
@@ -44,6 +50,9 @@ func validateSweepValues(values []int) error {
 	for _, v := range values {
 		if v <= 0 {
 			return fmt.Errorf("experiments: sweep value %d must be positive", v)
+		}
+		if v > maxSweepValue {
+			return fmt.Errorf("experiments: sweep value %d exceeds %d", v, maxSweepValue)
 		}
 		if seen[v] {
 			return fmt.Errorf("experiments: sweep value %d listed twice", v)

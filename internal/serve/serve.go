@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/suites"
 	"repro/internal/uarch"
 )
@@ -459,27 +458,23 @@ func predictMachine(f *experiments.Fitted, workload string) (MachinePrediction, 
 		ConfigHash: f.Machine.ConfigHash(),
 		Params:     f.Model.P,
 	}
+	obs := f.Obs
 	if workload != "" {
 		o, err := f.Observation(workload)
 		if err != nil {
 			return MachinePrediction{}, err
 		}
-		mp.Workloads = []WorkloadPrediction{predictWorkload(f.Model, o)}
-		return mp, nil
+		obs = []core.Observation{*o}
 	}
-	errs := make([]float64, 0, len(f.Obs))
-	for i := range f.Obs {
-		wp := predictWorkload(f.Model, &f.Obs[i])
-		mp.Workloads = append(mp.Workloads, wp)
-		errs = append(errs, stats.RelErr(wp.PredictedCPI, wp.MeasuredCPI))
+	ws, acc := experiments.Score(f.Model, obs)
+	mp.Workloads = make([]WorkloadPrediction, len(ws))
+	for i, w := range ws {
+		mp.Workloads[i] = WorkloadPrediction{w, experiments.StackCPIs(f.Model.Stack(obs[i].Feat))}
 	}
-	acc := experiments.Accuracy(errs)
-	mp.Accuracy = &acc
+	if workload == "" {
+		mp.Accuracy = &acc
+	}
 	return mp, nil
-}
-
-func predictWorkload(m *core.Model, o *core.Observation) WorkloadPrediction {
-	return WorkloadPrediction{experiments.PredictWorkload(m, o), experiments.StackCPIs(m.Stack(o.Feat))}
 }
 
 // handleKind serves POST /v1/<kind>: the body is the kind's job payload,

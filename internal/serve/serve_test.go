@@ -363,6 +363,9 @@ func TestRequestValidation(t *testing.T) {
 		{"optimize unknown base", "/v1/optimize", `{"base": {"name": "core9"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`, http.StatusBadRequest, CodeUnknownMachine, "unknown machine"},
 		{"seeds count far over limit", "/v1/seeds", `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 1073741824}`, http.StatusBadRequest, CodeBadRequest, "exceed"},
 		{"seeds job count far over limit", "/v1/jobs", `{"kind": "seeds", "seeds": {"base": {"name": "core2"}, "suite": "cpu2000", "count": 1073741824}}`, http.StatusBadRequest, CodeBadRequest, "exceed"},
+		{"plan rob far over limit", "/v1/plan", `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [1099511627776]}], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "exceeds"},
+		{"sweep l2kb past the byte shift", "/v1/sweep", `{"base": {"name": "core2"}, "param": "l2kb", "values": [18014398509481984], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "exceeds"},
+		{"predict robSize far over limit", "/v1/predict", `{"machine": {"name": "big", "base": "core2", "overrides": {"robSize": 1099511627776}}, "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "exceeds"},
 		{"campaign job ops over the trace cap", "/v1/jobs", `{"kind": "campaign", "campaign": {"machines": [{"name": "core2"}, {"name": "pentium4"}], "suites": ["cpu2000"], "ops": 100000000000}}`, http.StatusBadRequest, CodeBadRequest, "trace cap"},
 	}
 	for _, tc := range cases {

@@ -52,6 +52,10 @@ const (
 	// ~30× the largest suite workload).
 	MaxFileOps = 1 << 26
 
+	// maxPreallocOps bounds the ops Decode reserves before reading
+	// them, well above every suite workload.
+	maxPreallocOps = 1 << 20
+
 	opRecordBytes = 42
 	maxSpecJSON   = 1 << 20
 	checksumBytes = sha256.Size
@@ -210,8 +214,11 @@ func decode(r io.Reader, ops []MicroOp, keepOps bool) (*Buffer, error) {
 	}
 
 	if keepOps {
-		if cap(ops) < int(n) {
-			ops = make([]MicroOp, 0, n)
+		// The count is untrusted until its records arrive: reserve at
+		// most maxPreallocOps up front, so a short hostile file cannot
+		// demand a MaxFileOps-sized allocation; append grows the rest.
+		if want := min(n, maxPreallocOps); uint64(cap(ops)) < want {
+			ops = make([]MicroOp, 0, want)
 		}
 		ops = ops[:0]
 	}

@@ -3,10 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func codecSpec() Spec {
@@ -174,24 +177,21 @@ func TestMaterializeSpecFromFile(t *testing.T) {
 	}
 }
 
-// Hostile inputs: every corruption decodes to an error, never a panic.
-func TestDecodeRejectsCorruption(t *testing.T) {
-	var good bytes.Buffer
-	if err := Materialize(codecSpec()).Encode(&good); err != nil {
-		t.Fatal(err)
-	}
-	raw := good.Bytes()
+// corruptCase is one hostile variant of a valid trace file.
+type corruptCase struct {
+	name string
+	data []byte
+	want string // substring the error must mention
+}
 
+// corruptions derives the corruption matrix from raw, a valid encoding
+// with at least one op record.
+func corruptions(raw []byte) []corruptCase {
 	mutate := func(f func(b []byte) []byte) []byte {
 		b := append([]byte(nil), raw...)
 		return f(b)
 	}
-
-	cases := []struct {
-		name string
-		data []byte
-		want string // substring the error must mention
-	}{
+	return []corruptCase{
 		{"empty", nil, "header"},
 		{"bad magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b }), "magic"},
 		{"future version", mutate(func(b []byte) []byte {
@@ -227,7 +227,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			return b
 		}), "flag"},
 	}
-	for _, tc := range cases {
+}
+
+// Hostile inputs: every corruption decodes to an error, never a panic.
+func TestDecodeRejectsCorruption(t *testing.T) {
+	var good bytes.Buffer
+	if err := Materialize(codecSpec()).Encode(&good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range corruptions(good.Bytes()) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Decode(bytes.NewReader(tc.data))
 			if err == nil {
@@ -237,6 +245,62 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// FuzzDecode asserts the .mtrc import invariants over arbitrary bytes:
+// Decode never panics, and a buffer it accepts re-encodes to exactly the
+// bytes it was decoded from. The seeds are a small valid file and its
+// corruption matrix.
+func FuzzDecode(f *testing.F) {
+	spec := codecSpec()
+	spec.NumOps = 64
+	var good bytes.Buffer
+	if err := Materialize(spec).Encode(&good); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	for _, tc := range corruptions(good.Bytes()) {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := b.Encode(&out); err != nil {
+			t.Fatalf("accepted buffer does not re-encode: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("re-encoding differs from the accepted input (%d vs %d bytes)", out.Len(), len(data))
+		}
+	})
+}
+
+// A header declaring MaxFileOps ops over a file that holds none must not
+// reserve memory for them before the records fail to arrive.
+func TestDecodeBoundsPreallocation(t *testing.T) {
+	spec := codecSpec()
+	spec.NumOps = MaxFileOps
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte(FileMagic)
+	data = binary.LittleEndian.AppendUint32(data, FileVersion)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(specJSON)))
+	data = append(data, specJSON...)
+	data = binary.LittleEndian.AppendUint64(data, MaxFileOps)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "read op 0") {
+		t.Fatalf("truncated file: err = %v, want a failed op read", err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxPreallocOps*uint64(unsafe.Sizeof(MicroOp{})) {
+		t.Errorf("Decode allocated %d MB for a %d-byte file", got>>20, len(data))
 	}
 }
 

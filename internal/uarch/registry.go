@@ -17,8 +17,7 @@ var ErrUnknownMachine = errors.New("unknown machine")
 // declarative-registry style config-driven systems use for module
 // wiring: consumers ask for machines by name and never hard-code the
 // available set. The stock paper machines self-register in init; derived
-// variants can be registered at runtime (RegisterDerived) or built ad
-// hoc (Derive) without touching the registry.
+// variants are built ad hoc (Derive) without touching the registry.
 var (
 	regMu    sync.RWMutex
 	registry = map[string]func() *Machine{}
@@ -176,27 +175,4 @@ func Derive(base *Machine, name string, ov Overrides) (*Machine, error) {
 		return nil, fmt.Errorf("uarch: derive %q from %q: %w", name, base.Name, err)
 	}
 	return &m, nil
-}
-
-// RegisterDerived derives a variant from a registered base machine and
-// registers it under its own name.
-func RegisterDerived(base, name string, ov Overrides) error {
-	b, err := ByName(base)
-	if err != nil {
-		return err
-	}
-	if _, err := Derive(b, name, ov); err != nil {
-		return err
-	}
-	return Register(name, func() *Machine {
-		b, err := ByName(base)
-		if err != nil {
-			panic(err) // base was registered above; registrations are permanent
-		}
-		m, err := Derive(b, name, ov)
-		if err != nil {
-			panic(err) // validated above against the same base
-		}
-		return m
-	})
 }

@@ -144,25 +144,3 @@ func TestDerivedMachineHashSensitivity(t *testing.T) {
 		t.Error("changing an override must change the hash")
 	}
 }
-
-func TestRegisterDerived(t *testing.T) {
-	if err := RegisterDerived("core2", "core2-mem300", Overrides{MemLat: 300}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ByName("core2-mem300")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.MemLat != 300 || m.L2.SizeBytes != CoreTwo().L2.SizeBytes {
-		t.Errorf("registered variant wrong: %+v", m)
-	}
-	if err := RegisterDerived("core2", "core2-mem300", Overrides{MemLat: 300}); err == nil {
-		t.Error("duplicate derived registration should fail")
-	}
-	if err := RegisterDerived("nope", "x", Overrides{}); err == nil {
-		t.Error("unknown base should fail")
-	}
-	if err := RegisterDerived("core2", "core2-broken", Overrides{ROBSize: 8, IQSize: 64}); err == nil {
-		t.Error("invalid derivation should fail eagerly, not at first ByName")
-	}
-}

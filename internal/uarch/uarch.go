@@ -39,6 +39,11 @@ func (c CacheConfig) Valid() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("uarch: cache config has non-positive geometry: %+v", c)
 	}
+	if c.SizeBytes/c.LineBytes > maxCacheLines || c.LineBytes > maxLineBytes || c.Assoc > maxAssoc ||
+		c.LatCycles > maxLatency {
+		return fmt.Errorf("uarch: cache config exceeds %d lines of at most %d bytes, %d ways or %d cycles: %+v",
+			maxCacheLines, maxLineBytes, maxAssoc, maxLatency, c)
+	}
 	if c.SizeBytes%(c.LineBytes*c.Assoc) != 0 {
 		return fmt.Errorf("uarch: cache size %d not divisible by line*assoc", c.SizeBytes)
 	}
@@ -156,6 +161,21 @@ func (m *Machine) HasL3() bool { return m.L3.SizeBytes > 0 }
 // cache miss (the model's c_mem).
 func (m *Machine) LLCLoadMissLat() int { return m.MemLat }
 
+// Upper bounds of a valid machine, far above every modelled one. The
+// simulator allocates the ROB, the MSHR heap, and the cache and TLB
+// arrays at these sizes and scans a set's ways on every access, so the
+// bounds keep any machine a request can derive within memory and time;
+// latencies are bounded so cycle counts cannot overflow.
+const (
+	maxWidth      = 64
+	maxWindow     = 1 << 16 // ROB, IQ, load queue, MSHRs
+	maxLatency    = 1 << 16 // cycles: front-end depth and memory latencies
+	maxCacheLines = 1 << 20
+	maxLineBytes  = 1 << 12
+	maxAssoc      = 256
+	maxTLBEntries = 1 << 16
+)
+
 // Validate checks internal consistency of the configuration.
 func (m *Machine) Validate() error {
 	if m.Name == "" {
@@ -175,6 +195,27 @@ func (m *Machine) Validate() error {
 	}
 	if m.MSHRs <= 0 {
 		return fmt.Errorf("uarch: %s: need at least one MSHR", m.Name)
+	}
+	for _, b := range []struct {
+		name   string
+		v, max int
+	}{
+		{"dispatch width", m.DispatchWidth, maxWidth},
+		{"issue width", m.IssueWidth, maxWidth},
+		{"commit width", m.CommitWidth, maxWidth},
+		{"front-end depth", m.FrontEndDepth, maxLatency},
+		{"ROB size", m.ROBSize, maxWindow},
+		{"load queue size", m.LoadQueueSize, maxWindow},
+		{"MSHRs", m.MSHRs, maxWindow},
+		{"memory latency", m.MemLat, maxLatency},
+		{"ITLB entries", m.ITLB.Entries, maxTLBEntries},
+		{"DTLB entries", m.DTLB.Entries, maxTLBEntries},
+		{"ITLB miss latency", m.ITLB.MissLat, maxLatency},
+		{"DTLB miss latency", m.DTLB.MissLat, maxLatency},
+	} {
+		if b.v > b.max {
+			return fmt.Errorf("uarch: %s: %s %d exceeds %d", m.Name, b.name, b.v, b.max)
+		}
 	}
 	for _, c := range []struct {
 		name string

@@ -126,6 +126,20 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		func(m *Machine) { m.MemLat = 0 },
 		func(m *Machine) { m.DTLB.Entries = 0 },
 		func(m *Machine) { m.FusionRate = 1.5 },
+		// Upper bounds: each of these once reached the simulator, which
+		// allocated or scanned structures of that size.
+		func(m *Machine) { m.ROBSize, m.IQSize = 1<<40, 32 },
+		func(m *Machine) { m.IssueWidth = maxWidth + 1 },
+		func(m *Machine) { m.FrontEndDepth = maxLatency + 1 },
+		func(m *Machine) { m.LoadQueueSize = maxWindow + 1 },
+		func(m *Machine) { m.MSHRs = 1 << 40 },
+		func(m *Machine) { m.MemLat = 1 << 40 },
+		func(m *Machine) { m.DTLB.Entries = 1 << 40 },
+		func(m *Machine) { m.ITLB.MissLat = maxLatency + 1 },
+		func(m *Machine) { m.L2.SizeBytes = 1 << 40 },
+		func(m *Machine) { m.L1D.LineBytes = 1 << 62 },
+		func(m *Machine) { m.L1D.Assoc = maxAssoc * 2 },
+		func(m *Machine) { m.L2.LatCycles = maxLatency + 1 },
 	}
 	for i, breaker := range breakers {
 		m := CoreTwo()
