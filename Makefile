@@ -318,6 +318,8 @@ fuzz-smoke:
 	@go test ./internal/runstore -run '^$$' -fuzz '^FuzzStoreEnvelope$$' -fuzztime 20s
 	@echo "Fuzzing .mtrc trace decoding for 20s..."
 	@go test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
+	@echo "Fuzzing the response indenter against json.Indent for 20s..."
+	@go test ./internal/serve -run '^$$' -fuzz '^FuzzIndentJSON$$' -fuzztime 20s
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon

@@ -11,11 +11,16 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,6 +30,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/rng"
 	"repro/internal/runstore"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/suites"
@@ -34,6 +40,7 @@ import (
 
 var (
 	labOnce sync.Once
+	labOpts experiments.Options
 	labInst *experiments.Lab
 	labErr  error
 )
@@ -78,11 +85,8 @@ func benchLab(b *testing.B) *experiments.Lab {
 			labErr = err
 			return
 		}
-		labInst = experiments.NewLab(experiments.Options{
-			NumOps:    benchOps(),
-			FitStarts: 6,
-			Store:     store,
-		})
+		labOpts = experiments.Options{NumOps: benchOps(), FitStarts: 6, Store: store}
+		labInst = experiments.NewLab(labOpts)
 		labErr = labInst.Simulate()
 	})
 	if labErr != nil {
@@ -598,6 +602,84 @@ func BenchmarkModelPredict(b *testing.B) {
 	if v == 0 {
 		b.Fatal("unexpected zero")
 	}
+}
+
+// --- Layer: the mecpid predict handler. A warm POST /v1/predict round
+// trip to serve.New(provider, nil).Handler() behind httptest.NewServer,
+// in the end-to-end serve-predict workload's three request shapes, over
+// a provider that has fitted every stock machine on both paper suites.
+// fresh-provider serves one single-workload predict per iteration from a
+// new provider over the same filled store: its model is read back from
+// the store rather than held in the provider's in-memory Fitted cache,
+// which is what that cache saves. ---
+
+func BenchmarkServePredict(b *testing.B) {
+	benchLab(b)
+	warm := experiments.NewProvider(labOpts)
+	for _, mn := range []string{"pentium4", "core2", "corei7"} {
+		m, err := uarch.ByName(mn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sn := range []string{"cpu2000", "cpu2006"} {
+			if _, err := warm.Fitted(m, sn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var handler http.Handler = serve.New(warm, nil).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	post := func(b *testing.B, body string) []byte {
+		resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, err %v: %s", resp.StatusCode, err, data)
+		}
+		return data
+	}
+	const single = `{"machine":{"name":"core2"},"suite":"cpu2000","workload":"mcf"}`
+	for _, tc := range []struct{ name, body string }{
+		{"single", single},
+		{"suite", `{"machine":{"name":"corei7"},"suite":"cpu2006"}`},
+		{"batch", `{"machines":[{"name":"core2"},{"name":"pentium4"},{"name":"corei7"}],"suite":"cpu2000"}`},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var data []byte
+			for i := 0; i < b.N; i++ {
+				data = post(b, tc.body)
+			}
+			b.ReportMetric(float64(len(data))/1024, "resp-KB")
+		})
+	}
+	b.Run("fresh-provider", func(b *testing.B) {
+		if labOpts.Store == nil {
+			b.Skip("needs a run store to read the fits from")
+		}
+		// b.Run calls this once per b.N round: each round takes its
+		// reference from the warm handler and puts that handler back.
+		want := post(b, single)
+		defer func() { handler = serve.New(warm, nil).Handler() }()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			prov := experiments.NewProvider(labOpts)
+			handler = serve.New(prov, nil).Handler()
+			if got := post(b, single); !bytes.Equal(got, want) {
+				b.Fatal("a fresh provider answered different bytes")
+			}
+			if n := prov.Stats().Sim.Simulated; n != 0 {
+				b.Fatalf("a fresh provider simulated %d runs over a filled store", n)
+			}
+		}
+	})
 }
 
 // --- Extension: L2 stride prefetcher (disabled in the paper-stock

@@ -427,7 +427,11 @@ type better func(a, b *OptimizePoint) bool
 // concurrent).
 func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(done int)) (*OptimizeResult, error) {
 	opts = opts.withDefaults()
-	base, baseSt, err := fitSuite(ctx, o.Plan.Base, o.Plan.Suite, opts)
+	suite, err := suites.ByName(o.Plan.Suite, suites.Options{NumOps: opts.NumOps, SeedBase: opts.SeedBase})
+	if err != nil {
+		return nil, err
+	}
+	base, baseSt, err := fitSuite(ctx, o.Plan.Base, suite, opts)
 	if err != nil {
 		return nil, err
 	}

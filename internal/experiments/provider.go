@@ -21,10 +21,12 @@ import (
 // requests for an uncached key are deduplicated singleflight-style —
 // exactly one caller simulates and fits (warm-started from the run store
 // when one is configured) while the others block on the same result.
-// Failed fits are not cached; the next request retries. Run executes
-// any other experiment uncached, counting its sourcing alongside.
+// Failed fits are not cached; the next request retries. Suites are
+// resolved once per provider under its NumOps and SeedBase (Suite), by
+// the same rule. Run executes any other experiment uncached, counting
+// its sourcing alongside.
 //
-// The cache only grows: a Fitted entry (model, observations, runs) is a
+// The caches only grow: a Fitted entry (model, observations, runs) is a
 // few hundred KB, so even thousands of distinct machine×suite keys stay
 // cheap next to the simulations they replace.
 type Provider struct {
@@ -32,6 +34,7 @@ type Provider struct {
 
 	mu     sync.Mutex
 	models map[string]*fitCall
+	suites map[string]suites.Suite
 	stats  ProviderStats
 }
 
@@ -53,8 +56,10 @@ type ProviderStats struct {
 // treat every field as immutable.
 type Fitted struct {
 	Machine *uarch.Machine
-	Suite   suites.Suite
-	Model   *core.Model
+	// ConfigHash is Machine.ConfigHash(), computed once at fit time.
+	ConfigHash string
+	Suite      suites.Suite
+	Model      *core.Model
 	// Obs are the fitting observations, sorted by workload name (the
 	// same ordering Lab.Observations uses, so fits are bit-identical).
 	Obs []core.Observation
@@ -83,7 +88,7 @@ type fitCall struct {
 // NewProvider builds a provider with the given options (defaults applied
 // as in Lab). The provider is safe for concurrent use.
 func NewProvider(opts Options) *Provider {
-	return &Provider{opts: opts.withDefaults(), models: map[string]*fitCall{}}
+	return &Provider{opts: opts.withDefaults(), models: map[string]*fitCall{}, suites: map[string]suites.Suite{}}
 }
 
 // Opts returns the provider's resolved options.
@@ -102,6 +107,32 @@ func (p *Provider) CachedModels() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.models)
+}
+
+// Suite returns the named suite instantiated with the provider's NumOps
+// and SeedBase, the instantiation every fit of the provider uses. The
+// first successful resolution of a name is kept for the provider's
+// lifetime, so a file-backed suite's trace files are read once; a
+// failed one is not, and the next call retries. The returned suite is
+// shared: treat it as immutable.
+func (p *Provider) Suite(name string) (suites.Suite, error) {
+	p.mu.Lock()
+	s, ok := p.suites[name]
+	p.mu.Unlock()
+	if ok {
+		return s, nil
+	}
+	s, err := suites.ByName(name, suites.Options{NumOps: p.opts.NumOps, SeedBase: p.opts.SeedBase})
+	if err != nil {
+		return suites.Suite{}, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if prev, ok := p.suites[name]; ok {
+		return prev, nil // a concurrent caller resolved it first
+	}
+	p.suites[name] = s
+	return s, nil
 }
 
 // key content-addresses one fitted model: everything that determines its
@@ -152,22 +183,23 @@ func (p *Provider) Fitted(m *uarch.Machine, suiteName string) (*Fitted, error) {
 		p.mu.Unlock()
 		close(c.done)
 	}()
+	suite, err := p.Suite(suiteName)
+	if err != nil {
+		c.err = err
+		return nil, err
+	}
 	var st SimStats
-	c.res, st, c.err = fitSuite(context.Background(), m, suiteName, p.opts)
+	c.res, st, c.err = fitSuite(context.Background(), m, suite, p.opts)
 	p.addSimStats(st)
 	return c.res, c.err
 }
 
-// fitSuite simulates the suite on the machine (through the run store
-// when configured) and fits the model in a one-machine Lab — the same
-// simulate, observe and fit path every kind takes: the provider's cached
-// fits and an optimize search's base fit. The caller accounts the
-// returned SimStats.
-func fitSuite(ctx context.Context, m *uarch.Machine, suiteName string, opts Options) (*Fitted, SimStats, error) {
-	suite, err := suites.ByName(suiteName, suites.Options{NumOps: opts.NumOps, SeedBase: opts.SeedBase})
-	if err != nil {
-		return nil, SimStats{}, err
-	}
+// fitSuite simulates the resolved suite on the machine (through the run
+// store when configured) and fits the model in a one-machine Lab — the
+// same simulate, observe and fit path every kind takes: the provider's
+// cached fits and an optimize search's base fit. The caller accounts
+// the returned SimStats.
+func fitSuite(ctx context.Context, m *uarch.Machine, suite suites.Suite, opts Options) (*Fitted, SimStats, error) {
 	lab, err := NewCustomLab([]*uarch.Machine{m}, []suites.Suite{suite}, opts)
 	if err != nil {
 		return nil, SimStats{}, err
@@ -175,11 +207,11 @@ func fitSuite(ctx context.Context, m *uarch.Machine, suiteName string, opts Opti
 	if err := lab.SimulateContext(ctx); err != nil {
 		return nil, lab.SimStats(), err
 	}
-	model, err := lab.Model(m.Name, suiteName)
+	model, err := lab.Model(m.Name, suite.Name)
 	if err != nil {
 		return nil, lab.SimStats(), err
 	}
-	obs, err := lab.Observations(m.Name, suiteName)
+	obs, err := lab.Observations(m.Name, suite.Name)
 	if err != nil {
 		return nil, lab.SimStats(), err
 	}
@@ -187,7 +219,8 @@ func fitSuite(ctx context.Context, m *uarch.Machine, suiteName string, opts Opti
 	for rk, r := range lab.runs {
 		runs[rk.Workload] = r
 	}
-	return &Fitted{Machine: m, Suite: suite, Model: model, Obs: obs, Runs: runs}, lab.SimStats(), nil
+	return &Fitted{Machine: m, ConfigHash: m.ConfigHash(), Suite: suite, Model: model, Obs: obs, Runs: runs},
+		lab.SimStats(), nil
 }
 
 // Run executes a resolved experiment under the provider's options —

@@ -3,11 +3,15 @@ package experiments
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/runstore"
 	"repro/internal/suites"
+	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
@@ -31,6 +35,9 @@ func TestProviderFitMatchesLabModel(t *testing.T) {
 	f, err := prov.Fitted(m, "cpu2000")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f.ConfigHash != m.ConfigHash() {
+		t.Errorf("Fitted.ConfigHash %s, want the machine's %s", f.ConfigHash, m.ConfigHash())
 	}
 
 	suite, err := suites.ByName("cpu2000", suites.Options{NumOps: opts.NumOps})
@@ -240,6 +247,46 @@ func TestProviderErrorsAreNotCached(t *testing.T) {
 	}
 	if st := prov.Stats(); st.Fits != 0 {
 		t.Errorf("failed fit counted as a fit (fits=%d)", st.Fits)
+	}
+}
+
+// TestProviderSuiteResolvesOnce: Suite instantiates a name under the
+// provider's NumOps and SeedBase, keeps a success — a file-backed
+// suite's traces are not read again — and retries a failure.
+func TestProviderSuiteResolvesOnce(t *testing.T) {
+	prov := NewProvider(Options{NumOps: 700, SeedBase: 3})
+	s, err := prov.Suite("cpu2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := suites.ByName("cpu2000", suites.Options{NumOps: 700, SeedBase: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, want) {
+		t.Error("Suite differs from suites.ByName under the provider's options")
+	}
+
+	dir := t.TempDir()
+	name := suites.FilePrefix + dir
+	files := NewProvider(Options{NumOps: 700})
+	if _, err := files.Suite(name); err == nil {
+		t.Fatal("an empty trace directory resolved")
+	}
+	path := filepath.Join(dir, want.Workloads[0].Name+trace.FileExt)
+	if err := trace.WriteFile(path, trace.Materialize(want.Workloads[0])); err != nil {
+		t.Fatal(err)
+	}
+	first, err := files.Suite(name)
+	if err != nil {
+		t.Fatalf("a failed resolution was kept: %v", err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	again, err := files.Suite(name)
+	if err != nil || !reflect.DeepEqual(again, first) {
+		t.Errorf("second resolution re-read the directory: %v", err)
 	}
 }
 

@@ -30,10 +30,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -113,17 +115,118 @@ func (s *Server) Handler() http.Handler {
 }
 
 // writeJSON emits v indented, so responses read well from curl and pin
-// down a stable golden wire format.
+// down a stable golden wire format: the bytes json.MarshalIndent(v, "",
+// "  ") writes, plus a newline. It encodes compactly into a pooled
+// buffer and indents in one pass (indentJSON), instead of paying for
+// MarshalIndent's validating scanner on every response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	b := jsonBufs.Get().(*jsonBuf)
+	defer b.release()
+	b.compact.Reset()
+	if err := json.NewEncoder(&b.compact).Encode(v); err != nil {
 		http.Error(w, `{"error":{"code":"internal","message":"response encoding failed"}}`,
 			http.StatusInternalServerError)
 		return
 	}
+	// Encode ends the document with the newline the response ends with.
+	doc := b.compact.Bytes()
+	b.out = append(indentJSON(b.out[:0], doc[:len(doc)-1]), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(b.out)
+}
+
+// jsonBuf is writeJSON's scratch: the compact encoding and its indented
+// form.
+type jsonBuf struct {
+	compact bytes.Buffer
+	out     []byte
+}
+
+var jsonBufs = sync.Pool{New: func() any { return new(jsonBuf) }}
+
+// maxPooledJSON caps the buffers kept for reuse: one that grew past it
+// (a large job result) is left to the collector rather than pinned.
+const maxPooledJSON = 1 << 20
+
+func (b *jsonBuf) release() {
+	if b.compact.Cap() <= maxPooledJSON && cap(b.out) <= maxPooledJSON {
+		jsonBufs.Put(b)
+	}
+}
+
+// jsonPunct marks the bytes indentJSON acts on outside strings.
+var jsonPunct = [256]bool{'"': true, '{': true, '}': true, '[': true, ']': true, ',': true, ':': true}
+
+// indentJSON appends src, a compact JSON document such as json.Marshal
+// writes, to dst indented by two spaces per level. The output is
+// byte-identical to json.Indent(dst, src, "", "  "): a newline and the
+// depth's indent after every opening bracket and comma and before every
+// closing one, a space after every colon, and {} and [] kept empty. It
+// tracks only string and escape state and the nesting depth, so unlike
+// json.Indent it neither validates src nor drops whitespace.
+func indentJSON(dst, src []byte) []byte {
+	depth := 0
+	opened := false // the last punctuation opened an object or array
+	for i := 0; i < len(src); {
+		c := src[i]
+		if opened && c != '}' && c != ']' {
+			opened = false
+			depth++
+			dst = indentLine(dst, depth)
+		}
+		switch c {
+		case '"':
+			// Copy the string through its closing quote; a backslash
+			// escapes the byte after it.
+			j := i + 1
+			for j < len(src) && src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			j = min(j+1, len(src))
+			dst = append(dst, src[i:j]...)
+			i = j
+			continue
+		case '{', '[':
+			opened = true
+			dst = append(dst, c)
+		case ',':
+			dst = indentLine(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		case '}', ']':
+			if opened {
+				opened = false
+			} else {
+				depth--
+				dst = indentLine(dst, depth)
+			}
+			dst = append(dst, c)
+		default:
+			// A number or literal: copy up to the next punctuation.
+			j := i + 1
+			for j < len(src) && !jsonPunct[src[j]] {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j
+			continue
+		}
+		i++
+	}
+	return dst
+}
+
+// indentLine appends a newline and two spaces per depth level.
+func indentLine(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // Stable error codes, the machine-readable half of the error envelope.
@@ -263,10 +366,9 @@ type SuitesResponse struct {
 }
 
 func (s *Server) handleSuites(w http.ResponseWriter, r *http.Request) {
-	ops := s.prov.Opts().NumOps
-	resp := SuitesResponse{Ops: ops}
+	resp := SuitesResponse{Ops: s.prov.Opts().NumOps}
 	for _, name := range suites.Names() {
-		suite, err := suites.ByName(name, suites.Options{NumOps: ops})
+		suite, err := s.prov.Suite(name)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, CodeInternal, err)
 			return
@@ -388,7 +490,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		machines = append(machines, m)
 	}
-	suite, err := suites.ByName(req.Suite, suites.Options{NumOps: s.prov.Opts().NumOps})
+	// The provider's own instantiation of the suite, so a suite it
+	// cannot fit (a file-backed one under a non-zero SeedBase) is a bad
+	// request here, not an internal error inside the fit.
+	suite, err := s.prov.Suite(req.Suite)
 	if err != nil {
 		badRequest(w, err)
 		return
@@ -396,14 +501,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Reject a typoed workload before the expensive simulate+fit, not
 	// after: the suite listing is already in hand.
 	if req.Workload != "" {
-		found := false
-		for _, wl := range suite.Workloads {
-			if wl.Name == req.Workload {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := suite.Find(req.Workload); !ok {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Errorf("workload %q not in suite %s", req.Workload, suite.Name))
 			return
@@ -455,7 +553,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 func predictMachine(f *experiments.Fitted, workload string) (MachinePrediction, error) {
 	mp := MachinePrediction{
 		Machine:    f.Machine.Name,
-		ConfigHash: f.Machine.ConfigHash(),
+		ConfigHash: f.ConfigHash,
 		Params:     f.Model.P,
 	}
 	obs := f.Obs

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -16,6 +17,8 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runstore"
+	"repro/internal/suites"
+	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
@@ -409,6 +412,43 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s: status %d, want 405", tc.method, tc.path, resp.StatusCode)
 		}
+	}
+}
+
+// TestPredictRejectsReseededFileSuite: a provider with a non-zero
+// SeedBase cannot fit a file-backed suite (recorded traces cannot be
+// re-seeded), so a predict naming one is a bad request, refused before
+// any fit, not an internal error from inside the fit.
+func TestPredictRejectsReseededFileSuite(t *testing.T) {
+	dir := t.TempDir()
+	suite, err := suites.ByName("cpu2000", suites.Options{NumOps: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range suite.Workloads[:2] {
+		buf, err := trace.MaterializeSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteFile(filepath.Join(dir, spec.Name+trace.FileExt), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, prov := newTestServer(t, experiments.Options{SeedBase: 7})
+	code, body := postJSON(t, ts.URL+"/v1/predict",
+		`{"machine": {"name": "core2"}, "suite": "`+suites.FilePrefix+dir+`"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", code, body)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("error body is not JSON: %s", body)
+	}
+	if e.Error.Code != CodeBadRequest || !strings.Contains(e.Error.Message, "cannot be re-seeded") {
+		t.Errorf("error %+v, want %s mentioning re-seeding", e.Error, CodeBadRequest)
+	}
+	if st := prov.Stats(); st.Fits != 0 || st.Sim.Simulated != 0 {
+		t.Errorf("rejected predict spent work: fits=%d simulated=%d, want 0/0", st.Fits, st.Sim.Simulated)
 	}
 }
 
