@@ -53,7 +53,7 @@ staticcheck:
 bench-smoke:
 	@echo "Running benchmark smoke (ops=$(BENCH_OPS)) against the run store at $(RUNSTORE)..."
 	@REPRO_RUNSTORE=$(RUNSTORE) REPRO_BENCH_OPS=$(BENCH_OPS) \
-		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|TraceGeneration|TraceReplay|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|Fit$$' \
+		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|SimulatorReplay|CacheHierarchy|BranchPredict|TraceGeneration|TraceReplay|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|Fit$$' \
 		-benchtime 1x -benchmem .
 
 # profile runs the simulator throughput benchmark under the CPU
@@ -168,29 +168,38 @@ plan-smoke:
 		-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) 2>&1 >/dev/null \
 		| grep "0 simulated (100.0% hit rate), 0 traces generated"
 
-# sim-nondeterminism runs the same 2x2 grid plan single-threaded and
-# with every core — each against its own fresh run store — and asserts
+# sim-nondeterminism runs grid plans single-threaded and with every
+# core — each against its own fresh run store — and asserts
 # byte-identical wire-format plan JSON and byte-identical run-store
 # artifacts: every simulation entry and the plan's stored base fit.
-# Plan cells simulate concurrently over shared trace buffers and a
+# Plan cells simulate concurrently over shared trace buffers and tapes
+# (one walk of the caches and branch predictor per walk key), and a
 # fit's multi-starts run on every core, so this is the gate that
 # scheduling, worker count and GOMAXPROCS never leak into results
-# (first slice of the ROADMAP determinism harness).
+# (first slice of the ROADMAP determinism harness). The first plan,
+# rob x mshrs, has one walk key; the second, memlat x l2kb, has an axis
+# that shares a walk (memlat) and one that splits it (l2kb).
+DET_PLANS := rob:48,96:mshrs:4,8 memlat:150,300:l2kb:2048,4096
+
 sim-nondeterminism:
 	@mkdir -p $(CURDIR)/.bin
-	@rm -rf $(CURDIR)/.bin/det-store-1 $(CURDIR)/.bin/det-store-n
-	@echo "Running a 2x2 grid plan at GOMAXPROCS=1 (ops=$(SMOKE_OPS))..."
-	@GOMAXPROCS=1 go run ./cmd/sweep -base core2 -param rob -values 48,96 -param mshrs -values 4,8 \
-		-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json \
-		-store $(CURDIR)/.bin/det-store-1 > $(CURDIR)/.bin/det-plan-1.json
-	@echo "Running the same plan at GOMAXPROCS=$$(nproc)..."
-	@GOMAXPROCS=$$(nproc) go run ./cmd/sweep -base core2 -param rob -values 48,96 -param mshrs -values 4,8 \
-		-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json \
-		-store $(CURDIR)/.bin/det-store-n > $(CURDIR)/.bin/det-plan-n.json
-	@echo "Comparing plan JSON..."
-	@cmp $(CURDIR)/.bin/det-plan-1.json $(CURDIR)/.bin/det-plan-n.json
-	@echo "Comparing run-store artifacts..."
-	@diff -r $(CURDIR)/.bin/det-store-1 $(CURDIR)/.bin/det-store-n
+	@set -e; for plan in $(DET_PLANS); do \
+		set -- $$(echo $$plan | tr ':' ' '); \
+		tag=$$1-$$3; \
+		rm -rf $(CURDIR)/.bin/det-store-$$tag-1 $(CURDIR)/.bin/det-store-$$tag-n; \
+		echo "Running a 2x2 $$1 x $$3 grid plan at GOMAXPROCS=1 (ops=$(SMOKE_OPS))..."; \
+		GOMAXPROCS=1 go run ./cmd/sweep -base core2 -param $$1 -values $$2 -param $$3 -values $$4 \
+			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json \
+			-store $(CURDIR)/.bin/det-store-$$tag-1 > $(CURDIR)/.bin/det-plan-$$tag-1.json; \
+		echo "Running the same plan at GOMAXPROCS=$$(nproc)..."; \
+		GOMAXPROCS=$$(nproc) go run ./cmd/sweep -base core2 -param $$1 -values $$2 -param $$3 -values $$4 \
+			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json \
+			-store $(CURDIR)/.bin/det-store-$$tag-n > $(CURDIR)/.bin/det-plan-$$tag-n.json; \
+		echo "Comparing plan JSON..."; \
+		cmp $(CURDIR)/.bin/det-plan-$$tag-1.json $(CURDIR)/.bin/det-plan-$$tag-n.json; \
+		echo "Comparing run-store artifacts..."; \
+		diff -r $(CURDIR)/.bin/det-store-$$tag-1 $(CURDIR)/.bin/det-store-$$tag-n; \
+	done
 	@echo "sim-nondeterminism: byte-identical across GOMAXPROCS"
 
 # scale-smoke is sim-nondeterminism's wall-clock companion: the same
@@ -320,6 +329,8 @@ fuzz-smoke:
 	@go test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 	@echo "Fuzzing the response indenter against json.Indent for 20s..."
 	@go test ./internal/serve -run '^$$' -fuzz '^FuzzIndentJSON$$' -fuzztime 20s
+	@echo "Fuzzing timing-only machine variants (metamorphic) for 20s..."
+	@go test ./internal/sim -run '^$$' -fuzz '^FuzzTimingOnlyMachine$$' -fuzztime 20s
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon

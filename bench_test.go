@@ -24,6 +24,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/calibrator"
 	"repro/internal/core"
@@ -388,20 +389,20 @@ func BenchmarkFit(b *testing.B) {
 
 // --- Substrate throughput benches. ---
 
-// BenchmarkSimulatorThroughput measures the interval-simulation loop
-// itself: the workload is materialized once and replayed through the
-// allocation-free RunInto path, exactly how a grid plan's cells consume
-// their shared buffers. Generation cost is measured separately by
-// BenchmarkTraceGeneration. The bench-baseline CI job gates both the
-// Mops/s and the allocs/op (a warmed simulator must not allocate).
+// BenchmarkSimulatorThroughput measures the live interval-simulation
+// loop: the workload is materialized once and replayed through the
+// allocation-free RunInto path, walking the caches and predictor as it
+// goes — how a machine runs when no other machine of its batch shares
+// its walk key (a campaign's stock machines, a seed sweep).
+// Generation cost is measured separately by BenchmarkTraceGeneration.
+// The bench-baseline CI job gates both the Mops/s and the allocs/op (a
+// warmed simulator must not allocate).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	s, err := sim.New(uarch.CoreI7())
 	if err != nil {
 		b.Fatal(err)
 	}
-	suite := suites.CPU2006Like(suites.Options{NumOps: 100000})
-	w, _ := suite.Find("gcc.1")
-	src := trace.Materialize(w).Replay()
+	src := simLayerTrace()
 	var res sim.Result
 	// Warm up: the first run builds the branch predictor.
 	if err := s.RunInto(&res, src); err != nil {
@@ -413,7 +414,96 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(w.NumOps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+	b.ReportMetric(float64(src.NumOps())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}
+
+// simLayerTrace is the trace of the simulator layer benches:
+// SimulatorThroughput's gcc.1 at 100K µops, materialized once.
+func simLayerTrace() *trace.Buffer {
+	suite := suites.CPU2006Like(suites.Options{NumOps: 100000})
+	w, _ := suite.Find("gcc.1")
+	return trace.Materialize(w)
+}
+
+// BenchmarkCacheHierarchy measures the miss-event walk alone: the
+// cache/TLB hierarchy, the branch predictor, fusion and fetch-line
+// tracking of core2 over a materialized trace, recorded into a reused
+// tape (sim.Record), at 0 allocs/op. A plan cell that shares its walk
+// key skips this cost; BenchmarkSimulatorReplay is the rest.
+func BenchmarkCacheHierarchy(b *testing.B) {
+	m := uarch.CoreTwo()
+	buf := simLayerTrace()
+	var tape sim.Tape
+	if err := sim.Record(m, buf, &tape); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sim.Record(m, buf, &tape); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.NumOps())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}
+
+// BenchmarkBranchPredict measures core2's branch predictor alone over
+// the branches of the layer trace, in million branches per second.
+func BenchmarkBranchPredict(b *testing.B) {
+	pred, err := branch.New(uarch.CoreTwo().Predictor)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type outcome struct {
+		pc    uint64
+		taken bool
+	}
+	var branches []outcome
+	r := simLayerTrace().Replay()
+	var op trace.MicroOp
+	for r.Next(&op) {
+		if op.Kind == trace.KindBranch {
+			branches = append(branches, outcome{op.PC, op.Taken})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pred.Reset()
+		for _, br := range branches {
+			pred.PredictUpdate(br.pc, br.taken)
+		}
+	}
+	b.ReportMetric(float64(len(branches))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}
+
+// BenchmarkSimulatorReplay is SimulatorThroughput's timing core alone:
+// the same machine and trace, replayed from a tape recorded once
+// outside the timed loop, as every cell of a walk group after the walk
+// runs.
+func BenchmarkSimulatorReplay(b *testing.B) {
+	m := uarch.CoreI7()
+	s, err := sim.NewReplayer(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := simLayerTrace()
+	var tape sim.Tape
+	if err := sim.Record(m, buf, &tape); err != nil {
+		b.Fatal(err)
+	}
+	var res sim.Result
+	if err := s.Replay(&res, buf, &tape); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Replay(&res, buf, &tape); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.NumOps())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
 }
 
 // BenchmarkTLBAccess isolates the hottest hierarchy structure: the
@@ -545,7 +635,8 @@ func BenchmarkTraceReplay(b *testing.B) {
 // --- Extension: multi-axis grid plans (the plan engine). The benchmark
 // measures the plan's simulation phase over a 2×2 rob×mshrs grid (base
 // + 4 cells × the cpu2000 workloads), each workload's µop stream
-// materialized once and replayed per cell. No run store, so every
+// materialized and walked through core2's caches and predictor once,
+// and the timing core replayed per cell (they share one walk key). No run store, so every
 // iteration honestly simulates; the fit is measured by the figure
 // benches. The sub-benchmark name is what bench-baseline gates. ---
 

@@ -520,7 +520,8 @@ func (h *Hierarchy) do(l1 *Cache, tlb *TLB, side *SideStats, addr uint64, isRead
 	return res
 }
 
-// Reset clears all cache/TLB state and statistics.
+// Reset clears all cache, TLB and prefetcher state and statistics, so
+// a reset hierarchy behaves exactly like a new one.
 func (h *Hierarchy) Reset() {
 	h.l1i.Reset()
 	h.l1d.Reset()
@@ -530,6 +531,9 @@ func (h *Hierarchy) Reset() {
 	}
 	h.itlb.Reset()
 	h.dtlb.Reset()
+	if h.pf != nil {
+		h.pf.Reset()
+	}
 	h.IStats = SideStats{}
 	h.DStats = SideStats{}
 }

@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/runstore"
+	"repro/internal/sim"
 	"repro/internal/suites"
+	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
@@ -120,6 +122,82 @@ func TestSimulateAbortsOnError(t *testing.T) {
 	}
 	if len(l.runs) != 0 {
 		t.Errorf("failed campaign left %d runs", len(l.runs))
+	}
+}
+
+// TestSharedWalksMatchLiveRuns: machines that share a walk key replay
+// one tape per workload, and their results equal a live simulation of
+// each machine on its own. The grid has a walk shared by three machines
+// (memlat and rob change only timing), one shared by two (a smaller
+// L2), and corei7 alone.
+func TestSharedWalksMatchLiveRuns(t *testing.T) {
+	derive := func(name string, edit func(*uarch.Machine)) *uarch.Machine {
+		m := uarch.CoreTwo()
+		m.Name = name
+		edit(m)
+		return m
+	}
+	machines := []*uarch.Machine{
+		uarch.CoreTwo(),
+		derive("core2-slow", func(m *uarch.Machine) { m.MemLat = 300 }),
+		derive("core2-rob48", func(m *uarch.Machine) { m.ROBSize = 48 }),
+		derive("core2-l2", func(m *uarch.Machine) { m.L2.SizeBytes = 1 << 20 }),
+		derive("core2-l2-slow", func(m *uarch.Machine) { m.L2.SizeBytes, m.MemLat = 1<<20, 300 }),
+		uarch.CoreI7(),
+	}
+	suite := suites.CPU2000Like(suites.Options{NumOps: 5000})
+	l, err := NewCustomLab(machines, []suites.Suite{suite}, Options{NumOps: 5000, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.SimStats(); st.Simulated != len(machines)*len(suite.Workloads) || st.TraceGens != len(suite.Workloads) {
+		t.Errorf("stats %+v, want %d simulated and %d traces generated",
+			st, len(machines)*len(suite.Workloads), len(suite.Workloads))
+	}
+	for _, m := range machines {
+		s, err := sim.New(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range suite.Workloads {
+			want, err := s.Run(trace.New(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := l.Run(m.Name, suite.Name, w.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Errorf("%s on %s: shared-walk result differs from a live run", w.Name, m.Name)
+			}
+		}
+	}
+}
+
+// TestSimulateAbortsOnWalkError: a walk that fails (an unknown
+// predictor, which sim.New accepts and the walk rejects) fails the run
+// without hanging the workers that wait for its tape.
+func TestSimulateAbortsOnWalkError(t *testing.T) {
+	bad := func(name string) *uarch.Machine {
+		m := uarch.CoreTwo()
+		m.Name = name
+		m.Predictor.Kind = 99
+		return m
+	}
+	suite := suites.CPU2000Like(suites.Options{NumOps: 2000})
+	l, err := NewCustomLab([]*uarch.Machine{bad("a"), bad("b")}, []suites.Suite{suite}, Options{NumOps: 2000, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Simulate(); err == nil {
+		t.Fatal("want the walk's error")
+	}
+	if st := l.SimStats(); st.Simulated != 0 {
+		t.Errorf("failed walk recorded runs: %+v", st)
 	}
 }
 

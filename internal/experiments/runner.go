@@ -33,11 +33,27 @@ type simJob struct {
 // last user hands the backing store back for recycling. buf is nil
 // after ready closes when materialization was aborted (cancellation or
 // an earlier failure).
+//
+// Machines that share a walk key (uarch.Machine.WalkHash) meet the same
+// cache, TLB and branch outcomes on the stream. For every walk key that
+// two or more of the workload's jobs share, walks holds one of those
+// machines, and the materializer records its walk of the stream into
+// the tape of the same index; those jobs replay only the timing core.
 type sharedTrace struct {
 	spec  trace.Spec
+	walks []*uarch.Machine
 	ready chan struct{}
 	buf   *trace.Buffer
+	tapes []*sim.Tape // tapes[i] holds walks[i]'s walk of buf
 	left  atomic.Int64
+}
+
+// traceSlot is the recyclable storage of one live shared trace: the µop
+// backing store and the tapes recorded over it (there may be more tapes
+// than the current trace has walks; the spares wait for a later one).
+type traceSlot struct {
+	ops   []trace.MicroOp
+	tapes []*sim.Tape
 }
 
 // runSimJobs is the one simulation path, running the pending jobs of a
@@ -55,7 +71,15 @@ type sharedTrace struct {
 // Workloads simulated on more than one machine (a campaign's machine
 // grid, a plan's cells) share one materialized trace.Buffer per spec:
 // the stream is generated once and replayed per machine, instead of
-// regenerated per (machine, workload) pair. Misses are dispatched
+// regenerated per (machine, workload) pair. Among those machines, each
+// group that shares a walk key (a plan's rob, mshrs, width, memlat or
+// depth cells) also shares one walk of the stream through the caches,
+// TLBs and branch predictor: the materializer records it into a
+// sim.Tape right after producing the buffer, and each machine of the
+// group replays only the timing core from it (sim.Simulator.Replay,
+// struct-equal to a live run). A walk key used by a single job runs
+// live, as every job of a campaign's distinct stock machines and of a
+// seed sweep does. Misses are dispatched
 // workload-major (all machines of one workload adjacently) regardless
 // of the order jobs were enqueued in, and a dedicated materializer
 // goroutine produces the buffers in that same order, ahead of the
@@ -99,6 +123,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 		key      string // run-store key; "" when no store is configured
 		specHash string
 		shared   *sharedTrace // non-nil when the spec's trace is shared
+		walk     int          // index of the job's tape in shared; -1 to run live
 	}
 	var misses []missJob
 	for _, j := range jobs {
@@ -130,8 +155,11 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 	// shared buffer alive across the whole run; making each spec's uses
 	// adjacent bounds the live buffers and gives the materializer its
 	// production order.
+	type walkOf struct{ spec, walk string }
 	first := make(map[string]int, len(misses))
 	uses := make(map[string]int, len(misses))
+	walkKeys := make(map[*uarch.Machine]string)
+	walkUses := make(map[walkOf]int, len(misses))
 	for i := range misses {
 		h := misses[i].spec.ConfigHash()
 		misses[i].specHash = h
@@ -139,13 +167,20 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 			first[h] = i
 		}
 		uses[h]++
+		m := misses[i].machine
+		if _, ok := walkKeys[m]; !ok {
+			walkKeys[m] = m.WalkHash()
+		}
+		walkUses[walkOf{h, walkKeys[m]}]++
 	}
 	sort.SliceStable(misses, func(a, b int) bool {
 		return first[misses[a].specHash] < first[misses[b].specHash]
 	})
 	var groups []*sharedTrace // shared workloads in dispatch order
 	buffers := make(map[string]*sharedTrace)
+	tapeIdx := make(map[walkOf]int)
 	for i := range misses {
+		misses[i].walk = -1
 		h := misses[i].specHash
 		if uses[h] <= 1 {
 			continue
@@ -158,6 +193,17 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 			groups = append(groups, sh)
 		}
 		misses[i].shared = sh
+		w := walkOf{h, walkKeys[misses[i].machine]}
+		if walkUses[w] < 2 {
+			continue
+		}
+		idx, ok := tapeIdx[w]
+		if !ok {
+			idx = len(sh.walks)
+			tapeIdx[w] = idx
+			sh.walks = append(sh.walks, misses[i].machine)
+		}
+		misses[i].walk = idx
 	}
 
 	var (
@@ -178,32 +224,37 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 	}
 
 	// Materializer pipeline. freeSlots carries the recyclable backing
-	// stores (nil until first use); its capacity is the live-buffer
-	// bound. The loop always closes every group's ready channel so no
-	// worker blocks forever, even when aborting.
-	var freeSlots chan []trace.MicroOp
+	// stores and tapes (empty until first use); its capacity is the
+	// live-buffer bound. The loop always closes every group's ready
+	// channel so no worker blocks forever, even when aborting.
+	var freeSlots chan traceSlot
 	if len(groups) > 0 {
 		liveBufs := min(workers+1, len(groups))
-		freeSlots = make(chan []trace.MicroOp, liveBufs)
+		freeSlots = make(chan traceSlot, liveBufs)
 		for i := 0; i < liveBufs; i++ {
-			freeSlots <- nil
+			freeSlots <- traceSlot{}
 		}
 		matWG.Add(1)
 		go func() {
 			defer matWG.Done()
 			for _, sh := range groups {
 				select {
-				case ops := <-freeSlots:
+				case slot := <-freeSlots:
 					// File-aware: generated specs expand through the
 					// generator, file-backed ones decode from disk with
 					// their content hash verified. On failure the slot
 					// goes back so later groups still materialize.
-					buf, err := trace.MaterializeSpecInto(sh.spec, ops)
+					buf, err := trace.MaterializeSpecInto(sh.spec, slot.ops)
 					if err != nil {
-						freeSlots <- ops
-						fail(fmt.Errorf("experiments: materialize %s: %w", sh.spec.Name, err))
+						err = fmt.Errorf("experiments: materialize %s: %w", sh.spec.Name, err)
+					} else if err = recordWalks(sh.walks, buf, &slot); err != nil {
+						slot.ops = buf.ReleaseOps()
+					}
+					if err != nil {
+						freeSlots <- slot
+						fail(err)
 					} else {
-						sh.buf = buf
+						sh.buf, sh.tapes = buf, slot.tapes
 						traceGens.Add(1)
 					}
 				case <-ctx.Done():
@@ -219,27 +270,34 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One simulator per machine per worker, lazily built.
+			// One simulator per machine per worker, lazily built:
+			// replay-only for the jobs that replay a tape.
 			sims := map[string]*sim.Simulator{}
+			replayers := map[string]*sim.Simulator{}
 			for j := range ch {
-				s, ok := sims[j.machine.Name]
+				pool, build := sims, sim.New
+				if j.walk >= 0 {
+					pool, build = replayers, sim.NewReplayer
+				}
+				s, ok := pool[j.machine.Name]
 				if !ok {
 					var err error
-					s, err = sim.New(j.machine)
+					s, err = build(j.machine)
 					if err != nil {
 						fail(err)
 						continue
 					}
-					sims[j.machine.Name] = s
+					pool[j.machine.Name] = s
 				}
 				var src trace.Source
-				var buf *trace.Buffer
+				var buf, cursor *trace.Buffer
 				if sh := j.shared; sh != nil {
 					<-sh.ready
 					if buf = sh.buf; buf == nil {
 						continue // materialization aborted
 					}
-					src = buf.Replay()
+					cursor = buf.Replay()
+					src = cursor
 				} else {
 					var err error
 					src, err = trace.NewSpecSource(j.spec)
@@ -249,12 +307,19 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 					}
 					traceGens.Add(1)
 				}
-				res, err := s.Run(src)
+				res := new(sim.Result)
+				var err error
+				if j.walk >= 0 {
+					err = s.Replay(res, cursor, j.shared.tapes[j.walk])
+				} else {
+					err = s.RunInto(res, src)
+				}
 				if sh := j.shared; sh != nil && sh.left.Add(-1) == 0 {
-					// Last user: recycle the stream's backing store for
-					// the workload the materializer produces next.
+					// Last user: recycle the stream's backing store and
+					// tapes for the workload the materializer produces
+					// next.
 					sh.buf = nil
-					freeSlots <- buf.ReleaseOps()
+					freeSlots <- traceSlot{ops: buf.ReleaseOps(), tapes: sh.tapes}
 				}
 				if err != nil {
 					fail(fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err))
@@ -297,4 +362,18 @@ feed:
 		firstErr = ctx.Err()
 	}
 	return st, firstErr
+}
+
+// recordWalks records each walk machine's walk of buf into the tape of
+// the same index in slot, adding tapes as needed.
+func recordWalks(walks []*uarch.Machine, buf *trace.Buffer, slot *traceSlot) error {
+	for i, m := range walks {
+		if i == len(slot.tapes) {
+			slot.tapes = append(slot.tapes, new(sim.Tape))
+		}
+		if err := sim.Record(m, buf, slot.tapes[i]); err != nil {
+			return fmt.Errorf("experiments: walk %s on %s: %w", buf.Spec().Name, m.Name, err)
+		}
+	}
+	return nil
 }

@@ -55,11 +55,22 @@ const numKinds = 8
 // reusable across runs (state is reset per Run) and holds all its
 // working storage — window, rings, predictor, heaps — so steady-state
 // runs allocate nothing. Not safe for concurrent use.
+//
+// A run either walks the caches, TLBs and branch predictor live
+// (RunInto) or reads their outcomes from a Tape recorded by one walk of
+// the trace (Replay); the one step function serves both, and only its
+// four touch points — the fetch-line access, load, store and branch
+// resolve — look at which.
 type Simulator struct {
 	m    *uarch.Machine
-	hier *cache.Hierarchy
+	hier *cache.Hierarchy // nil on a replay-only simulator
 	pred branch.Predictor // built lazily on first Run, Reset per run
 	mshr mshrHeap
+
+	walkKey string // m.WalkHash(): the tapes this machine may replay
+	tape    *Tape  // non-nil while replaying
+	wCur    uint8  // tape words of the µops step is dispatching
+	wTail   uint8
 
 	issue issueRing // issue-bandwidth ring: issues per future cycle
 	seq   seqRing   // completion times by canonical sequence number
@@ -84,8 +95,10 @@ type Simulator struct {
 	memLat      uint64
 	loadAGU     uint64
 	storeLat    uint64
+	loadLat     [4]int // D-side load-to-use latency by cache.Level
+	dtlbMiss    int
 
-	// Per-run state, reset by RunInto.
+	// Per-run state, reset by begin.
 	res        *Result
 	ctr        *perfctr.Counters
 	cycle      uint64 // current dispatch cycle
@@ -115,6 +128,20 @@ type Simulator struct {
 // built here: Run constructs one lazily anyway (a predictor-configuration
 // error surfaces on the first Run).
 func New(m *uarch.Machine) (*Simulator, error) {
+	s, err := NewReplayer(m)
+	if err != nil {
+		return nil, err
+	}
+	if s.hier, err = cache.NewHierarchy(m); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// NewReplayer builds a replay-only simulator for machine m: the timing
+// core without a cache hierarchy or branch predictor. It runs Replay
+// from tapes of m's walk key; RunInto fails on it.
+func NewReplayer(m *uarch.Machine) (*Simulator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -122,17 +149,13 @@ func New(m *uarch.Machine) (*Simulator, error) {
 		return nil, fmt.Errorf("sim: issue width %d exceeds the ring's %d-issue capacity",
 			m.IssueWidth, issueCntMask)
 	}
-	hier, err := cache.NewHierarchy(m)
-	if err != nil {
-		return nil, err
-	}
 	s := &Simulator{
-		m:     m,
-		hier:  hier,
-		mshr:  mshrHeap{a: make([]uint64, m.MSHRs)},
-		issue: newIssueRing(),
-		rob:   make([]robMeta, m.ROBSize),
-		iq:    newIQRing(),
+		m:       m,
+		walkKey: m.WalkHash(),
+		mshr:    mshrHeap{a: make([]uint64, m.MSHRs)},
+		issue:   newIssueRing(),
+		rob:     make([]robMeta, m.ROBSize),
+		iq:      newIQRing(),
 
 		d:           m.DispatchWidth,
 		fD:          float64(m.DispatchWidth),
@@ -149,6 +172,13 @@ func New(m *uarch.Machine) (*Simulator, error) {
 		memLat:      uint64(m.MemLat),
 		loadAGU:     uint64(m.LoadAGU),
 		storeLat:    uint64(m.StoreLat),
+		loadLat: [4]int{
+			cache.LvlL1:  m.L1D.LatCycles,
+			cache.LvlL2:  m.L2.LatCycles,
+			cache.LvlL3:  m.L3.LatCycles,
+			cache.LvlMem: m.MemLat,
+		},
+		dtlbMiss: m.DTLB.MissLat,
 	}
 	for m.L1I.LineBytes>>s.lineShift > 1 {
 		s.lineShift++
@@ -206,6 +236,9 @@ func (s *Simulator) Run(g trace.Source) (*Result, error) {
 // All working state lives on the Simulator, so steady-state calls
 // allocate nothing — the benchmark gate asserts 0 B/op.
 func (s *Simulator) RunInto(res *Result, g trace.Source) error {
+	if s.hier == nil {
+		return fmt.Errorf("sim: %s: a replay-only simulator cannot run %q live", s.m.Name, g.Spec().Name)
+	}
 	g.Reset()
 	s.hier.Reset()
 	if s.pred == nil {
@@ -220,6 +253,18 @@ func (s *Simulator) RunInto(res *Result, g trace.Source) error {
 	} else {
 		s.pred.Reset()
 	}
+	s.begin(res)
+	var ok bool
+	if c, isChunked := g.(trace.Chunked); isChunked {
+		ok = s.driveChunked(c)
+	} else {
+		ok = s.driveGeneric(g)
+	}
+	return s.end(ok, g.Spec().Name)
+}
+
+// begin resets the timing core's per-run state and points it at res.
+func (s *Simulator) begin(res *Result) {
 	s.issue.reset()
 	s.seq.reset()
 	s.mshr.reset()
@@ -238,22 +283,23 @@ func (s *Simulator) RunInto(res *Result, g trace.Source) error {
 	s.headIdx, s.headPos = 0, 0
 	s.lastCommit, s.commitCnt = 0, 0
 	s.memBusySum, s.memUnion, s.coveredUntil = 0, 0, 0
+}
 
-	var ok bool
-	if c, isChunked := g.(trace.Chunked); isChunked {
-		ok = s.driveChunked(c)
-	} else {
-		ok = s.driveGeneric(g)
+// end completes a run that drove a stream (ok is false when it was
+// empty): it attributes the drain tail, folds in the hierarchy
+// statistics and validates the counters.
+func (s *Simulator) end(ok bool, workload string) error {
+	res := s.res
+	if ok {
+		s.finish()
 	}
+	s.res, s.ctr, s.tape = nil, nil, nil
 	if !ok {
-		s.res, s.ctr = nil, nil
-		return fmt.Errorf("sim: empty µop stream for %q", g.Spec().Name)
+		return fmt.Errorf("sim: empty µop stream for %q", workload)
 	}
-	s.finish()
-	s.res, s.ctr = nil, nil
 	if err := res.Counters.Validate(); err != nil {
 		return fmt.Errorf("sim: inconsistent counters for %q on %s: %w",
-			g.Spec().Name, s.m.Name, err)
+			workload, s.m.Name, err)
 	}
 	return nil
 }
@@ -403,14 +449,19 @@ func (s *Simulator) considerDeps(op *trace.MicroOp, ready uint64) uint64 {
 }
 
 // doHalf executes one half of a (possibly fused) dispatch group: loads
-// access the data hierarchy, possibly acquiring an MSHR for memory
-// trips (which can push execStart back); the group latency is the max
-// across halves.
-func (s *Simulator) doHalf(op *trace.MicroOp) {
+// access the data hierarchy (or read its outcome from tape word w),
+// possibly acquiring an MSHR for memory trips (which can push execStart
+// back); the group latency is the max across halves.
+func (s *Simulator) doHalf(op *trace.MicroOp, w uint8) {
 	var l uint64
 	switch op.Kind {
 	case trace.KindLoad:
-		r := s.hier.DoLoad(op.Addr)
+		var r cache.Result
+		if s.tape != nil {
+			r = s.tapeLoad(w)
+		} else {
+			r = s.hier.DoLoad(op.Addr)
+		}
 		s.meta.isLoad = true
 		if r.TLBMiss {
 			s.meta.dtlbMiss = true
@@ -437,7 +488,9 @@ func (s *Simulator) doHalf(op *trace.MicroOp) {
 		}
 		l = s.loadAGU + uint64(r.Lat)
 	case trace.KindStore:
-		s.hier.DoStore(op.Addr)
+		if s.tape == nil {
+			s.hier.DoStore(op.Addr)
+		}
 		l = s.storeLat
 	default:
 		l = s.latByKind[op.Kind&(numKinds-1)]
@@ -453,17 +506,40 @@ func (s *Simulator) doHalf(op *trace.MicroOp) {
 	}
 }
 
-// resolveBranch trains the predictor and, on a misprediction, redirects
-// the front end once the branch resolves.
-func (s *Simulator) resolveBranch(op *trace.MicroOp, complete uint64) {
+// resolveBranch trains the predictor (or reads the outcome from tape
+// word w) and, on a misprediction, redirects the front end once the
+// branch resolves.
+func (s *Simulator) resolveBranch(op *trace.MicroOp, complete uint64, w uint8) {
 	s.ctr.Branches++
-	if s.pred.PredictUpdate(op.PC, op.Taken) != op.Taken {
+	var miss bool
+	if s.tape != nil {
+		miss = w&wMispredict != 0
+	} else {
+		miss = s.pred.PredictUpdate(op.PC, op.Taken) != op.Taken
+	}
+	if miss {
 		s.ctr.BranchMispredicts++
 		if redirect := complete + s.frontEnd; redirect > s.nextFetch {
 			s.nextFetch = redirect
 			s.feReason = CompBranch
 		}
 		s.lastLine = ^uint64(0) // refetch the target line
+	}
+}
+
+// fetchStall charges an instruction fetch's ITLB walk and the level it
+// was served from.
+func (s *Simulator) fetchStall(lvl cache.Level, tlbMiss bool) {
+	if tlbMiss {
+		s.stall(s.cycle+s.itlbMiss, CompITLB)
+	}
+	switch lvl {
+	case cache.LvlL2:
+		s.stall(s.cycle+s.l2Lat, CompICacheL2)
+	case cache.LvlL3:
+		s.stall(s.cycle+s.l3Lat, CompICacheL3)
+	case cache.LvlMem:
+		s.stall(s.cycle+s.memLat, CompICacheMem)
 	}
 }
 
@@ -487,17 +563,11 @@ func (s *Simulator) step(cur, tail *trace.MicroOp) {
 	// --- Instruction-side cache/TLB on fetch-line change.
 	if line := cur.PC >> s.lineShift; line != s.lastLine {
 		s.lastLine = line
-		r := s.hier.DoInstr(cur.PC)
-		if r.TLBMiss {
-			s.stall(s.cycle+s.itlbMiss, CompITLB)
-		}
-		switch r.Level {
-		case cache.LvlL2:
-			s.stall(s.cycle+s.l2Lat, CompICacheL2)
-		case cache.LvlL3:
-			s.stall(s.cycle+s.l3Lat, CompICacheL3)
-		case cache.LvlMem:
-			s.stall(s.cycle+s.memLat, CompICacheMem)
+		if s.tape != nil {
+			s.fetchStall(cache.Level(s.wCur&wILevel), s.wCur&wITLB != 0)
+		} else {
+			r := s.hier.DoInstr(cur.PC)
+			s.fetchStall(r.Level, r.TLBMiss)
 		}
 	}
 
@@ -536,19 +606,19 @@ func (s *Simulator) step(cur, tail *trace.MicroOp) {
 	// Execute both halves.
 	s.lat = 0
 	s.meta = robMeta{}
-	s.doHalf(cur)
+	s.doHalf(cur, s.wCur)
 	if tail != nil {
-		s.doHalf(tail)
+		s.doHalf(tail, s.wTail)
 	}
 	complete := s.execStart + s.lat
 	s.iq.push(s.execStart)
 
 	// Branch resolution and misprediction redirect.
 	if cur.Kind == trace.KindBranch {
-		s.resolveBranch(cur, complete)
+		s.resolveBranch(cur, complete, s.wCur)
 	}
 	if tail != nil && tail.Kind == trace.KindBranch {
-		s.resolveBranch(tail, complete)
+		s.resolveBranch(tail, complete, s.wTail)
 	}
 
 	// In-order commit, CommitWidth per cycle.
@@ -612,7 +682,12 @@ func (s *Simulator) finish() {
 		accounted = ct
 	}
 
-	is, ds := s.hier.IStats, s.hier.DStats
+	var is, ds *cache.SideStats
+	if s.tape != nil {
+		is, ds = &s.tape.IStats, &s.tape.DStats
+	} else {
+		is, ds = &s.hier.IStats, &s.hier.DStats
+	}
 	ctr.Cycles = s.lastCommit
 	ctr.L1IMisses = is.L1Misses
 	ctr.L2IMisses = is.L2Misses

@@ -154,6 +154,34 @@ func (m *Machine) ConfigHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// WalkHash returns a stable content hash of the fields the miss-event
+// walk reads: the geometry of every cache, the TLB sizes, the branch
+// predictor, the prefetcher and the fusion rate. Machines with equal
+// WalkHash see the same hits, misses, mispredictions and fused pairs
+// on any trace, so one walk of the trace serves all of them. Every
+// latency is left out: it only prices an outcome, it never changes one.
+func (m *Machine) WalkHash() string {
+	type geometry struct{ SizeBytes, LineBytes, Assoc int }
+	type pages struct{ Entries, PageBytes int }
+	geo := func(c CacheConfig) geometry { return geometry{c.SizeBytes, c.LineBytes, c.Assoc} }
+	b, err := json.Marshal(struct {
+		L1I, L1D, L2, L3 geometry
+		ITLB, DTLB       pages
+		Predictor        PredictorConfig
+		Prefetch         PrefetchConfig
+		FusionRate       float64
+	}{
+		geo(m.L1I), geo(m.L1D), geo(m.L2), geo(m.L3),
+		pages{m.ITLB.Entries, m.ITLB.PageBytes}, pages{m.DTLB.Entries, m.DTLB.PageBytes},
+		m.Predictor, m.Prefetch, m.FusionRate,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("uarch: marshal walk of %s: %v", m.Name, err))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // HasL3 reports whether the machine has a third cache level.
 func (m *Machine) HasL3() bool { return m.L3.SizeBytes > 0 }
 
