@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -28,30 +29,12 @@ func TestEveryKindOnEverySurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs one experiment of every kind")
 	}
-	payloads := map[string]string{
-		experiments.JobKindCampaign: `{"machines": [{"name": "core2"}], "suites": ["cpu2000"]}`,
-		experiments.JobKindSweep:    `{"base": {"name": "core2"}, "param": "rob", "values": [48], "suite": "cpu2000"}`,
-		experiments.JobKindPlan:     `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48]}, {"param": "mshrs", "values": [4]}], "suite": "cpu2000"}`,
-		experiments.JobKindOptimize: `{"base": {"name": "core2"}, "axes": [{"param": "width", "values": [2, 4]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`,
-		experiments.JobKindSeeds:    `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 1}`,
-	}
-	// cmd/sweep's mode per kind, given the payload written to a file;
-	// campaigns are cmd/experiments' and have none.
-	dir := t.TempDir()
-	cli := map[string]func(file string) (string, error){
-		experiments.JobKindSweep: func(string) (string, error) {
-			return runJSON([]string{"rob"}, []string{"48"}, "", "", "")
-		},
-		experiments.JobKindPlan:     func(file string) (string, error) { return runJSON(nil, nil, file, "", "") },
-		experiments.JobKindOptimize: func(file string) (string, error) { return runJSON(nil, nil, "", file, "") },
-		experiments.JobKindSeeds:    func(file string) (string, error) { return runJSON(nil, nil, "", "", file) },
-	}
 	// spec tags a job spec with kind and fills in the payloads of kinds.
 	spec := func(t *testing.T, kind string, kinds ...experiments.Kind) experiments.JobSpec {
 		t.Helper()
 		js := experiments.JobSpec{Kind: kind}
 		for _, k := range kinds {
-			if err := json.Unmarshal([]byte(payloads[k.Name]), k.Payload(&js)); err != nil {
+			if err := json.Unmarshal([]byte(kindPayloads[k.Name]), k.Payload(&js)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -72,7 +55,7 @@ func TestEveryKindOnEverySurface(t *testing.T) {
 
 	for _, k := range experiments.Kinds() {
 		t.Run(k.Name, func(t *testing.T) {
-			if _, ok := payloads[k.Name]; !ok {
+			if _, ok := kindPayloads[k.Name]; !ok {
 				t.Fatalf("no test payload for kind %q; extend the table", k.Name)
 			}
 
@@ -106,7 +89,7 @@ func TestEveryKindOnEverySurface(t *testing.T) {
 			}
 			var resp []byte
 			if k.Doc != "" {
-				code, body := post(t, ts.URL+endpoint.Path, payloads[k.Name])
+				code, body := post(t, ts.URL+endpoint.Path, kindPayloads[k.Name])
 				if code != http.StatusOK {
 					t.Fatalf("POST %s: status %d: %s", endpoint.Path, code, body)
 				}
@@ -118,20 +101,12 @@ func TestEveryKindOnEverySurface(t *testing.T) {
 				}
 			}
 
-			run, ok := cli[k.Name]
+			out, ok := runKind(t, k.Name, kindPayloads[k.Name], true)
 			if !ok {
 				if k.Name != experiments.JobKindCampaign {
-					t.Fatalf("no cmd/sweep mode for kind %q; extend the table", k.Name)
+					t.Fatalf("no cmd/sweep mode for kind %q; extend runKind", k.Name)
 				}
 				return
-			}
-			file := filepath.Join(dir, k.Name+".json")
-			if err := os.WriteFile(file, []byte(payloads[k.Name]), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			out, err := run(file)
-			if err != nil {
-				t.Fatalf("realMain -json: %v", err)
 			}
 			if got, want := keys(t, []byte(out)), keys(t, resp); !slices.Equal(got, want) {
 				t.Errorf("-json report fields %v, want the POST %s fields %v", got, endpoint.Path, want)
@@ -140,14 +115,53 @@ func TestEveryKindOnEverySurface(t *testing.T) {
 	}
 }
 
+// kindPayloads holds one payload per experiment kind, on core2 and
+// cpu2000: the surface walk submits and posts them, and the text-report
+// goldens print some of them.
+var kindPayloads = map[string]string{
+	experiments.JobKindCampaign: `{"machines": [{"name": "core2"}], "suites": ["cpu2000"]}`,
+	experiments.JobKindSweep:    `{"base": {"name": "core2"}, "param": "rob", "values": [48], "suite": "cpu2000"}`,
+	experiments.JobKindPlan:     `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48]}, {"param": "mshrs", "values": [4]}], "suite": "cpu2000"}`,
+	experiments.JobKindOptimize: `{"base": {"name": "core2"}, "axes": [{"param": "width", "values": [2, 4]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`,
+	experiments.JobKindSeeds:    `{"base": {"name": "core2"}, "suite": "cpu2000", "count": 1}`,
+}
+
 // cliOps keeps realMain runs fast.
 const cliOps = 2000
 
-// runJSON runs realMain with -json on core2 and cpu2000.
-func runJSON(params, values []string, planFile, optimizeFile, seedsFile string) (string, error) {
-	var out bytes.Buffer
-	err := realMain(&out, "core2", params, values, "cpu2000", cliOps, 2, 0, "", planFile, optimizeFile, seedsFile, true)
-	return out.String(), err
+// runKind runs realMain at cliOps and 2 fit starts in cmd/sweep's mode
+// for kind — -param/-values for a sweep, the payload as a spec file for
+// the others — and returns what it prints. ok is false for a kind
+// cmd/sweep has no mode for.
+func runKind(t *testing.T, kind, payload string, jsonOut bool) (out string, ok bool) {
+	t.Helper()
+	var params, values []string
+	files := map[string]string{}
+	switch kind {
+	case experiments.JobKindSweep:
+		var sw experiments.SweepSpec
+		if err := json.Unmarshal([]byte(payload), &sw); err != nil {
+			t.Fatal(err)
+		}
+		var vals []string
+		for _, v := range sw.Values {
+			vals = append(vals, strconv.Itoa(v))
+		}
+		params, values = []string{sw.Param}, []string{strings.Join(vals, ",")}
+	case experiments.JobKindPlan, experiments.JobKindOptimize, experiments.JobKindSeeds:
+		files[kind] = filepath.Join(t.TempDir(), kind+".json")
+		if err := os.WriteFile(files[kind], []byte(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		return "", false
+	}
+	var buf bytes.Buffer
+	if err := realMain(&buf, "core2", params, values, "cpu2000", cliOps, 2, 0, "",
+		files[experiments.JobKindPlan], files[experiments.JobKindOptimize], files[experiments.JobKindSeeds], jsonOut); err != nil {
+		t.Fatalf("realMain %s (json %v): %v", kind, jsonOut, err)
+	}
+	return buf.String(), true
 }
 
 // keys returns a JSON object's top-level field names, sorted.
