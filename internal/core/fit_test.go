@@ -325,3 +325,46 @@ func TestDeltaDecompositionSumsMatch(t *testing.T) {
 		t.Errorf("overall total %v, want %v", d.Overall.Total(), wantTotal)
 	}
 }
+
+// TestFitStaysInBounds: whatever the observations and whichever model
+// structure the ablation switches select, every fitted parameter lies
+// inside fitBounds. The observation sets are random synthetic draws
+// with random size and noise, their CPI labels scaled by up to e^±2 so
+// that some fits want parameters far outside the box.
+func TestFitStaysInBounds(t *testing.T) {
+	sets, starts, maxIter := 4, 3, 1500
+	if testing.Short() {
+		sets, starts, maxIter = 1, 2, 300
+	}
+	b := fitBounds()
+	names := ParamNames()
+	r := rng.New(17)
+	for set := range sets {
+		n := 10 + r.Intn(50)
+		noise := 0.5 * r.Float64()
+		scale := math.Exp(4*r.Float64() - 2)
+		obs, _ := syntheticObservations(n, r.Uint64(), noise)
+		for i := range obs {
+			obs[i].MeasuredCPI *= scale
+		}
+		for mask := range 16 {
+			opts := FitOptions{
+				Starts: starts, Seed: uint64(set + 1), MaxIter: maxIter,
+				AdditiveBranch: mask&1 != 0,
+				ConstantMLP:    mask&2 != 0,
+				UnscaledStall:  mask&4 != 0,
+				NoWindowCap:    mask&8 != 0,
+			}
+			m, err := Fit(testMachineParams(), obs, opts)
+			if err != nil {
+				t.Fatalf("set %d (n=%d noise=%.2f scale=%.2f) mask %04b: %v", set, n, noise, scale, mask, err)
+			}
+			for i, v := range m.P.Slice() {
+				if !(v >= b.Lo[i] && v <= b.Hi[i]) {
+					t.Errorf("set %d (n=%d noise=%.2f scale=%.2f) mask %04b: %s = %v outside [%v, %v]",
+						set, n, noise, scale, mask, names[i], v, b.Lo[i], b.Hi[i])
+				}
+			}
+		}
+	}
+}

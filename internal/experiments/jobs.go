@@ -549,15 +549,27 @@ func runCampaign(ctx context.Context, c Campaign, opts Options) (*Outcome, error
 	if err := lab.SimulateContext(ctx); err != nil {
 		return nil, err
 	}
+	models, err := scoreLab(ctx, lab)
+	if err != nil {
+		return nil, err
+	}
 	out := &CampaignJobResult{
 		Ops:       lab.opts.NumOps,
 		FitStarts: lab.opts.FitStarts,
 		Seed:      lab.opts.Seed,
+		Models:    models,
 	}
+	return &Outcome{Report: out, Stats: lab.SimStats()}, nil
+}
+
+// scoreLab fits and scores every (machine, suite) cell of a simulated
+// lab, machine-major in campaign order — the scoring loop of campaign
+// jobs and of every seed of a seeds run. Fits are not individually
+// cancellable, but a cancelled ctx stops the loop between them.
+func scoreLab(ctx context.Context, lab *Lab) ([]CampaignModelResult, error) {
+	var out []CampaignModelResult
 	for _, m := range lab.Machines() {
 		for _, suiteName := range lab.SuiteNames() {
-			// Fits are not individually cancellable, but a cancelled job
-			// stops between them.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -576,10 +588,10 @@ func runCampaign(ctx context.Context, c Campaign, opts Options) (*Outcome, error
 				Params:     model.P,
 			}
 			mr.Workloads, mr.SuiteAccuracy = Score(model, obs)
-			out.Models = append(out.Models, mr)
+			out = append(out, mr)
 		}
 	}
-	return &Outcome{Report: out, Stats: lab.SimStats()}, nil
+	return out, nil
 }
 
 // finishLocked moves jb to a terminal state and persists its artifact

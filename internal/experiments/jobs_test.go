@@ -673,8 +673,8 @@ func TestJobsOptimizeRunsWithProbeProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocking.Stats.Simulated != 0 {
-		t.Errorf("blocking rerun simulated %d runs; job left the store cold", blocking.Stats.Simulated)
+	if blocking.Sims.Simulated != 0 {
+		t.Errorf("blocking rerun simulated %d runs; job left the store cold", blocking.Sims.Simulated)
 	}
 	if blocking.Best.Machine != rep.Best.Machine || blocking.Best.ModelCPI != rep.Best.ModelCPI {
 		t.Errorf("job best %+v vs blocking %+v", rep.Best, blocking.Best)
@@ -769,9 +769,9 @@ func TestJobsOptimizeCancelMidFlight(t *testing.T) {
 	if res.Best == nil {
 		t.Fatal("follow-up search found no best point")
 	}
-	if res.Stats.Hits < final.Progress.Simulated {
+	if res.Sims.Hits < final.Progress.Simulated {
 		t.Errorf("follow-up hit %d runs, want at least the %d the cancelled job simulated",
-			res.Stats.Hits, final.Progress.Simulated)
+			res.Sims.Hits, final.Progress.Simulated)
 	}
 }
 
@@ -833,10 +833,10 @@ func TestJobsSeedsRunsWithSeedProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocking.Stats.Simulated != 0 || blocking.Stats.TraceGens != 0 {
-		t.Errorf("blocking rerun stats %+v; job left the store cold", blocking.Stats)
+	if blocking.Sims.Simulated != 0 || blocking.Sims.TraceGens != 0 {
+		t.Errorf("blocking rerun stats %+v; job left the store cold", blocking.Sims)
 	}
-	if !reflect.DeepEqual(rep.Cells, blocking.Report().Cells) {
+	if !reflect.DeepEqual(rep.Cells, blocking.Cells) {
 		t.Error("job report diverged from the blocking sweep")
 	}
 
@@ -921,11 +921,11 @@ func TestJobsSeedsCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Hits+res.Stats.Simulated != total {
-		t.Errorf("follow-up covered %d runs, want %d", res.Stats.Hits+res.Stats.Simulated, total)
+	if res.Sims.Hits+res.Sims.Simulated != total {
+		t.Errorf("follow-up covered %d runs, want %d", res.Sims.Hits+res.Sims.Simulated, total)
 	}
-	if res.Stats.Hits < final.Progress.Simulated {
+	if res.Sims.Hits < final.Progress.Simulated {
 		t.Errorf("follow-up hit %d runs, want at least the %d the cancelled job simulated",
-			res.Stats.Hits, final.Progress.Simulated)
+			res.Sims.Hits, final.Progress.Simulated)
 	}
 }

@@ -238,11 +238,11 @@ func (spec *OptimizeSpec) experiment(opts Options) (*Experiment, error) {
 	return &Experiment{
 		Totals: JobProgress{TotalRuns: o.runBound(workloads), TotalProbes: o.ProbeBound()},
 		Run: func(ctx context.Context, opts Options, step func(int)) (*Outcome, error) {
-			res, err := RunOptimize(ctx, o, opts, step)
+			rep, err := RunOptimize(ctx, o, opts, step)
 			if err != nil {
 				return nil, err
 			}
-			return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
+			return &Outcome{Report: rep, Stats: rep.Sims, Render: rep.Render}, nil
 		},
 	}, nil
 }
@@ -255,11 +255,11 @@ func (spec *SeedsSpec) experiment(opts Options) (*Experiment, error) {
 	return &Experiment{
 		Totals: JobProgress{TotalRuns: s.TotalRuns(), TotalSeeds: len(s.SeedList)},
 		Run: func(ctx context.Context, opts Options, step func(int)) (*Outcome, error) {
-			res, err := RunSeeds(ctx, s, opts, step)
+			rep, err := RunSeeds(ctx, s, opts, step)
 			if err != nil {
 				return nil, err
 			}
-			return &Outcome{Report: res.Report(), Stats: res.Stats, Render: res.Render}, nil
+			return &Outcome{Report: rep, Stats: rep.Sims, Render: rep.Render}, nil
 		},
 	}, nil
 }

@@ -109,39 +109,27 @@ type Lab struct {
 }
 
 // SimStats reports how Simulate sourced its runs, cumulatively over all
-// Simulate calls on this Lab.
+// Simulate calls on this Lab. It is also the wire form: the "sims"
+// object of the experiment reports and of GET /v1/stats.
 type SimStats struct {
 	// Hits is the number of runs satisfied from the run store.
-	Hits int
+	Hits int `json:"storeHits"`
 	// Simulated is the number of runs actually dispatched to workers
 	// (store misses, or all runs when no store is configured).
-	Simulated int
+	Simulated int `json:"simulated"`
 	// TraceGens is the number of µop streams actually produced — by the
 	// generator for synthetic specs, or decoded from disk for
 	// file-backed ones: one per materialized shared buffer plus one per
 	// unshared simulation. Store hits produce nothing, and a grid
 	// sharing one buffer across M machines counts 1, not M — the
 	// regeneration the plan engine's replay path removes.
-	TraceGens int
+	TraceGens int `json:"traceGens"`
 }
 
 func (st *SimStats) add(o SimStats) {
 	st.Hits += o.Hits
 	st.Simulated += o.Simulated
 	st.TraceGens += o.TraceGens
-}
-
-// RunSourcing is the wire form of SimStats, the "sims" object of the
-// experiment reports and of GET /v1/stats.
-type RunSourcing struct {
-	StoreHits int `json:"storeHits"`
-	Simulated int `json:"simulated"`
-	TraceGens int `json:"traceGens"`
-}
-
-// Sourcing returns the stats in their wire form.
-func (st SimStats) Sourcing() RunSourcing {
-	return RunSourcing{StoreHits: st.Hits, Simulated: st.Simulated, TraceGens: st.TraceGens}
 }
 
 // NewLab builds a lab with the paper's three machines and two suites.

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/suites"
 	"repro/internal/uarch"
@@ -236,25 +235,33 @@ func (o *Optimize) runBound(workloads int) int {
 	return n * workloads
 }
 
-// OptimizePoint is one probed grid cell: the evaluated cell (axis
+// OptimizePoint is one probed grid cell in its wire form: the axis
 // values, derived machine, suite-mean simulated vs model-predicted CPI
 // and stacks — the prediction extrapolated, or re-fitted when Refit is
-// set), the cost proxy, and how the prediction was made.
+// set — the cost proxy, and how the prediction was made. RelErr is
+// signed (negative = the model under-predicts), matching the serving
+// convention.
 type OptimizePoint struct {
-	PlanPoint
+	Values   []int   `json:"values"`
+	Machine  string  `json:"machine"`
+	SimCPI   float64 `json:"simCPI"`
+	ModelCPI float64 `json:"modelCPI"`
+	RelErr   float64 `json:"relErr"`
 	// Cost is the hardware-cost proxy: the sum over explored axes of the
 	// cell's value relative to base (inverted on CostDown axes), so the
 	// base point costs exactly the axis count.
-	Cost float64
+	Cost float64 `json:"cost"`
 	// Distance is the probe's distance from the fit point in per-axis
 	// doublings: max over axes of |log2(value/baseValue)|.
-	Distance float64
+	Distance float64 `json:"distance"`
 	// Refit reports that Distance exceeded the trust radius, so ModelCPI
 	// comes from a model re-fitted at this cell's machine.
-	Refit bool
+	Refit bool `json:"refit"`
 	// Feasible reports ModelCPI within the CPI budget (always true when
 	// the objective carries none).
-	Feasible bool
+	Feasible   bool       `json:"feasible"`
+	SimStack   []StackCPI `json:"simStack"`
+	ModelStack []StackCPI `json:"modelStack"`
 }
 
 // OptimizeRung counts one successive-halving screen: how many cells were
@@ -265,59 +272,13 @@ type OptimizeRung struct {
 	Probes int `json:"probes"`
 }
 
-// OptimizeResult is an executed optimization. Probes counts the
-// full-fidelity cells actually evaluated — the number to compare against
-// GridCells to see what the search saved over exhaustive enumeration.
-// Best is set for scalar objectives; Frontier for pareto (sorted by
-// ModelCPI, mutually non-dominated in (ModelCPI, Cost)).
-type OptimizeResult struct {
-	Base       string
-	Suite      string
-	NumOps     int
-	Axes       []PlanAxis
-	BaseValues []int
-	Objective  ObjectiveSpec
-	Algorithm  string
-
-	GridCells int
-	Probes    int
-	Rungs     []OptimizeRung
-	Refits    int
-	Truncated bool
-
-	// BaseCPI is the suite-mean measured CPI at the base machine — the
-	// reference a relative CPI budget (cpiSlack) resolves against.
-	BaseCPI float64
-	// CPIBudget is the resolved absolute budget (0 = unconstrained).
-	CPIBudget float64
-
-	Best     *OptimizePoint
-	Frontier []OptimizePoint
-
-	Stats SimStats
-}
-
-// OptimizePointReport is the wire form of an OptimizePoint. RelErr is
-// signed (negative = the model under-predicts), matching the serving
-// convention.
-type OptimizePointReport struct {
-	Values     []int      `json:"values"`
-	Machine    string     `json:"machine"`
-	SimCPI     float64    `json:"simCPI"`
-	ModelCPI   float64    `json:"modelCPI"`
-	RelErr     float64    `json:"relErr"`
-	Cost       float64    `json:"cost"`
-	Distance   float64    `json:"distance"`
-	Refit      bool       `json:"refit"`
-	Feasible   bool       `json:"feasible"`
-	SimStack   []StackCPI `json:"simStack"`
-	ModelStack []StackCPI `json:"modelStack"`
-}
-
-// OptimizeReport is the wire form of an OptimizeResult — the one JSON
-// shape shared by POST /v1/optimize responses, optimize job results and
-// cmd/sweep -optimize -json output, so every surface stays
-// byte-comparable.
+// OptimizeReport is an executed optimization, in the one JSON shape
+// shared by POST /v1/optimize responses, optimize job results and
+// cmd/sweep -optimize -json output. Probes counts the full-fidelity
+// cells actually evaluated — the number to compare against GridCells to
+// see what the search saved over exhaustive enumeration. Best is set
+// for scalar objectives; Frontier for pareto (sorted by ModelCPI,
+// mutually non-dominated in (ModelCPI, Cost)).
 type OptimizeReport struct {
 	Base       string         `json:"base"`
 	Suite      string         `json:"suite"`
@@ -331,57 +292,16 @@ type OptimizeReport struct {
 	Rungs      []OptimizeRung `json:"rungs,omitempty"`
 	Refits     int            `json:"refits"`
 	Truncated  bool           `json:"truncated,omitempty"`
-	BaseCPI    float64        `json:"baseCPI"`
-	CPIBudget  float64        `json:"cpiBudget,omitempty"`
+	// BaseCPI is the suite-mean measured CPI at the base machine — the
+	// reference a relative CPI budget (cpiSlack) resolves against.
+	BaseCPI float64 `json:"baseCPI"`
+	// CPIBudget is the resolved absolute budget (0 = unconstrained).
+	CPIBudget float64 `json:"cpiBudget,omitempty"`
 
-	Best     *OptimizePointReport  `json:"best,omitempty"`
-	Frontier []OptimizePointReport `json:"frontier,omitempty"`
+	Best     *OptimizePoint  `json:"best,omitempty"`
+	Frontier []OptimizePoint `json:"frontier,omitempty"`
 
-	Sims RunSourcing `json:"sims"`
-}
-
-func pointReport(p *OptimizePoint) *OptimizePointReport {
-	return &OptimizePointReport{
-		Values:     p.Values,
-		Machine:    p.Machine,
-		SimCPI:     p.SimCPI,
-		ModelCPI:   p.ModelCPI,
-		RelErr:     (p.ModelCPI - p.SimCPI) / p.SimCPI,
-		Cost:       p.Cost,
-		Distance:   p.Distance,
-		Refit:      p.Refit,
-		Feasible:   p.Feasible,
-		SimStack:   StackCPIs(p.SimStack),
-		ModelStack: StackCPIs(p.ModelStack),
-	}
-}
-
-// Report flattens the result into its wire form.
-func (r *OptimizeResult) Report() *OptimizeReport {
-	rep := &OptimizeReport{
-		Base:       r.Base,
-		Suite:      r.Suite,
-		Ops:        r.NumOps,
-		Axes:       r.Axes,
-		BaseValues: r.BaseValues,
-		Objective:  r.Objective,
-		Algorithm:  r.Algorithm,
-		GridCells:  r.GridCells,
-		Probes:     r.Probes,
-		Rungs:      r.Rungs,
-		Refits:     r.Refits,
-		Truncated:  r.Truncated,
-		BaseCPI:    r.BaseCPI,
-		CPIBudget:  r.CPIBudget,
-		Sims:       r.Stats.Sourcing(),
-	}
-	if r.Best != nil {
-		rep.Best = pointReport(r.Best)
-	}
-	for i := range r.Frontier {
-		rep.Frontier = append(rep.Frontier, *pointReport(&r.Frontier[i]))
-	}
-	return rep
+	Sims SimStats `json:"sims"`
 }
 
 // optimizer is one search execution over a resolved grid: the probe
@@ -419,13 +339,13 @@ type better func(a, b *OptimizePoint) bool
 
 // RunOptimize executes the optimization: the base suite is simulated
 // (through opts.Store when configured) and fitted, then the grid is
-// searched. The result's Stats include the base fit. Cancelling ctx
+// searched. The report's Sims include the base fit. Cancelling ctx
 // stops the dispatch of new simulations and returns ctx.Err(), with
 // every completed run already persisted to the store so a rerun resumes
 // warm. onProbe, when non-nil, is called after each batch of
 // full-fidelity probes with the cumulative probe count (calls are never
 // concurrent).
-func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(done int)) (*OptimizeResult, error) {
+func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(done int)) (*OptimizeReport, error) {
 	opts = opts.withDefaults()
 	suite, err := suites.ByName(o.Plan.Suite, suites.Options{NumOps: opts.NumOps, SeedBase: opts.SeedBase})
 	if err != nil {
@@ -460,10 +380,10 @@ func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(do
 		z.budgetCPI = z.baseCPI * (1 + o.Objective.CPISlack)
 	}
 
-	res := &OptimizeResult{
+	res := &OptimizeReport{
 		Base:       o.Plan.Base.Name,
 		Suite:      o.Plan.Suite,
-		NumOps:     opts.NumOps,
+		Ops:        opts.NumOps,
 		Axes:       o.Plan.Axes,
 		BaseValues: o.Plan.BaseValues(),
 		Objective:  o.Objective,
@@ -488,7 +408,7 @@ func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(do
 		res.Rungs = append(res.Rungs, OptimizeRung{Ops: ops, Probes: z.rungEvals[ops]})
 	}
 	sort.Slice(res.Rungs, func(a, b int) bool { return res.Rungs[a].Ops < res.Rungs[b].Ops })
-	res.Stats = z.stats
+	res.Sims = z.stats
 	return res, nil
 }
 
@@ -659,26 +579,34 @@ func (z *optimizer) evalCells(suite suites.Suite, idxs []int, allowRefit bool) (
 	for i, idx := range idxs {
 		m := machines[i]
 		values := z.o.Plan.Cells[idx]
-		pt := &OptimizePoint{
-			PlanPoint: PlanPoint{Values: values, Machine: m.Name},
-			Cost:      z.cost(values),
-			Distance:  z.distance(values),
-		}
-		p := z.base.Model.P
-		if allowRefit && pt.Distance > z.o.Search.TrustRadius {
+		distance := z.distance(values)
+		p, refit := z.base.Model.P, false
+		if allowRefit && distance > z.o.Search.TrustRadius {
 			model, err := lab.Model(m.Name, suite.Name)
 			if err != nil {
 				return nil, err
 			}
-			p = model.P
-			pt.Refit = true
+			p, refit = model.P, true
 			z.refits++
 		}
-		if err := lab.extrapolate(&pt.PlanPoint, m, suite.Name, p); err != nil {
+		pt := PlanPoint{Values: values, Machine: m.Name}
+		if err := lab.extrapolate(&pt, m, suite.Name, p); err != nil {
 			return nil, err
 		}
-		pt.Feasible = z.budgetCPI == 0 || pt.ModelCPI <= z.budgetCPI
-		out[idx] = pt
+		c := pt.cellCPI()
+		out[idx] = &OptimizePoint{
+			Values:     values,
+			Machine:    c.Machine,
+			SimCPI:     c.SimCPI,
+			ModelCPI:   c.ModelCPI,
+			RelErr:     c.RelErr,
+			Cost:       z.cost(values),
+			Distance:   distance,
+			Refit:      refit,
+			Feasible:   z.budgetCPI == 0 || c.ModelCPI <= z.budgetCPI,
+			SimStack:   c.SimStack,
+			ModelStack: c.ModelStack,
+		}
 	}
 	return out, nil
 }
@@ -908,7 +836,7 @@ func (z *optimizer) pareto() ([]OptimizePoint, error) {
 // economics (what the search paid vs exhaustive enumeration), and the
 // winner — or the frontier — each with its per-component model CPI
 // stack, so the trade-off each point buys is visible at a glance.
-func (r *OptimizeResult) Render() string {
+func (r *OptimizeReport) Render() string {
 	var b strings.Builder
 	var axisNames []string
 	var fitAt []string
@@ -917,7 +845,7 @@ func (r *OptimizeResult) Render() string {
 		fitAt = append(fitAt, fmt.Sprintf("%s=%d", ax.Param, r.BaseValues[i]))
 	}
 	fmt.Fprintf(&b, "optimize: %s over %s on %s (%d-cell grid, %d µops/workload; objective %s, %s; fitted at %s)\n",
-		r.Base, strings.Join(axisNames, "×"), r.Suite, r.GridCells, r.NumOps,
+		r.Base, strings.Join(axisNames, "×"), r.Suite, r.GridCells, r.Ops,
 		r.Objective.Kind, r.Algorithm, strings.Join(fitAt, " "))
 	if r.CPIBudget > 0 {
 		fmt.Fprintf(&b, "budget: suite-mean CPI ≤ %.4f (base %.4f)\n", r.CPIBudget, r.BaseCPI)
@@ -960,10 +888,10 @@ func (r *OptimizeResult) Render() string {
 	return b.String()
 }
 
-func renderStack(st sim.Stack) string {
+func renderStack(st []StackCPI) string {
 	var b strings.Builder
-	for _, c := range sim.Components() {
-		fmt.Fprintf(&b, " %s %.4f", c.String(), st.Cycles[c])
+	for _, c := range st {
+		fmt.Fprintf(&b, " %s %.4f", c.Component, c.CPI)
 	}
 	return b.String()
 }

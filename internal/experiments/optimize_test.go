@@ -222,8 +222,8 @@ func TestOptimizeDescentMatchesExhaustivePlan(t *testing.T) {
 
 	// The exhaustive plan already warmed the store for every cell, so
 	// the probe phase was pure hits; only the base fit belongs to both.
-	if res.Stats.Simulated != 0 || res.Stats.TraceGens != 0 {
-		t.Errorf("optimize after plan should be store-warm: %+v", res.Stats)
+	if res.Sims.Simulated != 0 || res.Sims.TraceGens != 0 {
+		t.Errorf("optimize after plan should be store-warm: %+v", res.Sims)
 	}
 
 	// A rerun is deterministic and fully warm.
@@ -231,8 +231,8 @@ func TestOptimizeDescentMatchesExhaustivePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Stats.Simulated != 0 || again.Stats.TraceGens != 0 {
-		t.Errorf("warm rerun simulated: %+v", again.Stats)
+	if again.Sims.Simulated != 0 || again.Sims.TraceGens != 0 {
+		t.Errorf("warm rerun simulated: %+v", again.Sims)
 	}
 	if again.Render() != res.Render() {
 		t.Error("warm rerun output differs from cold")
@@ -317,8 +317,8 @@ func TestOptimizeSuccessiveHalving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Stats.Simulated != 0 || again.Stats.TraceGens != 0 {
-		t.Errorf("warm halving rerun simulated: %+v", again.Stats)
+	if again.Sims.Simulated != 0 || again.Sims.TraceGens != 0 {
+		t.Errorf("warm halving rerun simulated: %+v", again.Sims)
 	}
 	if again.Best.Machine != res.Best.Machine || again.Best.ModelCPI != res.Best.ModelCPI {
 		t.Errorf("warm rerun disagrees: %+v vs %+v", again.Best, res.Best)

@@ -297,13 +297,13 @@ type PlanReport struct {
 	Axes       []PlanAxis       `json:"axes"`
 	BaseValues []int            `json:"baseValues"`
 	Cells      []PlanCellReport `json:"cells"`
-	Sims       RunSourcing      `json:"sims"`
+	Sims       SimStats         `json:"sims"`
 }
 
 // Report flattens the result into its wire form.
 func (r *PlanResult) Report() *PlanReport {
 	rep := &PlanReport{Base: r.Base, Suite: r.Suite, Ops: r.NumOps, Axes: r.Axes,
-		BaseValues: r.BaseValues, Sims: r.Stats.Sourcing()}
+		BaseValues: r.BaseValues, Sims: r.Stats}
 	for _, p := range r.Points {
 		rep.Cells = append(rep.Cells, PlanCellReport{Values: p.Values, cellCPI: p.cellCPI()})
 	}

@@ -251,9 +251,11 @@ type SeedsCell struct {
 	MaxCoeffCV float64          `json:"maxCoeffCV"`
 }
 
-// SeedsReport is the wire form of a SeedsResult — the one JSON shape
-// shared by POST /v1/seeds responses, seeds job results and cmd/sweep
-// -seeds -json output, so every surface stays byte-comparable.
+// SeedsReport is an executed seed sweep, in the one JSON shape shared
+// by POST /v1/seeds responses, seeds job results and cmd/sweep -seeds
+// -json output. Cells appear machine-major in campaign order (every
+// suite of the first machine, then the second), with per-seed values
+// in Seeds order.
 type SeedsReport struct {
 	Seeds     []uint64    `json:"seeds"`
 	Ops       int         `json:"ops"`
@@ -261,43 +263,16 @@ type SeedsReport struct {
 	Machines  []string    `json:"machines"`
 	Suites    []string    `json:"suites"`
 	Cells     []SeedsCell `json:"cells"`
-	Sims      RunSourcing `json:"sims"`
-}
-
-// SeedsResult is an executed seed sweep. Cells appear machine-major in
-// campaign order (every suite of the first machine, then the second),
-// with per-seed values in SeedList order.
-type SeedsResult struct {
-	Seeds     []uint64
-	NumOps    int
-	FitStarts int
-	Machines  []string
-	Suites    []string
-	Cells     []SeedsCell
-
-	Stats SimStats
-}
-
-// Report flattens the result into its wire form.
-func (r *SeedsResult) Report() *SeedsReport {
-	return &SeedsReport{
-		Seeds:     r.Seeds,
-		Ops:       r.NumOps,
-		FitStarts: r.FitStarts,
-		Machines:  r.Machines,
-		Suites:    r.Suites,
-		Cells:     r.Cells,
-		Sims:      r.Stats.Sourcing(),
-	}
+	Sims      SimStats    `json:"sims"`
 }
 
 // Render returns the seeds report as text: one line per (machine,
 // suite) cell with mean ± CI for CPI and model error, then the
 // least-stable coefficients.
-func (r *SeedsResult) Render() string {
+func (r *SeedsReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seeds: %d replications %v (%d µops/workload, %d fit starts)\n",
-		len(r.Seeds), r.Seeds, r.NumOps, r.FitStarts)
+		len(r.Seeds), r.Seeds, r.Ops, r.FitStarts)
 	fmt.Fprintf(&b, "  %-12s %-8s %9s %19s %9s %17s %8s\n",
 		"machine", "suite", "mean-CPI", "95% CI", "MARE", "95% CI", "max-CV")
 	for _, c := range r.Cells {
@@ -318,90 +293,57 @@ func (r *SeedsResult) Render() string {
 	return b.String()
 }
 
-// seedCellData accumulates one (machine, suite) cell across seeds. All
-// per-seed slots are preallocated and written by seed index, so the
-// aggregation order is SeedList order.
-type seedCellData struct {
-	cpis   []float64
-	mares  []float64
-	coeffs [][]float64 // per parameter, per seed
-}
-
-func newSeedCellGrid(machines, suiteNames, coeffNames, seeds int) [][]seedCellData {
-	grid := make([][]seedCellData, machines)
-	for mi := range grid {
-		grid[mi] = make([]seedCellData, suiteNames)
-		for si := range grid[mi] {
-			d := &grid[mi][si]
-			d.cpis = make([]float64, seeds)
-			d.mares = make([]float64, seeds)
-			d.coeffs = make([][]float64, coeffNames)
-			for ci := range d.coeffs {
-				d.coeffs[ci] = make([]float64, seeds)
-			}
-		}
-	}
-	return grid
-}
-
-func (d *seedCellData) set(seedIdx int, cpi, mare float64, coeffs []float64) {
-	d.cpis[seedIdx] = cpi
-	d.mares[seedIdx] = mare
-	for i, v := range coeffs {
-		d.coeffs[i][seedIdx] = v
-	}
-}
-
-// evalSeedCell reduces one fitted (machine, suite, seed) cell to its
-// two scalars: the suite-mean measured CPI and the model's mean
-// absolute relative prediction error, both over the fit's own sorted
-// observation order — the same numbers every other reporting surface
-// derives, so a sweep over seed {1} is bit-identical to them.
-func evalSeedCell(model *core.Model, obs []core.Observation) (cpi, mare float64) {
-	ws, acc := Score(model, obs)
-	cpis := make([]float64, len(ws))
-	for i, w := range ws {
-		cpis[i] = w.MeasuredCPI
-	}
-	return stats.Mean(cpis), acc.AvgRelErr
-}
-
-// seedsResultFrom aggregates the accumulated per-seed cells into the
-// result in a fixed machine-major order.
-func seedsResultFrom(s *Seeds, opts Options, grid [][]seedCellData, st SimStats) *SeedsResult {
-	names := core.ParamNames()
-	machines := make([]string, len(s.Machines))
-	for i, m := range s.Machines {
-		machines[i] = m.Name
-	}
-	res := &SeedsResult{
+// seedsReport aggregates the per-seed scores — perSeed[i] is scoreLab's
+// result for the i-th seed's lab, so every seed lists the same cells in
+// the same order — into the report's across-seed cells. A cell's CPI
+// is the suite-mean measured CPI over Score's workload order, its MARE
+// the model's mean absolute relative error: the same numbers every
+// other reporting surface derives, so a sweep over seed {1} is
+// bit-identical to them.
+func seedsReport(s *Seeds, opts Options, perSeed [][]CampaignModelResult, st SimStats) *SeedsReport {
+	rep := &SeedsReport{
 		Seeds:     s.SeedList,
-		NumOps:    opts.NumOps,
+		Ops:       opts.NumOps,
 		FitStarts: opts.FitStarts,
-		Machines:  machines,
 		Suites:    s.Suites,
-		Stats:     st,
+		Sims:      st,
 	}
-	for mi := range s.Machines {
-		for si, suiteName := range s.Suites {
-			d := &grid[mi][si]
-			cell := SeedsCell{
-				Machine: machines[mi],
-				Suite:   suiteName,
-				CPI:     seedMetric(d.cpis),
-				MARE:    seedMetric(d.mares),
+	for _, m := range s.Machines {
+		rep.Machines = append(rep.Machines, m.Name)
+	}
+	names := core.ParamNames()
+	for ci, first := range perSeed[0] {
+		cpis := make([]float64, len(perSeed))
+		mares := make([]float64, len(perSeed))
+		coeffs := make([][]float64, len(names)) // per parameter, per seed
+		for i, scores := range perSeed {
+			mr := scores[ci]
+			ws := make([]float64, len(mr.Workloads))
+			for wi, w := range mr.Workloads {
+				ws[wi] = w.MeasuredCPI
 			}
-			for ci, name := range names {
-				co := coeffStability(name, d.coeffs[ci])
-				cell.Coeffs = append(cell.Coeffs, co)
-				if co.CV > cell.MaxCoeffCV {
-					cell.MaxCoeffCV = co.CV
-				}
+			cpis[i] = stats.Mean(ws)
+			mares[i] = mr.AvgRelErr
+			for pi, v := range mr.Params.Slice() {
+				coeffs[pi] = append(coeffs[pi], v)
 			}
-			res.Cells = append(res.Cells, cell)
 		}
+		cell := SeedsCell{
+			Machine: first.Machine,
+			Suite:   first.Suite,
+			CPI:     seedMetric(cpis),
+			MARE:    seedMetric(mares),
+		}
+		for pi, name := range names {
+			co := coeffStability(name, coeffs[pi])
+			cell.Coeffs = append(cell.Coeffs, co)
+			if co.CV > cell.MaxCoeffCV {
+				cell.MaxCoeffCV = co.CV
+			}
+		}
+		rep.Cells = append(rep.Cells, cell)
 	}
-	return res
+	return rep
 }
 
 // RunSeeds executes the seed sweep, simulating and fitting every
@@ -416,11 +358,11 @@ func seedsResultFrom(s *Seeds, opts Options, grid [][]seedCellData, st SimStats)
 // seed's pending runs join a single runSimJobs batch (each job recording
 // into its own seed's lab), so replications share the worker pool and
 // the materializer pipeline. The fits then run seed by seed through
-// Lab.Model, each spreading its multi-starts across the cores. Run
+// scoreLab, each spreading its multi-starts across the cores. Run
 // results are keyed by (machine, spec, seed base) independent of
 // scheduling, so the report is per-float identical to simulating each
 // seed's lab on its own.
-func RunSeeds(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)) (*SeedsResult, error) {
+func RunSeeds(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)) (*SeedsReport, error) {
 	opts = opts.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -449,30 +391,14 @@ func RunSeeds(ctx context.Context, s *Seeds, opts Options, onSeed func(done int)
 		return nil, err
 	}
 
-	grid := newSeedCellGrid(len(s.Machines), len(s.Suites), len(core.ParamNames()), len(s.SeedList))
+	perSeed := make([][]CampaignModelResult, len(labs))
 	for i, lab := range labs {
-		for mi, m := range s.Machines {
-			for si, suiteName := range s.Suites {
-				// Fits are not individually cancellable, but a cancelled
-				// sweep stops between them.
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				model, err := lab.Model(m.Name, suiteName)
-				if err != nil {
-					return nil, err
-				}
-				obs, err := lab.Observations(m.Name, suiteName)
-				if err != nil {
-					return nil, err
-				}
-				cpi, mare := evalSeedCell(model, obs)
-				grid[mi][si].set(i, cpi, mare, model.P.Slice())
-			}
+		if perSeed[i], err = scoreLab(ctx, lab); err != nil {
+			return nil, err
 		}
 		if onSeed != nil {
 			onSeed(i + 1)
 		}
 	}
-	return seedsResultFrom(s, opts, grid, st), nil
+	return seedsReport(s, opts, perSeed, st), nil
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/runstore"
 	"repro/internal/stats"
 	"repro/internal/suites"
@@ -199,9 +198,9 @@ func TestRunSeedsWarmRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := s.TotalRuns()
-	if cold.Stats.Simulated != total || cold.Stats.Hits != 0 {
+	if cold.Sims.Simulated != total || cold.Sims.Hits != 0 {
 		t.Errorf("cold sweep stats %+v, want all %d runs simulated (seeds must not collide in the store)",
-			cold.Stats, total)
+			cold.Sims, total)
 	}
 	cell := cold.Cells[0]
 	if math.Float64bits(cell.CPI.PerSeed[0]) == math.Float64bits(cell.CPI.PerSeed[1]) {
@@ -212,12 +211,11 @@ func TestRunSeedsWarmRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := warm.Report()
-	if rep.Sims.Simulated != 0 || rep.Sims.TraceGens != 0 {
-		t.Errorf("warm rerun sims = %+v, want zero simulated and zero trace generations", rep.Sims)
+	if warm.Sims.Simulated != 0 || warm.Sims.TraceGens != 0 {
+		t.Errorf("warm rerun sims = %+v, want zero simulated and zero trace generations", warm.Sims)
 	}
-	if rep.Sims.StoreHits != total {
-		t.Errorf("warm rerun hit %d runs, want %d", rep.Sims.StoreHits, total)
+	if warm.Sims.Hits != total {
+		t.Errorf("warm rerun hit %d runs, want %d", warm.Sims.Hits, total)
 	}
 	if !reflect.DeepEqual(cold.Cells, warm.Cells) {
 		t.Error("warm rerun diverged from the cold sweep")
@@ -261,7 +259,7 @@ func TestProviderSeedsMatchesRunSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Report.(*SeedsReport).Cells, blocking.Report().Cells) {
+	if !reflect.DeepEqual(out.Report.(*SeedsReport).Cells, blocking.Cells) {
 		t.Error("provider sweep diverged from the blocking sweep")
 	}
 	// The blocking sweep warmed the run store, so the provider's run is
@@ -290,14 +288,14 @@ func TestProviderSeedsMatchesRunSeeds(t *testing.T) {
 }
 
 // sequentialSeedsReference is the pre-fan-out RunSeeds algorithm — one
-// lab per seed, simulated and fitted in SeedList order — kept as the
+// lab per seed, simulated and scored in SeedList order — kept as the
 // behavioral reference for the combined simulation batch.
-func sequentialSeedsReference(t *testing.T, s *Seeds, opts Options) *SeedsResult {
+func sequentialSeedsReference(t *testing.T, s *Seeds, opts Options) *SeedsReport {
 	t.Helper()
 	opts = opts.withDefaults()
-	grid := newSeedCellGrid(len(s.Machines), len(s.Suites), len(core.ParamNames()), len(s.SeedList))
+	var perSeed [][]CampaignModelResult
 	var st SimStats
-	for i, seed := range s.SeedList {
+	for _, seed := range s.SeedList {
 		sopts := seedOptions(opts, seed)
 		suiteList := make([]suites.Suite, 0, len(s.Suites))
 		for _, name := range s.Suites {
@@ -317,22 +315,13 @@ func sequentialSeedsReference(t *testing.T, s *Seeds, opts Options) *SeedsResult
 		st.Hits += lab.SimStats().Hits
 		st.Simulated += lab.SimStats().Simulated
 		st.TraceGens += lab.SimStats().TraceGens
-		for mi, m := range s.Machines {
-			for si, suiteName := range s.Suites {
-				model, err := lab.Model(m.Name, suiteName)
-				if err != nil {
-					t.Fatal(err)
-				}
-				obs, err := lab.Observations(m.Name, suiteName)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cpi, mare := evalSeedCell(model, obs)
-				grid[mi][si].set(i, cpi, mare, model.P.Slice())
-			}
+		scores, err := scoreLab(context.Background(), lab)
+		if err != nil {
+			t.Fatal(err)
 		}
+		perSeed = append(perSeed, scores)
 	}
-	return seedsResultFrom(s, opts, grid, st)
+	return seedsReport(s, opts, perSeed, st)
 }
 
 // TestRunSeedsParallelMatchesSequential pins the combined-batch
@@ -366,10 +355,10 @@ func TestRunSeedsParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(done, []int{1, 2, 3}) {
 			t.Errorf("workers=%d: onSeed calls = %v, want cumulative [1 2 3]", workers, done)
 		}
-		if got.Stats != want.Stats {
-			t.Errorf("workers=%d: stats %+v, want %+v", workers, got.Stats, want.Stats)
+		if got.Sims != want.Sims {
+			t.Errorf("workers=%d: stats %+v, want %+v", workers, got.Sims, want.Sims)
 		}
-		if !reflect.DeepEqual(got.Report(), want.Report()) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: wire report diverged", workers)
 		}
 	}
@@ -422,11 +411,11 @@ func TestRunSeedsCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Hits+res.Stats.Simulated != total {
-		t.Errorf("follow-up covered %d runs, want %d", res.Stats.Hits+res.Stats.Simulated, total)
+	if res.Sims.Hits+res.Sims.Simulated != total {
+		t.Errorf("follow-up covered %d runs, want %d", res.Sims.Hits+res.Sims.Simulated, total)
 	}
-	if res.Stats.Hits < persisted {
+	if res.Sims.Hits < persisted {
 		t.Errorf("follow-up hit %d runs, want at least the %d the cancelled sweep simulated",
-			res.Stats.Hits, persisted)
+			res.Sims.Hits, persisted)
 	}
 }

@@ -696,12 +696,12 @@ type StoreStats struct {
 // every completed POST /v1/<kind>) — each job carries its own progress
 // counters.
 type StatsResponse struct {
-	Inflight int64                   `json:"inflight"`
-	Requests map[string]int64        `json:"requests"`
-	Models   ModelStats              `json:"models"`
-	Sims     experiments.RunSourcing `json:"sims"`
-	Store    *StoreStats             `json:"store,omitempty"`
-	Jobs     *experiments.JobCounts  `json:"jobs,omitempty"`
+	Inflight int64                  `json:"inflight"`
+	Requests map[string]int64       `json:"requests"`
+	Models   ModelStats             `json:"models"`
+	Sims     experiments.SimStats   `json:"sims"`
+	Store    *StoreStats            `json:"store,omitempty"`
+	Jobs     *experiments.JobCounts `json:"jobs,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -710,7 +710,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Inflight: s.inflight.Load(),
 		Requests: make(map[string]int64, len(s.requests)),
 		Models:   ModelStats{Cached: s.prov.CachedModels(), Fits: ps.Fits, Hits: ps.ModelHits},
-		Sims:     ps.Sim.Sourcing(),
+		Sims:     ps.Sim,
 	}
 	for _, c := range s.requests {
 		resp.Requests[c.key] = c.n.Load()

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -277,12 +279,27 @@ func TestPredictWarmStoreDispatchesZeroSimulations(t *testing.T) {
 		t.Fatalf("status %d: %s", code, body)
 	}
 
+	var raw json.RawMessage
+	getJSON(t, ts.URL+"/v1/stats", &raw)
 	var st StatsResponse
-	getJSON(t, ts.URL+"/v1/stats", &st)
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	// StatsResponse decodes whatever keys match its tags, so the wire
+	// names of the sims object are checked on the raw body.
+	var keys struct {
+		Sims map[string]json.RawMessage `json:"sims"`
+	}
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slices.Sorted(maps.Keys(keys.Sims)), []string{"simulated", "storeHits", "traceGens"}; !slices.Equal(got, want) {
+		t.Errorf("/v1/stats sims keys %v, want %v", got, want)
+	}
 	if st.Sims.Simulated != 0 {
 		t.Errorf("warm daemon dispatched %d simulations, want 0", st.Sims.Simulated)
 	}
-	if st.Sims.StoreHits == 0 {
+	if st.Sims.Hits == 0 {
 		t.Error("warm daemon should have served runs from the store")
 	}
 	if st.Store == nil || st.Store.Misses != 0 {
@@ -911,7 +928,7 @@ func TestSeedsEndpointMatchesBlockingRunSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp.Cells, ref.Report().Cells) {
+	if !reflect.DeepEqual(resp.Cells, ref.Cells) {
 		t.Error("served seeds cells diverge from the blocking sweep")
 	}
 	if !reflect.DeepEqual(resp.Seeds, ref.Seeds) {
