@@ -53,7 +53,7 @@ staticcheck:
 bench-smoke:
 	@echo "Running benchmark smoke (ops=$(BENCH_OPS)) against the run store at $(RUNSTORE)..."
 	@REPRO_RUNSTORE=$(RUNSTORE) REPRO_BENCH_OPS=$(BENCH_OPS) \
-		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|SimulatorReplay|CacheHierarchy|BranchPredict|TraceGeneration|TraceReplay|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|Fit$$' \
+		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|SimulatorReplay|CacheHierarchy|BranchPredict|TraceGeneration|TraceReplay|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|StoreGetPut|Fit$$' \
 		-benchtime 1x -benchmem .
 
 # profile runs the simulator throughput benchmark under the CPU
@@ -138,12 +138,22 @@ bench-full:
 	@echo "Running the full paper benchmark campaign. This may take awhile!"
 	@REPRO_RUNSTORE=$(RUNSTORE) go test -run '^$$' -bench . -benchtime 1x -benchmem .
 
+# sim-smoke reruns the campaign warm twice, at GOMAXPROCS=1 and with
+# every core: the store lookup runs on the worker pool, so both reruns
+# must be pure store hits and draw byte-identical Figure 2 output.
 sim-smoke:
+	@mkdir -p $(CURDIR)/.bin
 	@echo "Running a short experiment campaign (ops=$(SMOKE_OPS)) against the run store..."
 	@go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) > /dev/null
-	@echo "Re-running warm: must be pure store hits..."
-	@go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) 2>&1 >/dev/null \
-		| grep "0 simulated (100.0% hit rate)"
+	@set -e; for procs in 1 $$(nproc); do \
+		echo "Re-running warm at GOMAXPROCS=$$procs: must be pure store hits..."; \
+		GOMAXPROCS=$$procs go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) \
+			2>$(CURDIR)/.bin/sim-smoke-$$procs.err >$(CURDIR)/.bin/sim-smoke-$$procs.txt \
+			|| { cat $(CURDIR)/.bin/sim-smoke-$$procs.err; exit 1; }; \
+		grep "0 simulated (100.0% hit rate)" $(CURDIR)/.bin/sim-smoke-$$procs.err; \
+	done
+	@echo "Comparing the warm Figure 2 outputs..."
+	@cmp $(CURDIR)/.bin/sim-smoke-1.txt $(CURDIR)/.bin/sim-smoke-$$(nproc).txt
 
 sweep-smoke:
 	@echo "Running a 3-point ROB sweep (ops=$(SMOKE_OPS)) against the run store..."

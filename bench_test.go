@@ -506,6 +506,57 @@ func BenchmarkSimulatorReplay(b *testing.B) {
 	b.ReportMetric(float64(buf.NumOps())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
 }
 
+// BenchmarkStoreGetPut times the run-store layer on one 100K-µop
+// Result, core2's run of the simulator layer trace, in a fresh store of
+// its own (REPRO_RUNSTORE does not apply): a hit is one file read and
+// one decode, a miss one failed open, and a put one encode and an
+// atomic write. A warm campaign is 309 hits and six fit reads.
+func BenchmarkStoreGetPut(b *testing.B) {
+	m := uarch.CoreTwo()
+	s, err := sim.New(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := simLayerTrace()
+	res := new(sim.Result)
+	if err := s.RunInto(res, buf); err != nil {
+		b.Fatal(err)
+	}
+	store, err := runstore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := runstore.SimKey(m, buf.Spec())
+	if err := store.PutResult(key, res); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := store.GetResult(key); !ok || err != nil {
+				b.Fatalf("hit=%v err=%v, want a hit", ok, err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		absent := runstore.SimKey(uarch.CoreI7(), buf.Spec())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := store.GetResult(absent); ok || err != nil {
+				b.Fatalf("hit=%v err=%v, want a miss", ok, err)
+			}
+		}
+	})
+	b.Run("put", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := store.PutResult(key, res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkTLBAccess isolates the hottest hierarchy structure: the
 // fully-associative true-LRU TLB, rebuilt in PR 10 as an open-addressed
 // page→slot table with an intrusive LRU list (O(1), allocation-free on

@@ -215,7 +215,8 @@ func (l *Lab) pendingJobs() []simJob {
 	var jobs []simJob
 	for _, m := range l.machines {
 		for _, s := range l.suites {
-			for _, w := range s.Workloads {
+			for i := range s.Workloads {
+				w := &s.Workloads[i]
 				rk := RunKey{Machine: m.Name, Suite: s.Name, Workload: w.Name}
 				if _, done := l.runs[rk]; done {
 					continue

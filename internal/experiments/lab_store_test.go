@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -260,6 +262,93 @@ func TestWarmStoreContract(t *testing.T) {
 	}
 	if st := warmStore.Stats(); st.Puts != 0 || st.Misses != 0 || st.Hits != int64(totalRuns(warm)+fits) {
 		t.Errorf("warm store stats = %+v, want %d hits, 0 misses, 0 puts", st, totalRuns(warm)+fits)
+	}
+}
+
+// TestWarmLookupDeterministicAndCancelSafe: the store lookup runs on
+// the worker pool, yet a warm lab records and reports exactly what a
+// serial one does. At Workers 1 and 4 a fresh lab on a store a cold
+// campaign filled draws the same Figure 2, reports every run as a hit
+// in pendingJobs order, and leaves the same store stats. A context
+// cancelled before SimulateContext reads, records and writes nothing,
+// warm or cold.
+func TestWarmLookupDeterministicAndCancelSafe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign is slow")
+	}
+	dir := t.TempDir()
+	_, _, _, coldText := storeFig2(t, dir)
+
+	type event struct {
+		run RunKey
+		hit bool
+	}
+	newLab := func(storeDir string, workers int) (*Lab, *runstore.Store, *[]event) {
+		store, err := runstore.Open(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []event
+		l := NewLab(Options{NumOps: 5000, FitStarts: 2, Workers: workers, Store: store,
+			Progress: func(run RunKey, hit bool) { events = append(events, event{run, hit}) }})
+		return l, store, &events
+	}
+
+	var firstEvents []event
+	var firstStats runstore.Stats
+	for _, workers := range []int{1, 4} {
+		l, store, events := newLab(dir, workers)
+		var want []event
+		for _, j := range l.pendingJobs() {
+			want = append(want, event{j.run, true})
+		}
+		if err := l.Simulate(); err != nil {
+			t.Fatal(err)
+		}
+		_, text, err := l.Fig2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text != coldText {
+			t.Errorf("workers=%d: warm Figure 2 differs from the cold one:\n%s\nwant:\n%s", workers, text, coldText)
+		}
+		if !reflect.DeepEqual(*events, want) {
+			t.Errorf("workers=%d: progress is not every run as a hit in pendingJobs order", workers)
+		}
+		st := store.Stats()
+		if st.Misses != 0 || st.Puts != 0 {
+			t.Errorf("workers=%d: store stats = %+v, want 0 misses and 0 puts", workers, st)
+		}
+		if firstEvents == nil {
+			firstEvents, firstStats = *events, st
+			continue
+		}
+		if !reflect.DeepEqual(*events, firstEvents) || st != firstStats {
+			t.Errorf("workers=%d: progress or store stats %+v differ from workers=1's %+v", workers, st, firstStats)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, storeDir := range []string{dir, t.TempDir()} {
+		for _, workers := range []int{1, 4} {
+			l, store, events := newLab(storeDir, workers)
+			if err := l.SimulateContext(ctx); !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d: cancelled SimulateContext returned %v, want context.Canceled", workers, err)
+			}
+			if len(l.runs) != 0 || l.SimStats() != (SimStats{}) || len(*events) != 0 {
+				t.Errorf("workers=%d: a cancelled lookup recorded %d runs, stats %+v, %d progress calls",
+					workers, len(l.runs), l.SimStats(), len(*events))
+			}
+			if st := store.Stats(); st != (runstore.Stats{}) {
+				t.Errorf("workers=%d: a cancelled lookup touched the store: %+v", workers, st)
+			}
+		}
+		if storeDir != dir {
+			if entries, err := os.ReadDir(storeDir); err != nil || len(entries) != 0 {
+				t.Errorf("a cancelled cold lab wrote %d store entries (err %v)", len(entries), err)
+			}
+		}
 	}
 }
 

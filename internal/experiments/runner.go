@@ -21,9 +21,19 @@ import (
 // worker pool.
 type simJob struct {
 	machine *uarch.Machine
-	spec    trace.Spec
+	spec    *trace.Spec // the lab suite's own spec, shared by every machine
 	run     RunKey
 	record  func(RunKey, *sim.Result)
+}
+
+// missJob is a simJob with its keys, and once it misses the store, its
+// place in the dispatch.
+type missJob struct {
+	simJob
+	key      string // run-store key; "" when no store is configured
+	specHash string
+	shared   *sharedTrace // non-nil when the spec's trace is shared
+	walk     int          // index of the job's tape in shared; -1 to run live
 }
 
 // sharedTrace is one workload's materialized µop stream, shared across
@@ -68,6 +78,15 @@ type traceSlot struct {
 // once per completed job with its RunKey and sourcing (store hit vs
 // simulated), under the same serialization guarantee.
 //
+// The store lookup is one file read and one decode per job
+// (runstore.Store.GetResult), spread over the same workers goroutines
+// that simulate, with each job's result kept at its index. A serial
+// pass over them then records the hits, reports their progress and
+// collects the misses, all in job order, so what a warm batch records
+// and reports does not depend on the worker count. Keys are built from
+// one hash per distinct machine and spec of the batch, and the spec
+// hash also groups the misses.
+//
 // Workloads simulated on more than one machine (a campaign's machine
 // grid, a plan's cells) share one materialized trace.Buffer per spec:
 // the stream is generated once and replayed per machine, instead of
@@ -95,13 +114,14 @@ type traceSlot struct {
 // (a replayed buffer is bit-identical to its generating stream, and a
 // cached Result is exactly what re-simulating would produce).
 //
-// Cancelling ctx stops the dispatch of new simulations: jobs already
-// running on a worker finish (and are recorded and stored), everything
-// still pending is abandoned, and ctx.Err() is returned. A partially
-// cancelled run therefore leaves the store consistent — every persisted
-// entry is a complete, exact result — so a follow-up run resumes warm.
-// The returned SimStats reports how many runs each path served and how
-// many µop streams were actually generated.
+// Cancelling ctx stops the store lookup and the dispatch of new
+// simulations: jobs already running on a worker finish (and are
+// recorded and stored), everything still pending is abandoned, and
+// ctx.Err() is returned. A partially cancelled run therefore leaves the
+// store consistent — every persisted entry is a complete, exact result
+// — so a follow-up run resumes warm. The returned SimStats reports how
+// many runs each path served and how many µop streams were actually
+// generated.
 func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, error) {
 	var st SimStats
 	store := opts.Store
@@ -118,31 +138,24 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 			opts.Progress(run, hit)
 		}
 	}
-	type missJob struct {
-		simJob
-		key      string // run-store key; "" when no store is configured
-		specHash string
-		shared   *sharedTrace // non-nil when the spec's trace is shared
-		walk     int          // index of the job's tape in shared; -1 to run live
+	keyed := keyJobs(jobs, store != nil)
+	var hits []*sim.Result
+	if store != nil {
+		var err error
+		if hits, err = lookupRuns(ctx, store, keyed, workers); err != nil {
+			return st, err
+		}
 	}
 	var misses []missJob
-	for _, j := range jobs {
+	for i, mj := range keyed {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		mj := missJob{simJob: j}
-		if store != nil {
-			mj.key = runstore.SimKey(j.machine, j.spec)
-			res, ok, err := store.GetResult(mj.key)
-			if err != nil {
-				return st, fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err)
-			}
-			if ok {
-				j.record(j.run, res)
-				st.Hits++
-				progress(j.run, true)
-				continue
-			}
+		if hits != nil && hits[i] != nil {
+			mj.record(mj.run, hits[i])
+			st.Hits++
+			progress(mj.run, true)
+			continue
 		}
 		misses = append(misses, mj)
 	}
@@ -161,8 +174,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 	walkKeys := make(map[*uarch.Machine]string)
 	walkUses := make(map[walkOf]int, len(misses))
 	for i := range misses {
-		h := misses[i].spec.ConfigHash()
-		misses[i].specHash = h
+		h := misses[i].specHash
 		if _, ok := first[h]; !ok {
 			first[h] = i
 		}
@@ -187,7 +199,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 		}
 		sh, ok := buffers[h]
 		if !ok {
-			sh = &sharedTrace{spec: misses[i].spec, ready: make(chan struct{})}
+			sh = &sharedTrace{spec: *misses[i].spec, ready: make(chan struct{})}
 			sh.left.Store(int64(uses[h]))
 			buffers[h] = sh
 			groups = append(groups, sh)
@@ -300,7 +312,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 					src = cursor
 				} else {
 					var err error
-					src, err = trace.NewSpecSource(j.spec)
+					src, err = trace.NewSpecSource(*j.spec)
 					if err != nil {
 						fail(fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err))
 						continue
@@ -362,6 +374,66 @@ feed:
 		firstErr = ctx.Err()
 	}
 	return st, firstErr
+}
+
+// keyJobs pairs each job with its spec's ConfigHash and, when withKeys
+// is set, its run-store key, hashing each distinct machine and spec of
+// the batch once: a campaign's 309 jobs cover only 3 machines and 103
+// specs.
+func keyJobs(jobs []simJob, withKeys bool) []missJob {
+	specHashes := make(map[*trace.Spec]string)
+	machineHashes := make(map[*uarch.Machine]string)
+	keyed := make([]missJob, len(jobs))
+	for i, j := range jobs {
+		h, ok := specHashes[j.spec]
+		if !ok {
+			h = j.spec.ConfigHash()
+			specHashes[j.spec] = h
+		}
+		keyed[i] = missJob{simJob: j, specHash: h}
+		if withKeys {
+			mh, ok := machineHashes[j.machine]
+			if !ok {
+				mh = j.machine.ConfigHash()
+				machineHashes[j.machine] = mh
+			}
+			keyed[i].key = runstore.SimKeyOf(mh, h)
+		}
+	}
+	return keyed
+}
+
+// lookupRuns reads every job's key from store on workers goroutines and
+// returns the stored Results by job index, nil for a miss. Once ctx is
+// cancelled no further entry is read and ctx.Err() is returned.
+func lookupRuns(ctx context.Context, store *runstore.Store, jobs []missJob, workers int) ([]*sim.Result, error) {
+	hits := make([]*sim.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				hits[i], _, errs[i] = store.GetResult(jobs[i].key)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s on %s: %w", jobs[i].spec.Name, jobs[i].machine.Name, err)
+		}
+	}
+	return hits, nil
 }
 
 // recordWalks records each walk machine's walk of buf into the tape of

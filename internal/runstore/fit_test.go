@@ -215,7 +215,8 @@ func TestGetFitRejectsOtherPayloads(t *testing.T) {
 
 // FuzzStoreEnvelope writes arbitrary bytes as an entry file and reads
 // it back as a fit and as a simulation: neither read may panic or
-// report an error, and a read that is not a hit must leave no file.
+// report an error, a read that is not a hit must leave no file, and a
+// simulation hit must be a valid measurement.
 func FuzzStoreEnvelope(f *testing.F) {
 	mp, obs, opts := fitInputs()
 	key := FitKey(mp, obs, opts)
@@ -237,6 +238,7 @@ func FuzzStoreEnvelope(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"` + key + `","payload":{}}`))
+	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"` + key + `","payload":null}`))
 
 	// Inputs run one at a time per process, so they share one store.
 	st, err := Open(f.TempDir())
@@ -253,7 +255,15 @@ func FuzzStoreEnvelope(f *testing.F) {
 			read func() (bool, error)
 		}{
 			{"GetFit", func() (bool, error) { _, ok, err := st.GetFit(key); return ok, err }},
-			{"GetResult", func() (bool, error) { _, ok, err := st.GetResult(key); return ok, err }},
+			{"GetResult", func() (bool, error) {
+				r, ok, err := st.GetResult(key)
+				if ok {
+					if verr := r.Counters.Validate(); verr != nil {
+						t.Errorf("GetResult: a hit that is no measurement: %v", verr)
+					}
+				}
+				return ok, err
+			}},
 		} {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)

@@ -58,7 +58,14 @@ const FormatVersion = 1
 // the current simulator. The spec must be exactly the one handed to the
 // trace generator.
 func SimKey(m *uarch.Machine, spec trace.Spec) string {
-	return keyOf("sim", m.ConfigHash(), spec.ConfigHash())
+	return SimKeyOf(m.ConfigHash(), spec.ConfigHash())
+}
+
+// SimKeyOf is SimKey from the machine's ConfigHash and the spec's
+// ConfigHash, for callers that key many runs over a few machines and
+// specs and hash each of them once.
+func SimKeyOf(machineHash, specHash string) string {
+	return keyOf("sim", machineHash, specHash)
 }
 
 // CalibrationKey returns the content address of calibrating machine m.
@@ -149,12 +156,14 @@ type Store struct {
 
 // envelope is the on-disk entry framing. Key and Version are stored
 // redundantly so a mis-filed or stale entry is detected on read even
-// though the key already encodes the version.
+// though the key already encodes the version. Payload holds the
+// caller's value: Put marshals it in place, and Get points it at the
+// caller's pointer so the envelope and the payload decode in one pass.
 type envelope struct {
-	Format  int             `json:"format"`
-	Version string          `json:"version"`
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
+	Format  int    `json:"format"`
+	Version string `json:"version"`
+	Key     string `json:"key"`
+	Payload any    `json:"payload"`
 }
 
 // Open opens (creating if needed) the store rooted at dir.
@@ -186,25 +195,22 @@ func (s *Store) path(key string) string {
 }
 
 // Get looks key up and, on a hit, unmarshals the payload into v (which
-// must be a pointer). Absent, corrupt, and stale entries all report a
-// miss — including a payload that no longer unmarshals into v — and the
-// unusable file is evicted so the next Put heals the entry. Get never
-// returns an error today; the return is kept so callers are ready for
-// store backends where lookups can genuinely fail.
+// must be a pointer). The envelope and the payload decode in a single
+// pass, so on a miss v may hold part of an unusable payload. Absent,
+// corrupt, and stale entries all report a miss — including a payload
+// that no longer unmarshals into v — and the unusable file is evicted
+// so the next Put heals the entry. Get never returns an error today;
+// the return is kept so callers are ready for store backends where
+// lookups can genuinely fail.
 func (s *Store) Get(key string, v any) (bool, error) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.misses.Add(1)
 		return false, nil
 	}
-	var e envelope
+	e := envelope{Payload: v}
 	if err := json.Unmarshal(data, &e); err != nil ||
 		e.Format != FormatVersion || e.Version != sim.Version || e.Key != key {
-		s.evict(key)
-		s.misses.Add(1)
-		return false, nil
-	}
-	if err := json.Unmarshal(e.Payload, v); err != nil {
 		s.evict(key)
 		s.misses.Add(1)
 		return false, nil
@@ -217,18 +223,14 @@ func (s *Store) Get(key string, v any) (bool, error) {
 // file in the destination directory and renamed into place, so readers
 // only ever observe complete entries.
 func (s *Store) Put(key string, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("runstore: marshal payload for %s: %w", key[:12], err)
-	}
 	data, err := json.Marshal(envelope{
 		Format:  FormatVersion,
 		Version: sim.Version,
 		Key:     key,
-		Payload: payload,
+		Payload: v,
 	})
 	if err != nil {
-		return fmt.Errorf("runstore: marshal envelope for %s: %w", key[:12], err)
+		return fmt.Errorf("runstore: marshal entry %s: %w", key[:12], err)
 	}
 	dst := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
@@ -255,17 +257,18 @@ func (s *Store) Put(key string, v any) error {
 	return nil
 }
 
-// GetResult looks up a cached simulation Result. Entries that no longer
-// decode as a Result are evicted and report a miss, like any other
-// corruption.
+// GetResult looks up a cached simulation Result, decoding the entry
+// straight into it. Only a Result whose counters validate is a hit:
+// entries that no longer decode as a Result, or decode to a degenerate
+// one (a null or empty payload, a run with no cycles or µops), are
+// evicted and report a miss, like any other corruption.
 func (s *Store) GetResult(key string) (*sim.Result, bool, error) {
-	var raw json.RawMessage
-	ok, err := s.Get(key, &raw)
+	r := new(sim.Result)
+	ok, err := s.Get(key, r)
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	r, err := sim.DecodeResult(raw)
-	if err != nil {
+	if r.Counters.Validate() != nil {
 		s.reject(key)
 		return nil, false, nil
 	}

@@ -158,6 +158,61 @@ func TestUndecodablePayloadIsMissAndEvicted(t *testing.T) {
 	}
 }
 
+// TestDegenerateResultIsMissAndEvicted: a payload that decodes as a
+// Result but is no measurement — null, empty, or counters that fail
+// perfctr.Counters.Validate — is a miss, and the entry is evicted so
+// the next simulation rewrites it.
+func TestDegenerateResultIsMissAndEvicted(t *testing.T) {
+	m, w, _ := simulateOne(t)
+	key := SimKey(m, w)
+	for _, payload := range []string{
+		`null`,
+		`{}`,
+		`{"Counters":{"Uops":5}}`,
+		`{"Counters":{"Cycles":9,"Uops":5,"Instructions":4,"BranchMispredicts":2,"Branches":1}}`,
+	} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, json.RawMessage(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := st.GetResult(key); ok || err != nil {
+			t.Errorf("payload %s: got hit=%v err=%v, want clean miss", payload, ok, err)
+		}
+		if _, err := os.Stat(st.path(key)); !os.IsNotExist(err) {
+			t.Errorf("payload %s: entry not evicted", payload)
+		}
+		if s := st.Stats(); s.Hits != 0 || s.Misses != 1 {
+			t.Errorf("payload %s: stats = %+v, want 0 hits / 1 miss", payload, s)
+		}
+	}
+}
+
+// simKeyCanaryDigest is SimKey of core2 running canarySpec. Every stored
+// simulation is filed under a key built this way, so if this digest
+// changes every existing run store goes cold. Change it only together
+// with a deliberate change to sim.Version, the key format, core2's
+// configuration or the Spec fields.
+const simKeyCanaryDigest = "fe0fbab489757da47a048e86d31d048932ca565437a89e68259fa0751c53c79e"
+
+var canarySpec = trace.Spec{Name: "canary", Seed: 7, NumOps: 5000, LoadFrac: 0.25, StoreFrac: 0.1,
+	BranchHardFrac: 0.2, CodeFootprint: 32768, CodeLocality: 0.8,
+	DataFootprint: 1 << 20, DataLocality: 0.6, DepDistMean: 8}
+
+// TestSimKeyCanary pins the sim key bytes, both as SimKey builds them
+// and as SimKeyOf does from the two hashes a batch computes once.
+func TestSimKeyCanary(t *testing.T) {
+	m := uarch.CoreTwo()
+	if got := SimKey(m, canarySpec); got != simKeyCanaryDigest {
+		t.Errorf("SimKey = %s, want %s: every stored simulation would miss", got, simKeyCanaryDigest)
+	}
+	if got := SimKeyOf(m.ConfigHash(), canarySpec.ConfigHash()); got != simKeyCanaryDigest {
+		t.Errorf("SimKeyOf = %s, want %s", got, simKeyCanaryDigest)
+	}
+}
+
 func TestKeySensitivity(t *testing.T) {
 	m := uarch.CoreTwo()
 	suite := suites.CPU2000Like(suites.Options{NumOps: 20000})

@@ -39,15 +39,6 @@ func (r *Result) Encode() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// DecodeResult parses a Result previously produced by Encode.
-func DecodeResult(data []byte) (*Result, error) {
-	var r Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("sim: decode result: %w", err)
-	}
-	return &r, nil
-}
-
 // numKinds sizes per-kind lookup tables (trace.Kind values are < 8).
 const numKinds = 8
 
