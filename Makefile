@@ -212,6 +212,30 @@ sim-nondeterminism:
 	done
 	@echo "sim-nondeterminism: byte-identical across GOMAXPROCS"
 
+# store-identity checks that a simulator change left every stored
+# Result byte for byte as it was: it fills one fresh run store from a
+# checkout of PARENT (git archive, under .bin/) and another from the
+# working tree — a fig2 campaign, then the memlat x l2kb grid plan of
+# DET_PLANS, both at SMOKE_OPS — and diffs the two stores.
+#
+#   make store-identity PARENT=HEAD~1
+PARENT ?= HEAD~1
+
+store-identity:
+	@set -e; dir=$(CURDIR)/.bin/identity; rm -rf $$dir; mkdir -p $$dir/parent; \
+	git archive $(PARENT) | tar -x -C $$dir/parent; \
+	for side in parent head; do \
+		src=$(CURDIR); [ $$side = head ] || src=$$dir/parent; \
+		echo "Filling a run store from $$side (ops=$(SMOKE_OPS))..."; \
+		(cd $$src && go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 \
+			-store $$dir/store-$$side >/dev/null && \
+		go run ./cmd/sweep -base core2 -param memlat -values 150,300 -param l2kb -values 2048,4096 \
+			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json -store $$dir/store-$$side >/dev/null); \
+	done; \
+	echo "Comparing run stores..."; \
+	diff -r $$dir/store-parent $$dir/store-head; \
+	echo "store-identity: $$(find $$dir/store-head -name '*.json' | wc -l) entries byte-identical to $(PARENT)"
+
 # scale-smoke is sim-nondeterminism's wall-clock companion: the same
 # 2x2 grid plan, but built with the race detector and run cold twice —
 # once at GOMAXPROCS=1 and once with every core — each against a fresh
@@ -341,6 +365,8 @@ fuzz-smoke:
 	@go test ./internal/serve -run '^$$' -fuzz '^FuzzIndentJSON$$' -fuzztime 20s
 	@echo "Fuzzing timing-only machine variants (metamorphic) for 20s..."
 	@go test ./internal/sim -run '^$$' -fuzz '^FuzzTimingOnlyMachine$$' -fuzztime 20s
+	@echo "Fuzzing LRU inclusion (doubling the ways never adds misses) for 20s..."
+	@go test ./internal/cache -run '^$$' -fuzz '^FuzzLRUInclusion$$' -fuzztime 20s
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon
@@ -410,4 +436,4 @@ clean-store:
 	@echo "Removing the run store at $(RUNSTORE)..."
 	@rm -rf $(RUNSTORE)
 
-.PHONY: all build test test-short race lint staticcheck profile bench-smoke bench-full bench-baseline bench-baseline-update sim-smoke sweep-smoke plan-smoke sim-nondeterminism scale-smoke optimize-smoke seeds-smoke trace-smoke fuzz-smoke serve-smoke jobs-smoke clean-store
+.PHONY: all build test test-short race lint staticcheck profile bench-smoke bench-full bench-baseline bench-baseline-update sim-smoke sweep-smoke plan-smoke sim-nondeterminism scale-smoke optimize-smoke seeds-smoke trace-smoke fuzz-smoke serve-smoke jobs-smoke clean-store store-identity

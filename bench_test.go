@@ -404,7 +404,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	src := simLayerTrace()
 	var res sim.Result
-	// Warm up: the first run builds the branch predictor.
+	// Warm up: the first run builds the caches, TLBs and branch
+	// predictor that every live run walks.
 	if err := s.RunInto(&res, src); err != nil {
 		b.Fatal(err)
 	}
@@ -480,10 +481,11 @@ func BenchmarkBranchPredict(b *testing.B) {
 // BenchmarkSimulatorReplay is SimulatorThroughput's timing core alone:
 // the same machine and trace, replayed from a tape recorded once
 // outside the timed loop, as every cell of a walk group after the walk
-// runs.
+// runs. The simulator only replays, so it never builds the caches, TLBs
+// or predictor.
 func BenchmarkSimulatorReplay(b *testing.B) {
 	m := uarch.CoreI7()
-	s, err := sim.NewReplayer(m)
+	s, err := sim.New(m)
 	if err != nil {
 		b.Fatal(err)
 	}

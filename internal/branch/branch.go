@@ -263,40 +263,3 @@ func boolBit(b bool) uint64 {
 	}
 	return 0
 }
-
-// BTB is a direct-mapped branch target buffer. A BTB miss on a taken
-// branch costs a front-end redirect even when the direction was right.
-type BTB struct {
-	tags    []uint64
-	targets []uint64
-	mask    uint64
-}
-
-// NewBTB creates a BTB with 2^bits entries.
-func NewBTB(bits int) *BTB {
-	if bits <= 0 || bits > 24 {
-		panic(fmt.Sprintf("branch: BTB bits %d out of range", bits))
-	}
-	n := 1 << bits
-	return &BTB{
-		tags:    make([]uint64, n),
-		targets: make([]uint64, n),
-		mask:    uint64(n - 1),
-	}
-}
-
-// Lookup returns the stored target for pc and whether it hit.
-func (b *BTB) Lookup(pc uint64) (uint64, bool) {
-	i := (pc >> 2) & b.mask
-	if b.tags[i] == pc {
-		return b.targets[i], true
-	}
-	return 0, false
-}
-
-// Insert records the target for pc.
-func (b *BTB) Insert(pc, target uint64) {
-	i := (pc >> 2) & b.mask
-	b.tags[i] = pc
-	b.targets[i] = target
-}

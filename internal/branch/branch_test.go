@@ -142,32 +142,6 @@ func TestAliasingDistinctPCs(t *testing.T) {
 	}
 }
 
-func TestBTB(t *testing.T) {
-	b := NewBTB(8)
-	if _, ok := b.Lookup(0x4000); ok {
-		t.Error("empty BTB should miss")
-	}
-	b.Insert(0x4000, 0x5000)
-	if tgt, ok := b.Lookup(0x4000); !ok || tgt != 0x5000 {
-		t.Errorf("BTB lookup got (%#x,%v)", tgt, ok)
-	}
-	// Conflicting entry evicts (direct mapped): same index, different tag.
-	conflict := uint64(0x4000 + (1<<8)*4)
-	b.Insert(conflict, 0x6000)
-	if _, ok := b.Lookup(0x4000); ok {
-		t.Error("conflicting insert should evict")
-	}
-}
-
-func TestBTBPanicsOnBadBits(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewBTB(0)
-}
-
 func TestStockConfigsConstruct(t *testing.T) {
 	for _, m := range uarch.StockMachines() {
 		if _, err := New(m.Predictor); err != nil {

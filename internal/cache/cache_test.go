@@ -500,3 +500,34 @@ func TestTLBAccessNoAllocs(t *testing.T) {
 		t.Errorf("TLB.Access allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// FuzzLRUInclusion checks the LRU stack property over fuzzed address
+// streams: at equal set count and line size, a true-LRU cache with
+// twice the ways holds every line the smaller one holds, so an access
+// that hits the smaller cache hits the larger one and doubling Assoc
+// never adds misses. Each access is two bytes of the stream, scaled to
+// 8-byte granularity.
+func FuzzLRUInclusion(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0), []byte{0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0})
+	f.Add(uint8(1), uint8(1), uint8(1), []byte{0, 0, 16, 0, 32, 0, 48, 0, 0, 0, 16, 0, 64, 0, 0, 0})
+	f.Add(uint8(6), uint8(3), uint8(7), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 2, 3, 4, 255, 255})
+	f.Fuzz(func(t *testing.T, setBits, lineBits, ways uint8, stream []byte) {
+		sets := 1 << (setBits % 7)   // 1..64 sets
+		line := 16 << (lineBits % 4) // 16..128-byte lines
+		assoc := 1 + int(ways%8)     // 1..8 ways, doubled to 2..16
+		small := smallCache(t, sets*line*assoc, line, assoc, 1)
+		large := smallCache(t, sets*line*2*assoc, line, 2*assoc, 1)
+		for i := 0; i+1 < len(stream); i += 2 {
+			addr := uint64(stream[i])<<3 | uint64(stream[i+1])<<11
+			if hs, hl := small.Access(addr), large.Access(addr); hs && !hl {
+				t.Fatalf("access %d (%#x) hit %d ways but missed %d ways (%d sets, %d-byte lines)",
+					i/2, addr, assoc, 2*assoc, sets, line)
+			}
+		}
+		_, ms := small.Stats()
+		_, ml := large.Stats()
+		if ml > ms {
+			t.Fatalf("%d ways missed %d times, %d ways %d times", 2*assoc, ml, assoc, ms)
+		}
+	})
+}

@@ -282,24 +282,18 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One simulator per machine per worker, lazily built:
-			// replay-only for the jobs that replay a tape.
+			// One simulator per machine per worker, lazily built; its
+			// caches are built only if it runs a job live.
 			sims := map[string]*sim.Simulator{}
-			replayers := map[string]*sim.Simulator{}
 			for j := range ch {
-				pool, build := sims, sim.New
-				if j.walk >= 0 {
-					pool, build = replayers, sim.NewReplayer
-				}
-				s, ok := pool[j.machine.Name]
+				s, ok := sims[j.machine.Name]
 				if !ok {
 					var err error
-					s, err = build(j.machine)
-					if err != nil {
+					if s, err = sim.New(j.machine); err != nil {
 						fail(err)
 						continue
 					}
-					pool[j.machine.Name] = s
+					sims[j.machine.Name] = s
 				}
 				var src trace.Source
 				var buf, cursor *trace.Buffer

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/perfctr"
 	"repro/internal/trace"
@@ -44,24 +43,21 @@ const numKinds = 8
 
 // Simulator executes µop streams on one machine configuration. It is
 // reusable across runs (state is reset per Run) and holds all its
-// working storage — window, rings, predictor, heaps — so steady-state
-// runs allocate nothing. Not safe for concurrent use.
+// working storage — window, rings, walker, heaps — so steady-state runs
+// allocate nothing. Not safe for concurrent use.
 //
-// A run either walks the caches, TLBs and branch predictor live
-// (RunInto) or reads their outcomes from a Tape recorded by one walk of
-// the trace (Replay); the one step function serves both, and only its
-// four touch points — the fetch-line access, load, store and branch
-// resolve — look at which.
+// The timing core learns what each µop met in the caches, TLBs and
+// branch predictor only from its outcome word (see Tape). A live run
+// (RunInto) walks each dispatch group into its words just before
+// stepping it; a replay (Replay) reads the words a Tape recorded. The
+// walker's structures are built on the first live run, so a simulator
+// that only replays allocates no caches.
 type Simulator struct {
 	m    *uarch.Machine
-	hier *cache.Hierarchy // nil on a replay-only simulator
-	pred branch.Predictor // built lazily on first Run, Reset per run
+	w    *walker // built on the first live run, reset per run
 	mshr mshrHeap
 
 	walkKey string // m.WalkHash(): the tapes this machine may replay
-	tape    *Tape  // non-nil while replaying
-	wCur    uint8  // tape words of the µops step is dispatching
-	wTail   uint8
 
 	issue issueRing // issue-bandwidth ring: issues per future cycle
 	seq   seqRing   // completion times by canonical sequence number
@@ -77,8 +73,7 @@ type Simulator struct {
 	issueWidth  int
 	commitWidth int
 	fusionRate  float64
-	frontEnd    uint64 // FrontEndDepth
-	lineShift   uint
+	frontEnd    uint64           // FrontEndDepth
 	latByKind   [numKinds]uint64 // FU latencies; loads/stores special-cased
 	itlbMiss    uint64
 	l2Lat       uint64
@@ -96,7 +91,6 @@ type Simulator struct {
 	slots      int    // dispatch slots used this cycle
 	nextFetch  uint64 // front end unavailable before this cycle
 	feReason   Component
-	lastLine   uint64
 	entryCount uint64 // dispatched entries (committed µops)
 	robPos     int    // entryCount % ROBSize, maintained incrementally
 	headIdx    uint64 // oldest possibly-uncommitted entry
@@ -115,24 +109,10 @@ type Simulator struct {
 	meta      robMeta
 }
 
-// New builds a simulator for machine m. The branch predictor is not
-// built here: Run constructs one lazily anyway (a predictor-configuration
-// error surfaces on the first Run).
+// New builds a simulator for machine m. The caches, TLBs and branch
+// predictor are not built here but on the first live run, so a
+// hierarchy or predictor configuration error surfaces there.
 func New(m *uarch.Machine) (*Simulator, error) {
-	s, err := NewReplayer(m)
-	if err != nil {
-		return nil, err
-	}
-	if s.hier, err = cache.NewHierarchy(m); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// NewReplayer builds a replay-only simulator for machine m: the timing
-// core without a cache hierarchy or branch predictor. It runs Replay
-// from tapes of m's walk key; RunInto fails on it.
-func NewReplayer(m *uarch.Machine) (*Simulator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,9 +150,6 @@ func NewReplayer(m *uarch.Machine) (*Simulator, error) {
 			cache.LvlMem: m.MemLat,
 		},
 		dtlbMiss: m.DTLB.MissLat,
-	}
-	for m.L1I.LineBytes>>s.lineShift > 1 {
-		s.lineShift++
 	}
 	for k := range s.latByKind {
 		s.latByKind[k] = uint64(m.IntLat)
@@ -220,38 +197,28 @@ func (s *Simulator) Run(g trace.Source) (*Result, error) {
 // contents. The source is reset first, so the same Generator or Buffer
 // cursor can be run on several machines. A materialized trace.Buffer
 // replay produces the exact stream its Generator would, so Results are
-// bit-identical across source kinds (the buffer takes the batched
-// Chunked path, the generator the streaming path; both drive the same
-// per-op step).
+// bit-identical across source kinds (the buffer's ops are iterated in
+// place, the generator's streamed; both walk and step each group the
+// same way).
 //
 // All working state lives on the Simulator, so steady-state calls
-// allocate nothing — the benchmark gate asserts 0 B/op.
+// allocate nothing — the benchmark gate asserts 0 B/op. A reset walker
+// is bit-identical to a fresh one, so runs stay independent.
 func (s *Simulator) RunInto(res *Result, g trace.Source) error {
-	if s.hier == nil {
-		return fmt.Errorf("sim: %s: a replay-only simulator cannot run %q live", s.m.Name, g.Spec().Name)
+	w, err := walkerFor(s.m, s.w)
+	if err != nil {
+		return err
 	}
+	s.w = w
 	g.Reset()
-	s.hier.Reset()
-	if s.pred == nil {
-		// Built on first use so a bad predictor config errors here, and
-		// Reset thereafter: a reset predictor is bit-identical to a fresh
-		// one, and runs stay independent without per-run allocation.
-		pred, err := branch.New(s.m.Predictor)
-		if err != nil {
-			return err
-		}
-		s.pred = pred
-	} else {
-		s.pred.Reset()
-	}
 	s.begin(res)
 	var ok bool
-	if c, isChunked := g.(trace.Chunked); isChunked {
-		ok = s.driveChunked(c)
+	if b, isBuf := g.(*trace.Buffer); isBuf {
+		ok = s.driveOps(b.NextChunk())
 	} else {
 		ok = s.driveGeneric(g)
 	}
-	return s.end(ok, g.Spec().Name)
+	return s.end(ok, g.Spec().Name, &w.hier.IStats, &w.hier.DStats)
 }
 
 // begin resets the timing core's per-run state and points it at res.
@@ -269,7 +236,6 @@ func (s *Simulator) begin(res *Result) {
 	s.cycle, s.slots = 0, 0
 	s.nextFetch = 0
 	s.feReason = CompBranch
-	s.lastLine = ^uint64(0)
 	s.entryCount, s.robPos = 0, 0
 	s.headIdx, s.headPos = 0, 0
 	s.lastCommit, s.commitCnt = 0, 0
@@ -277,14 +243,14 @@ func (s *Simulator) begin(res *Result) {
 }
 
 // end completes a run that drove a stream (ok is false when it was
-// empty): it attributes the drain tail, folds in the hierarchy
-// statistics and validates the counters.
-func (s *Simulator) end(ok bool, workload string) error {
+// empty): it attributes the drain tail, folds in the miss statistics
+// of the walk that fed the run and validates the counters.
+func (s *Simulator) end(ok bool, workload string, is, ds *cache.SideStats) error {
 	res := s.res
 	if ok {
-		s.finish()
+		s.finish(is, ds)
 	}
-	s.res, s.ctr, s.tape = nil, nil, nil
+	s.res, s.ctr = nil, nil
 	if !ok {
 		return fmt.Errorf("sim: empty µop stream for %q", workload)
 	}
@@ -296,7 +262,7 @@ func (s *Simulator) end(ok bool, workload string) error {
 }
 
 // driveGeneric streams ops one at a time with one-op lookahead for
-// fusion — the path for Generator-backed (or any non-Chunked) sources.
+// fusion — the path for Generator-backed (or any non-Buffer) sources.
 // It reports false for an empty stream.
 func (s *Simulator) driveGeneric(g trace.Source) bool {
 	var cur, nxt trace.MicroOp
@@ -304,68 +270,38 @@ func (s *Simulator) driveGeneric(g trace.Source) bool {
 	if !haveNxt {
 		return false
 	}
+	w := s.w
 	for haveNxt {
 		cur = nxt
 		haveNxt = g.Next(&nxt)
 		if cur.FuseHead && haveNxt && fuseHash(cur.PC) < s.fusionRate {
 			tail := nxt
 			haveNxt = g.Next(&nxt)
-			s.step(&cur, &tail)
+			wc, wt := w.walk(&cur, &tail)
+			s.step(&cur, &tail, wc, wt)
 		} else {
-			s.step(&cur, nil)
+			wc, _ := w.walk(&cur, nil)
+			s.step(&cur, nil, wc, 0)
 		}
 	}
 	return true
 }
 
-// driveChunked consumes a Chunked source by iterating its slices
-// directly — no interface call or µop copy per op. Fusion lookahead is
-// in-slice except at a chunk boundary, where the final op's potential
-// partner is the head of the next chunk. The op sequence and fusion
-// decisions are exactly driveGeneric's.
-func (s *Simulator) driveChunked(c trace.Chunked) bool {
-	ops := c.NextChunk()
-	if len(ops) == 0 {
-		return false
+// driveOps walks and steps a materialized stream in place — no
+// interface call or µop copy per op — taking driveGeneric's fusion
+// decisions. It reports false for an empty stream.
+func (s *Simulator) driveOps(ops []trace.MicroOp) bool {
+	w := s.w
+	for i := 0; i < len(ops); i++ {
+		cur, tail := &ops[i], (*trace.MicroOp)(nil)
+		if cur.FuseHead && i+1 < len(ops) && fuseHash(cur.PC) < s.fusionRate {
+			i++
+			tail = &ops[i]
+		}
+		wc, wt := w.walk(cur, tail)
+		s.step(cur, tail, wc, wt)
 	}
-	for {
-		last := len(ops) - 1
-		i := 0
-		for i < last {
-			cur := &ops[i]
-			if cur.FuseHead && fuseHash(cur.PC) < s.fusionRate {
-				s.step(cur, &ops[i+1])
-				i += 2
-			} else {
-				s.step(cur, nil)
-				i++
-			}
-		}
-		if i > last {
-			// A fused pair consumed the chunk exactly.
-			ops = c.NextChunk()
-			if len(ops) == 0 {
-				return true
-			}
-			continue
-		}
-		// Final op of the chunk: copy it out before advancing the cursor
-		// (a source may recycle its chunk storage across NextChunk calls).
-		carry := ops[last]
-		ops = c.NextChunk()
-		if carry.FuseHead && len(ops) > 0 && fuseHash(carry.PC) < s.fusionRate {
-			s.step(&carry, &ops[0])
-			ops = ops[1:]
-		} else {
-			s.step(&carry, nil)
-		}
-		if len(ops) == 0 {
-			ops = c.NextChunk()
-			if len(ops) == 0 {
-				return true
-			}
-		}
-	}
+	return len(ops) > 0
 }
 
 // stall charges empty dispatch slots up to target to comp. Slot-level
@@ -440,19 +376,14 @@ func (s *Simulator) considerDeps(op *trace.MicroOp, ready uint64) uint64 {
 }
 
 // doHalf executes one half of a (possibly fused) dispatch group: loads
-// access the data hierarchy (or read its outcome from tape word w),
-// possibly acquiring an MSHR for memory trips (which can push execStart
-// back); the group latency is the max across halves.
+// are priced from their outcome word w, possibly acquiring an MSHR for
+// memory trips (which can push execStart back); the group latency is
+// the max across halves.
 func (s *Simulator) doHalf(op *trace.MicroOp, w uint8) {
 	var l uint64
 	switch op.Kind {
 	case trace.KindLoad:
-		var r cache.Result
-		if s.tape != nil {
-			r = s.tapeLoad(w)
-		} else {
-			r = s.hier.DoLoad(op.Addr)
-		}
+		r := s.priceLoad(w)
 		s.meta.isLoad = true
 		if r.TLBMiss {
 			s.meta.dtlbMiss = true
@@ -479,9 +410,6 @@ func (s *Simulator) doHalf(op *trace.MicroOp, w uint8) {
 		}
 		l = s.loadAGU + uint64(r.Lat)
 	case trace.KindStore:
-		if s.tape == nil {
-			s.hier.DoStore(op.Addr)
-		}
 		l = s.storeLat
 	default:
 		l = s.latByKind[op.Kind&(numKinds-1)]
@@ -497,34 +425,38 @@ func (s *Simulator) doHalf(op *trace.MicroOp, w uint8) {
 	}
 }
 
-// resolveBranch trains the predictor (or reads the outcome from tape
-// word w) and, on a misprediction, redirects the front end once the
-// branch resolves.
-func (s *Simulator) resolveBranch(op *trace.MicroOp, complete uint64, w uint8) {
-	s.ctr.Branches++
-	var miss bool
-	if s.tape != nil {
-		miss = w&wMispredict != 0
-	} else {
-		miss = s.pred.PredictUpdate(op.PC, op.Taken) != op.Taken
+// priceLoad prices a load's outcome word with the machine's latencies,
+// as cache.Hierarchy.DoLoad does.
+func (s *Simulator) priceLoad(w uint8) cache.Result {
+	lvl := cache.Level(w & wDLevel >> wDShift)
+	r := cache.Result{Level: lvl, Lat: s.loadLat[lvl&3], MemTrip: lvl == cache.LvlMem}
+	if w&wDTLB != 0 {
+		r.TLBMiss = true
+		r.Lat += s.dtlbMiss
 	}
-	if miss {
+	return r
+}
+
+// resolveBranch reads a branch's outcome from its word w and, on a
+// misprediction, redirects the front end once the branch resolves.
+func (s *Simulator) resolveBranch(complete uint64, w uint8) {
+	s.ctr.Branches++
+	if w&wMispredict != 0 {
 		s.ctr.BranchMispredicts++
 		if redirect := complete + s.frontEnd; redirect > s.nextFetch {
 			s.nextFetch = redirect
 			s.feReason = CompBranch
 		}
-		s.lastLine = ^uint64(0) // refetch the target line
 	}
 }
 
-// fetchStall charges an instruction fetch's ITLB walk and the level it
-// was served from.
-func (s *Simulator) fetchStall(lvl cache.Level, tlbMiss bool) {
-	if tlbMiss {
+// fetchStall charges the instruction fetch of word w — on a fetch-line
+// change — its ITLB walk and the level it was served from.
+func (s *Simulator) fetchStall(w uint8) {
+	if w&wITLB != 0 {
 		s.stall(s.cycle+s.itlbMiss, CompITLB)
 	}
-	switch lvl {
+	switch cache.Level(w & wILevel) {
 	case cache.LvlL2:
 		s.stall(s.cycle+s.l2Lat, CompICacheL2)
 	case cache.LvlL3:
@@ -534,12 +466,12 @@ func (s *Simulator) fetchStall(lvl cache.Level, tlbMiss bool) {
 	}
 }
 
-// step dispatches one µop (with an optional fused tail) and advances
-// every machine structure: front end, window occupancy, issue, execute,
-// branch resolution, and in-order commit. Ops are read-only — chunked
-// sources pass pointers into a backing store shared across concurrent
-// simulations.
-func (s *Simulator) step(cur, tail *trace.MicroOp) {
+// step dispatches one µop (with an optional fused tail), whose outcome
+// words are wc and wt, and advances every timing structure: front
+// end, window occupancy, issue, execute, branch resolution, and
+// in-order commit. Ops are read-only — buffered sources pass pointers
+// into a backing store shared across concurrent simulations.
+func (s *Simulator) step(cur, tail *trace.MicroOp, wc, wt uint8) {
 	// --- Dispatch-width boundary.
 	if s.slots == s.d {
 		s.cycle++
@@ -551,15 +483,11 @@ func (s *Simulator) step(cur, tail *trace.MicroOp) {
 		s.stall(s.nextFetch, s.feReason)
 	}
 
-	// --- Instruction-side cache/TLB on fetch-line change.
-	if line := cur.PC >> s.lineShift; line != s.lastLine {
-		s.lastLine = line
-		if s.tape != nil {
-			s.fetchStall(cache.Level(s.wCur&wILevel), s.wCur&wITLB != 0)
-		} else {
-			r := s.hier.DoInstr(cur.PC)
-			s.fetchStall(r.Level, r.TLBMiss)
-		}
+	// --- Instruction-side cache/TLB: the walk sets I-bits only on a
+	// fetch-line change, and an L1 hit without an ITLB miss costs
+	// nothing.
+	if wc&(wILevel|wITLB) != 0 {
+		s.fetchStall(wc)
 	}
 
 	// --- ROB occupancy. The entry about to be overwritten is the one
@@ -597,19 +525,19 @@ func (s *Simulator) step(cur, tail *trace.MicroOp) {
 	// Execute both halves.
 	s.lat = 0
 	s.meta = robMeta{}
-	s.doHalf(cur, s.wCur)
+	s.doHalf(cur, wc)
 	if tail != nil {
-		s.doHalf(tail, s.wTail)
+		s.doHalf(tail, wt)
 	}
 	complete := s.execStart + s.lat
 	s.iq.push(s.execStart)
 
 	// Branch resolution and misprediction redirect.
 	if cur.Kind == trace.KindBranch {
-		s.resolveBranch(cur, complete, s.wCur)
+		s.resolveBranch(complete, wc)
 	}
 	if tail != nil && tail.Kind == trace.KindBranch {
-		s.resolveBranch(tail, complete, s.wTail)
+		s.resolveBranch(complete, wt)
 	}
 
 	// In-order commit, CommitWidth per cycle.
@@ -648,8 +576,8 @@ func (s *Simulator) step(cur, tail *trace.MicroOp) {
 }
 
 // finish attributes the window-drain tail after the last dispatch and
-// folds the hierarchy statistics into the counters.
-func (s *Simulator) finish() {
+// folds the walk's miss statistics into the counters.
+func (s *Simulator) finish(is, ds *cache.SideStats) {
 	res, ctr := s.res, s.ctr
 	accounted := float64(s.cycle) + float64(s.slots)/s.fD
 	pos := s.headPos
@@ -673,12 +601,6 @@ func (s *Simulator) finish() {
 		accounted = ct
 	}
 
-	var is, ds *cache.SideStats
-	if s.tape != nil {
-		is, ds = &s.tape.IStats, &s.tape.DStats
-	} else {
-		is, ds = &s.hier.IStats, &s.hier.DStats
-	}
 	ctr.Cycles = s.lastCommit
 	ctr.L1IMisses = is.L1Misses
 	ctr.L2IMisses = is.L2Misses

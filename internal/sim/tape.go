@@ -36,34 +36,33 @@ type Tape struct {
 	w *walker // the structures of the last walk, reset for the next
 }
 
-// walker holds the structures one walk drives, built for machine m.
+// walker holds the structures a walk drives, built for machine m: the
+// cache hierarchy, the branch predictor and the fetch-line tracker.
+// Record and live runs share it.
 type walker struct {
 	m         uarch.Machine
 	key       string
 	hier      *cache.Hierarchy
 	pred      branch.Predictor
 	lineShift uint
+	lastLine  uint64 // the line last fetched; ^0 forces the next fetch
 }
 
-// Record walks buf through m's cache hierarchy and branch predictor and
-// stores the outcomes in dst. It reuses dst's storage: the words, and
-// the structures when dst was last recorded on an equal machine, so a
-// steady stream of recordings allocates nothing. The walk takes the
-// same fusion decisions and makes the same accesses in the same order
-// as a live run of buf on m.
-func Record(m *uarch.Machine, buf *trace.Buffer, dst *Tape) error {
-	w := dst.w
+// walkerFor returns w reset for a new walk of m, or a new walker when w
+// is nil or was built for another machine. A reset walker is
+// bit-identical to a fresh one.
+func walkerFor(m *uarch.Machine, w *walker) (*walker, error) {
 	if w == nil || w.m != *m {
 		if err := m.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 		hier, err := cache.NewHierarchy(m)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pred, err := branch.New(m.Predictor)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		w = &walker{m: *m, key: m.WalkHash(), hier: hier, pred: pred}
 		for m.L1I.LineBytes>>w.lineShift > 1 {
@@ -73,63 +72,88 @@ func Record(m *uarch.Machine, buf *trace.Buffer, dst *Tape) error {
 		w.hier.Reset()
 		w.pred.Reset()
 	}
+	w.lastLine = ^uint64(0)
+	return w, nil
+}
+
+// Record walks buf through m's cache hierarchy and branch predictor and
+// stores the outcomes in dst. It reuses dst's storage: the words, and
+// the structures when dst was last recorded on an equal machine, so a
+// steady stream of recordings allocates nothing. The walk takes the
+// same fusion decisions and makes the same accesses in the same order
+// as a live run of buf on m.
+func Record(m *uarch.Machine, buf *trace.Buffer, dst *Tape) error {
+	w, err := walkerFor(m, dst.w)
+	if err != nil {
+		return err
+	}
 	ops := buf.Replay().NextChunk()
 	words := dst.Words[:0]
 	if cap(words) < len(ops) {
 		words = make([]uint8, len(ops))
 	} else {
 		words = words[:len(ops)]
-		clear(words)
 	}
-	hier, fusion := w.hier, m.FusionRate
-	lastLine := ^uint64(0)
 	for i := 0; i < len(ops); i++ {
 		cur := &ops[i]
-		if line := cur.PC >> w.lineShift; line != lastLine {
-			lastLine = line
-			r := hier.DoInstr(cur.PC)
-			words[i] = uint8(r.Level) | flag(r.TLBMiss, wITLB)
-		}
-		var tail *trace.MicroOp
-		if cur.FuseHead && i+1 < len(ops) && fuseHash(cur.PC) < fusion {
-			tail = &ops[i+1]
-			words[i+1] = wFusedTail
-		}
-		words[i] |= walkData(hier, cur)
-		if tail != nil {
-			words[i+1] |= walkData(hier, tail)
-		}
-		if w.mispredicted(cur) {
-			words[i] |= wMispredict
-			lastLine = ^uint64(0)
-		}
-		if tail != nil {
-			if w.mispredicted(tail) {
-				words[i+1] |= wMispredict
-				lastLine = ^uint64(0)
-			}
+		if cur.FuseHead && i+1 < len(ops) && fuseHash(cur.PC) < m.FusionRate {
+			words[i], words[i+1] = w.walk(cur, &ops[i+1])
 			i++
+		} else {
+			words[i], _ = w.walk(cur, nil)
 		}
 	}
-	*dst = Tape{Key: w.key, Words: words, IStats: hier.IStats, DStats: hier.DStats, w: w}
+	*dst = Tape{Key: w.key, Words: words, IStats: w.hier.IStats, DStats: w.hier.DStats, w: w}
 	return nil
 }
 
-// mispredicted resolves op through the predictor when it is a branch.
-func (w *walker) mispredicted(op *trace.MicroOp) bool {
-	return op.Kind == trace.KindBranch && w.pred.PredictUpdate(op.PC, op.Taken) != op.Taken
+// walk drives one dispatch group — cur and, when fused, tail — through
+// the structures in a live run's order: the fetch line, each half's
+// data access, then each half's branch. It returns the two halves'
+// outcome words (wt is 0 without a tail). The load/store switches are
+// written out here rather than in a helper: the walk runs once per
+// dispatch group, and a call per access shows in a live run's time.
+func (w *walker) walk(cur, tail *trace.MicroOp) (wc, wt uint8) {
+	h := w.hier
+	if line := cur.PC >> w.lineShift; line != w.lastLine {
+		w.lastLine = line
+		r := h.DoInstr(cur.PC)
+		wc = uint8(r.Level) | flag(r.TLBMiss, wITLB)
+	}
+	switch cur.Kind {
+	case trace.KindLoad:
+		r := h.DoLoad(cur.Addr)
+		wc |= uint8(r.Level)<<wDShift | flag(r.TLBMiss, wDTLB)
+	case trace.KindStore:
+		h.DoStore(cur.Addr)
+	}
+	if tail != nil {
+		wt = wFusedTail
+		switch tail.Kind {
+		case trace.KindLoad:
+			r := h.DoLoad(tail.Addr)
+			wt |= uint8(r.Level)<<wDShift | flag(r.TLBMiss, wDTLB)
+		case trace.KindStore:
+			h.DoStore(tail.Addr)
+		}
+	}
+	if cur.Kind == trace.KindBranch && w.mispredicted(cur) {
+		wc |= wMispredict
+	}
+	if tail != nil && tail.Kind == trace.KindBranch && w.mispredicted(tail) {
+		wt |= wMispredict
+	}
+	return wc, wt
 }
 
-// walkData performs op's data access and returns its tape bits.
-func walkData(h *cache.Hierarchy, op *trace.MicroOp) uint8 {
-	switch op.Kind {
-	case trace.KindLoad:
-		r := h.DoLoad(op.Addr)
-		return uint8(r.Level)<<wDShift | flag(r.TLBMiss, wDTLB)
-	case trace.KindStore:
-		h.DoStore(op.Addr)
+// mispredicted resolves branch op through the predictor; a
+// misprediction makes the next group refetch its line.
+func (w *walker) mispredicted(op *trace.MicroOp) bool {
+	if w.pred.PredictUpdate(op.PC, op.Taken) == op.Taken {
+		return false
 	}
-	return 0
+	w.lastLine = ^uint64(0)
+	return true
 }
 
 func flag(b bool, bit uint8) uint8 {
@@ -156,29 +180,14 @@ func (s *Simulator) Replay(res *Result, buf *trace.Buffer, t *Tape) error {
 		return fmt.Errorf("sim: tape of %d µops does not fit the %d-µop trace %q", len(t.Words), len(ops), name)
 	}
 	s.begin(res)
-	s.tape = t
 	words := t.Words
 	for i := 0; i < len(ops); i++ {
-		s.wCur = words[i]
 		if i+1 < len(ops) && words[i+1]&wFusedTail != 0 {
-			s.wTail = words[i+1]
-			s.step(&ops[i], &ops[i+1])
+			s.step(&ops[i], &ops[i+1], words[i], words[i+1])
 			i++
 		} else {
-			s.step(&ops[i], nil)
+			s.step(&ops[i], nil, words[i], 0)
 		}
 	}
-	return s.end(len(ops) > 0, name)
-}
-
-// tapeLoad prices a load's tape outcome with the machine's latencies,
-// as cache.Hierarchy.DoLoad would.
-func (s *Simulator) tapeLoad(w uint8) cache.Result {
-	lvl := cache.Level(w & wDLevel >> wDShift)
-	r := cache.Result{Level: lvl, Lat: s.loadLat[lvl&3], MemTrip: lvl == cache.LvlMem}
-	if w&wDTLB != 0 {
-		r.TLBMiss = true
-		r.Lat += s.dtlbMiss
-	}
-	return r
+	return s.end(len(ops) > 0, name, &t.IStats, &t.DStats)
 }

@@ -67,7 +67,7 @@ func TestReplayMatchesRunInto(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if replay[i], err = NewReplayer(m); err != nil {
+				if replay[i], err = New(m); err != nil {
 					t.Error(err)
 					return
 				}
@@ -115,8 +115,7 @@ func TestReplayMatchesRunInto(t *testing.T) {
 }
 
 // TestReplayRejectsForeignTapes: a tape replays only on a machine of its
-// walk key and only over a trace of its length, and a replay-only
-// simulator refuses to run live.
+// walk key and only over a trace of its length.
 func TestReplayRejectsForeignTapes(t *testing.T) {
 	spec := baseSpec("tape", 3)
 	spec.NumOps = 5000
@@ -126,14 +125,14 @@ func TestReplayRejectsForeignTapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res Result
-	i7, err := NewReplayer(uarch.CoreI7())
+	i7, err := New(uarch.CoreI7())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := i7.Replay(&res, buf.Replay(), &tape); err == nil {
 		t.Error("a core2 tape replayed on corei7")
 	}
-	c2, err := NewReplayer(uarch.CoreTwo())
+	c2, err := New(uarch.CoreTwo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +141,6 @@ func TestReplayRejectsForeignTapes(t *testing.T) {
 	if err := c2.Replay(&res, trace.Materialize(short), &tape); err == nil {
 		t.Error("a 5000-µop tape replayed over a 4000-µop trace")
 	}
-	if err := c2.RunInto(&res, buf.Replay()); err == nil {
-		t.Error("a replay-only simulator ran live")
-	}
 	if err := c2.Replay(&res, buf.Replay(), &tape); err != nil {
 		t.Errorf("the matching tape was rejected: %v", err)
 	}
@@ -152,6 +148,61 @@ func TestReplayRejectsForeignTapes(t *testing.T) {
 	bad.Predictor.Kind = 99
 	if err := Record(bad, buf, &Tape{}); err == nil {
 		t.Error("Record accepted an unknown predictor kind")
+	}
+}
+
+// TestReplayAndRunIntoShareOneSimulator: one simulator alternates
+// Replay, RunInto and Replay; each Result is struct-equal to a fresh
+// simulator's, and the warm alternation allocates nothing — the walker
+// a live run builds stays with the simulator for the next.
+func TestReplayAndRunIntoShareOneSimulator(t *testing.T) {
+	m := uarch.CoreTwo()
+	buf := trace.Materialize(baseSpec("alternate", 5))
+	var tape Tape
+	if err := Record(m, buf, &tape); err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(run func(*Simulator, *Result) error) Result {
+		s, err := New(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Result
+		if err := run(s, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	replay := func(s *Simulator, res *Result) error { return s.Replay(res, buf, &tape) }
+	live := func(s *Simulator, res *Result) error { return s.RunInto(res, buf) }
+	want := map[string]Result{"replay": fresh(replay), "live": fresh(live)}
+
+	s, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := []struct {
+		name string
+		run  func(*Simulator, *Result) error
+	}{{"replay", replay}, {"live", live}, {"replay", replay}}
+	var res Result
+	for i, step := range seq {
+		if err := step.run(s, &res); err != nil {
+			t.Fatalf("run %d (%s): %v", i, step.name, err)
+		}
+		if res != want[step.name] {
+			t.Errorf("run %d (%s) differs from a fresh simulator's:\n got %+v\nwant %+v",
+				i, step.name, res, want[step.name])
+		}
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		for _, step := range seq {
+			if err := step.run(s, &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("a warm Replay/RunInto/Replay alternation made %v allocations, want 0", n)
 	}
 }
 

@@ -346,22 +346,6 @@ type Source interface {
 	Next(op *MicroOp) bool
 }
 
-// Chunked is an optional Source extension for batched cursor reads: a
-// source that can hand out a contiguous read-only view of its upcoming
-// ops lets the simulator iterate a plain slice instead of paying an
-// interface call (plus a µop copy) per op. NextChunk returns the next
-// ops — as many as the source has ready, at least one unless the stream
-// is exhausted (then nil) — and advances the cursor past them. The
-// returned slice aliases the source's backing store and must be treated
-// as immutable; it stays valid until the source is Reset.
-//
-// Interleaving NextChunk with Next is allowed and reads the same
-// stream: both advance the same cursor.
-type Chunked interface {
-	Source
-	NextChunk() []MicroOp
-}
-
 // Buffer is a materialized µop stream: the whole sequence a Generator
 // would emit, expanded once into memory and replayed from there. A
 // Buffer replay is bit-identical to the generating stream (it is that
@@ -427,9 +411,10 @@ func (b *Buffer) Next(op *MicroOp) bool {
 }
 
 // NextChunk returns the whole remaining stream as one immutable slice
-// view and advances the cursor to the end — the Chunked fast path the
-// simulator uses to consume a replayed buffer without per-op interface
-// calls.
+// view and advances the cursor to the end: the simulator iterates it in
+// place instead of paying an interface call and a µop copy per op. The
+// slice aliases the shared backing store and stays valid until the
+// store is released.
 func (b *Buffer) NextChunk() []MicroOp {
 	if b.pos >= len(b.ops) {
 		return nil
