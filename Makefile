@@ -53,7 +53,7 @@ staticcheck:
 bench-smoke:
 	@echo "Running benchmark smoke (ops=$(BENCH_OPS)) against the run store at $(RUNSTORE)..."
 	@REPRO_RUNSTORE=$(RUNSTORE) REPRO_BENCH_OPS=$(BENCH_OPS) \
-		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|SimulatorReplay|CacheHierarchy|BranchPredict|TraceGeneration|TraceReplay|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|StoreGetPut|Fit$$' \
+		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|SimulatorReplay|CacheHierarchy|BranchPredict|TraceGeneration|TraceReplay|TraceDecode|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|StoreGetPut|Fit$$' \
 		-benchtime 1x -benchmem .
 
 # profile runs the simulator throughput benchmark under the CPU
@@ -215,8 +215,11 @@ sim-nondeterminism:
 # store-identity checks that a simulator change left every stored
 # Result byte for byte as it was: it fills one fresh run store from a
 # checkout of PARENT (git archive, under .bin/) and another from the
-# working tree — a fig2 campaign, then the memlat x l2kb grid plan of
-# DET_PLANS, both at SMOKE_OPS — and diffs the two stores.
+# working tree — a fig2 campaign, the memlat x l2kb grid plan of
+# DET_PLANS and the example seeds sweep, all at SMOKE_OPS — and diffs
+# the two stores. The campaign and the plan share every trace across
+# machines; the one-machine seeds sweep shares none, so its runs cover
+# the unshared path.
 #
 #   make store-identity PARENT=HEAD~1
 PARENT ?= HEAD~1
@@ -230,7 +233,9 @@ store-identity:
 		(cd $$src && go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 \
 			-store $$dir/store-$$side >/dev/null && \
 		go run ./cmd/sweep -base core2 -param memlat -values 150,300 -param l2kb -values 2048,4096 \
-			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json -store $$dir/store-$$side >/dev/null); \
+			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json -store $$dir/store-$$side >/dev/null && \
+		go run ./cmd/sweep -seeds examples/seeds/core2-seeds.json -ops $(SMOKE_OPS) -starts 2 -json \
+			-store $$dir/store-$$side >/dev/null); \
 	done; \
 	echo "Comparing run stores..."; \
 	diff -r $$dir/store-parent $$dir/store-head; \

@@ -352,7 +352,7 @@ func BenchmarkFit(b *testing.B) {
 			return
 		}
 		for _, w := range suites.CPU2000Like(suites.Options{NumOps: 100000}).Workloads {
-			r, err := s.Run(trace.New(w))
+			r, err := s.Run(trace.Materialize(w))
 			if err != nil {
 				fitObsErr = err
 				return
@@ -685,6 +685,39 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(w.NumOps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
 }
 
+// BenchmarkTraceDecode times the file-backed counterpart of
+// generation: decoding and checksum-verifying an exported .mtrc trace
+// into a Buffer, as runSimJobs materializes a file-backed spec, with
+// the backing store recycled from decode to decode. MB/s counts file
+// bytes.
+func BenchmarkTraceDecode(b *testing.B) {
+	suite := suites.CPU2000Like(suites.Options{NumOps: 100000})
+	w, _ := suite.Find("mcf")
+	path := filepath.Join(b.TempDir(), w.Name+trace.FileExt)
+	if err := trace.WriteFile(path, trace.Materialize(w)); err != nil {
+		b.Fatal(err)
+	}
+	spec, err := trace.ReadFileSpec(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	var ops []trace.MicroOp
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, err := trace.MaterializeSpecInto(spec, ops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops = buf.ReleaseOps()
+	}
+	b.ReportMetric(float64(w.NumOps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}
+
 // --- Extension: multi-axis grid plans (the plan engine). The benchmark
 // measures the plan's simulation phase over a 2×2 rob×mshrs grid (base
 // + 4 cells × the cpu2000 workloads), each workload's µop stream
@@ -834,7 +867,7 @@ func BenchmarkServePredict(b *testing.B) {
 func BenchmarkExtensionPrefetchSpeedup(b *testing.B) {
 	suite := suites.CPU2006Like(suites.Options{NumOps: 200000})
 	w, _ := suite.Find("lbm")
-	g := trace.New(w)
+	buf := trace.Materialize(w)
 	stock := uarch.CoreTwo()
 	pf := uarch.CoreTwo()
 	pf.Name = "core2-pf"
@@ -849,11 +882,11 @@ func BenchmarkExtensionPrefetchSpeedup(b *testing.B) {
 	}
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r1, err := sStock.Run(g)
+		r1, err := sStock.Run(buf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := sPF.Run(g)
+		r2, err := sPF.Run(buf)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -90,7 +90,7 @@ func main() {
 	jobWorkers := flag.Int("jobworkers", 1, "concurrent background jobs")
 	ops := flag.Int("ops", 300000, "µops per workload")
 	starts := flag.Int("starts", 12, "regression multi-start count")
-	workers := flag.Int("workers", 0, "simulation worker bound (default: NumCPU)")
+	workers := flag.Int("workers", 0, "simulation worker bound (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain", 2*time.Minute, "how long to drain in-flight requests and jobs on shutdown")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address over a dedicated listener (empty = off; never served on -addr)")
 	var traceSuites stringList

@@ -35,7 +35,7 @@ func pipeline(t *testing.T, m *uarch.Machine, numOps, stride int) (*core.Model, 
 		if i%stride != 0 {
 			continue
 		}
-		r, err := s.Run(trace.New(w))
+		r, err := s.Run(trace.Materialize(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestModelStackTracksGroundTruthTotals(t *testing.T) {
 		if i%3 != 0 {
 			continue
 		}
-		r, err := s.Run(trace.New(w))
+		r, err := s.Run(trace.Materialize(w))
 		if err != nil {
 			t.Fatal(err)
 		}

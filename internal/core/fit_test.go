@@ -223,7 +223,7 @@ func TestFitOnSimulatedWorkloads(t *testing.T) {
 		if i%2 == 1 { // every other workload: keep the test fast
 			continue
 		}
-		r, err := s.Run(trace.New(w))
+		r, err := s.Run(trace.Materialize(w))
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -660,10 +662,10 @@ func (jb *job) snapshotLocked() JobStatus {
 }
 
 // persist writes a terminal snapshot as a JSON artifact under the
-// configured directory, with the run store's atomic temp+rename
-// discipline so readers never observe a torn file. Persistence is best
-// effort: an unwritable artifact directory must not fail the job whose
-// result is still served from memory.
+// configured directory through atomicfile.Write, as the run store
+// writes its entries, so readers never observe a torn file.
+// Persistence is best effort: an unwritable artifact directory must not
+// fail the job whose result is still served from memory.
 func (j *Jobs) persist(st JobStatus) {
 	if j.cfg.ArtifactDir == "" || !st.State.Terminal() {
 		return
@@ -677,20 +679,8 @@ func (j *Jobs) persist(st JobStatus) {
 		return
 	}
 	dst := filepath.Join(j.cfg.ArtifactDir, st.ID+".json")
-	tmp, err := os.CreateTemp(j.cfg.ArtifactDir, "."+st.ID+".tmp-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-	}
+	atomicfile.Write(dst, "."+st.ID+".tmp-*", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

@@ -165,7 +165,7 @@ func TestSharedWalksMatchLiveRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range suite.Workloads {
-			want, err := s.Run(trace.New(w))
+			want, err := s.Run(trace.Materialize(w))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,6 +175,108 @@ func TestSharedWalksMatchLiveRuns(t *testing.T) {
 			}
 			if *got != *want {
 				t.Errorf("%s on %s: shared-walk result differs from a live run", w.Name, m.Name)
+			}
+		}
+	}
+}
+
+// freshRun simulates w on a fresh simulator of m over a fresh
+// materialization: the reference every batch path must reproduce.
+func freshRun(t *testing.T, m *uarch.Machine, w trace.Spec) *sim.Result {
+	t.Helper()
+	s, err := sim.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run(trace.Materialize(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestUnsharedMissesRecycleOneStore: a one-machine lab shares no trace,
+// so every workload takes the unshared path, and at one worker a single
+// backing store is refilled through the whole suite. Each Result must
+// equal a fresh run, and every spec is generated exactly once.
+func TestUnsharedMissesRecycleOneStore(t *testing.T) {
+	m := uarch.CoreTwo()
+	suite := suites.CPU2000Like(suites.Options{NumOps: 3000})
+	l, err := NewCustomLab([]*uarch.Machine{m}, []suites.Suite{suite}, Options{NumOps: 3000, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	n := len(suite.Workloads)
+	if st := l.SimStats(); st.Simulated != n || st.TraceGens != n {
+		t.Errorf("stats %+v, want %d simulated and %d traces generated", st, n, n)
+	}
+	for _, w := range suite.Workloads {
+		got, err := l.Run(m.Name, suite.Name, w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *freshRun(t, m, w) {
+			t.Errorf("%s: unshared result differs from a fresh run", w.Name)
+		}
+	}
+}
+
+// TestMixedSharedAndUnsharedMisses: a store pre-filled so that some
+// specs miss on one machine (unshared), some on two and some on all
+// three (shared, with and without a common walk key) mixes both paths
+// in one batch. Every Result must equal a fresh run, and each missed
+// spec is generated exactly once.
+func TestMixedSharedAndUnsharedMisses(t *testing.T) {
+	rob48 := uarch.CoreTwo()
+	rob48.Name = "core2-rob48"
+	rob48.ROBSize = 48
+	machines := []*uarch.Machine{uarch.CoreTwo(), rob48, uarch.CoreI7()}
+	suite := suites.CPU2000Like(suites.Options{NumOps: 3000})
+	store, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*sim.Result{}
+	misses := 0
+	for i, w := range suite.Workloads {
+		missing := 1 + i%3 // machines that miss this workload
+		for k, m := range machines {
+			r := freshRun(t, m, w)
+			want[m.Name+"/"+w.Name] = r
+			// Rotate which machines miss, so the shared pairs cover a
+			// common walk key (core2, core2-rob48) and distinct ones.
+			if (k+i)%len(machines) >= missing {
+				if err := store.PutResult(runstore.SimKey(m, w), r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		misses += missing
+	}
+	l, err := NewCustomLab(machines, []suites.Suite{suite}, Options{NumOps: 3000, Workers: 2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	// Every workload misses on at least one machine.
+	total, specs := len(machines)*len(suite.Workloads), len(suite.Workloads)
+	if st := l.SimStats(); st.Simulated != misses || st.Hits != total-misses || st.TraceGens != specs {
+		t.Errorf("stats %+v, want %d simulated, %d hits and %d traces generated",
+			st, misses, total-misses, specs)
+	}
+	for _, m := range machines {
+		for _, w := range suite.Workloads {
+			got, err := l.Run(m.Name, suite.Name, w.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want[m.Name+"/"+w.Name] {
+				t.Errorf("%s on %s: result differs from a fresh run", w.Name, m.Name)
 			}
 		}
 	}

@@ -102,7 +102,6 @@ func LoadOptimizeSpec(path string) (OptimizeSpec, error) { return loadFile(path,
 // via the sweep-param table, every cell derived and validated up
 // front) and the objective/search sections with defaults applied.
 type Optimize struct {
-	Spec OptimizeSpec
 	Plan *Plan
 
 	Objective ObjectiveSpec
@@ -122,7 +121,7 @@ func (spec OptimizeSpec) Resolve() (*Optimize, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Optimize{Spec: spec, Plan: plan, Objective: spec.Objective, Search: spec.Search}
+	o := &Optimize{Plan: plan, Objective: spec.Objective, Search: spec.Search}
 
 	ob := &o.Objective
 	switch ob.Kind {
@@ -320,9 +319,8 @@ type optimizer struct {
 	baseCPI   float64
 	baseCost  float64
 
-	memo      map[int]*OptimizePoint // full-fidelity probes by cell index
-	low       map[lowKey]*OptimizePoint
-	rungEvals map[int]int // reduced-fidelity evaluations by ops
+	memo      map[int]*OptimizePoint    // full-fidelity probes by cell index
+	low       map[lowKey]*OptimizePoint // screens; the report's rungs count them per ops
 	stats     SimStats
 	refits    int
 	truncated bool
@@ -365,7 +363,6 @@ func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(do
 		baseCost:  float64(len(o.Plan.Axes)),
 		memo:      map[int]*OptimizePoint{},
 		low:       map[lowKey]*OptimizePoint{},
-		rungEvals: map[int]int{},
 		stats:     baseSt,
 	}
 	cpis := make([]float64, 0, len(base.Obs))
@@ -404,8 +401,12 @@ func RunOptimize(ctx context.Context, o *Optimize, opts Options, onProbe func(do
 	res.Probes = len(z.memo)
 	res.Refits = z.refits
 	res.Truncated = z.truncated
-	for ops := range z.rungEvals {
-		res.Rungs = append(res.Rungs, OptimizeRung{Ops: ops, Probes: z.rungEvals[ops]})
+	probes := map[int]int{} // reduced-fidelity evaluations by ops
+	for k := range z.low {
+		probes[k.ops]++
+	}
+	for ops, n := range probes {
+		res.Rungs = append(res.Rungs, OptimizeRung{Ops: ops, Probes: n})
 	}
 	sort.Slice(res.Rungs, func(a, b int) bool { return res.Rungs[a].Ops < res.Rungs[b].Ops })
 	res.Sims = z.stats
@@ -614,13 +615,13 @@ func (z *optimizer) evalCells(suite suites.Suite, idxs []int, allowRefit bool) (
 // probeFull evaluates cells at full fidelity, memoized: revisited cells
 // are free, and the probe budget (MaxProbes) is charged only for fresh
 // evaluations — when it runs out, the remaining requests are dropped and
-// the search is marked truncated.
+// the search is marked truncated. idxs are distinct cells: a descent
+// line holds one axis's values, which validation makes unique, and
+// halving candidates are distinct indices.
 func (z *optimizer) probeFull(idxs []int) error {
 	var missing []int
-	seen := map[int]bool{}
 	for _, idx := range idxs {
-		if _, ok := z.memo[idx]; !ok && !seen[idx] {
-			seen[idx] = true
+		if _, ok := z.memo[idx]; !ok {
 			missing = append(missing, idx)
 		}
 	}
@@ -676,7 +677,6 @@ func (z *optimizer) probeLow(ops int, idxs []int) (map[int]*OptimizePoint, error
 	if err != nil {
 		return nil, err
 	}
-	z.rungEvals[ops] += len(missing)
 	for idx, pt := range pts {
 		z.low[lowKey{ops, idx}] = pt
 		out[idx] = pt

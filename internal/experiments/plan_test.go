@@ -150,11 +150,11 @@ func TestParsePlanSpecStrict(t *testing.T) {
 	}
 }
 
-// streamedLabs simulates every machine in a single-machine lab of its
+// unsharedLabs simulates every machine in a single-machine lab of its
 // own, so no workload is ever shared across machines and every run
-// streams from the generator instead of a materialized buffer. It
+// materializes its own trace instead of replaying a shared buffer. It
 // returns the labs by machine name and their summed sourcing.
-func streamedLabs(t *testing.T, machines []*uarch.Machine, suite suites.Suite, opts Options) (map[string]*Lab, SimStats) {
+func unsharedLabs(t *testing.T, machines []*uarch.Machine, suite suites.Suite, opts Options) (map[string]*Lab, SimStats) {
 	t.Helper()
 	labs := make(map[string]*Lab, len(machines))
 	var st SimStats
@@ -236,7 +236,7 @@ func legacySweep(t *testing.T, base *uarch.Machine, param string, values []int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	labs, st := streamedLabs(t, machines, suite, opts)
+	labs, st := unsharedLabs(t, machines, suite, opts)
 	if st.TraceGens != st.Simulated {
 		t.Fatalf("reference generated %d streams for %d simulations, want one each", st.TraceGens, st.Simulated)
 	}
@@ -313,8 +313,8 @@ func TestSingleAxisPlanMatchesLegacySweep(t *testing.T) {
 
 // TestRunPlanSharedTraceStats pins the trace-replay economics: a cold
 // grid generates each workload's stream once (not once per cell), a
-// warm rerun generates none, and streaming every run from the
-// generator pays one generation per simulation — all with bit-identical
+// warm rerun generates none, and materializing every run's trace on
+// its own pays one generation per simulation — all with bit-identical
 // results.
 func TestRunPlanSharedTraceStats(t *testing.T) {
 	if testing.Short() {
@@ -379,7 +379,7 @@ func TestRunPlanSharedTraceStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labs, regenStats := streamedLabs(t, plan.Machines, suite, regenOpts)
+	labs, regenStats := unsharedLabs(t, plan.Machines, suite, regenOpts)
 	if regenStats.TraceGens != machines*workloads {
 		t.Errorf("unshared plan generated %d traces, want %d", regenStats.TraceGens, machines*workloads)
 	}

@@ -93,26 +93,30 @@ type traceSlot struct {
 // regenerated per (machine, workload) pair. Among those machines, each
 // group that shares a walk key (a plan's rob, mshrs, width, memlat or
 // depth cells) also shares one walk of the stream through the caches,
-// TLBs and branch predictor: the materializer records it into a
-// sim.Tape right after producing the buffer, and each machine of the
-// group replays only the timing core from it (sim.Simulator.Replay,
+// TLBs and branch predictor: the materializer records it into a sim.Tape
+// right after producing the buffer, and each machine of the group
+// replays only the timing core from it (sim.Simulator.Replay,
 // struct-equal to a live run). A walk key used by a single job runs
-// live, as every job of a campaign's distinct stock machines and of a
-// seed sweep does. Misses are dispatched
-// workload-major (all machines of one workload adjacently) regardless
-// of the order jobs were enqueued in, and a dedicated materializer
-// goroutine produces the buffers in that same order, ahead of the
-// workers — cells simulate while the next workload's stream generates
-// instead of stalling on it. At most workers+1 streams are live at
-// once — every worker replaying a distinct buffer while the
-// materializer fills the next — so the pipeline's memory is bounded at
-// ≈(workers+1)·56·NumOps bytes: the materializer blocks until a slot
-// frees, and the last user of each buffer returns its backing store for
-// the next workload to refill in place, so a long plan touches a
-// bounded set of stores instead of allocating one per workload. Results
-// are deterministic regardless of scheduling, sourcing and stream kind
-// (a replayed buffer is bit-identical to its generating stream, and a
-// cached Result is exactly what re-simulating would produce).
+// live, as every job of a campaign's distinct stock machines does. A
+// spec only one job misses (every job of a one-machine seed sweep or
+// provider fit) is materialized by the worker that runs it, into a
+// backing store that worker refills from job to job, so those batches
+// generate on every worker at once. Misses are dispatched workload-major
+// (all machines of one workload adjacently) regardless of the order jobs
+// were enqueued in, and a dedicated materializer goroutine produces the
+// shared buffers in that same order, ahead of the workers — cells
+// simulate while the next workload's stream generates instead of
+// stalling on it. At most workers+1 shared streams are live at once —
+// every worker replaying a distinct buffer while the materializer fills
+// the next — so the pipeline's memory is bounded at
+// ≈(workers+1)·56·NumOps bytes, plus one unshared store per worker that
+// runs an unshared job: the materializer blocks until a slot frees, and
+// the last user of each buffer returns its backing store for the next
+// workload to refill in place, so a long plan touches a bounded set of
+// stores instead of allocating one per workload. Results are
+// deterministic regardless of scheduling and sourcing (every buffer of a
+// spec holds the same stream, and a cached Result is exactly what
+// re-simulating would produce).
 //
 // Cancelling ctx stops the store lookup and the dispatch of new
 // simulations: jobs already running on a worker finish (and are
@@ -283,8 +287,11 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 		go func() {
 			defer wg.Done()
 			// One simulator per machine per worker, lazily built; its
-			// caches are built only if it runs a job live.
+			// caches are built only if it runs a job live. own is the
+			// worker's backing store for unshared traces, refilled in
+			// place from job to job.
 			sims := map[string]*sim.Simulator{}
+			var own []trace.MicroOp
 			for j := range ch {
 				s, ok := sims[j.machine.Name]
 				if !ok {
@@ -295,7 +302,6 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 					}
 					sims[j.machine.Name] = s
 				}
-				var src trace.Source
 				var buf, cursor *trace.Buffer
 				if sh := j.shared; sh != nil {
 					<-sh.ready
@@ -303,10 +309,9 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 						continue // materialization aborted
 					}
 					cursor = buf.Replay()
-					src = cursor
 				} else {
 					var err error
-					src, err = trace.NewSpecSource(*j.spec)
+					cursor, err = trace.MaterializeSpecInto(*j.spec, own)
 					if err != nil {
 						fail(fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err))
 						continue
@@ -318,9 +323,11 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 				if j.walk >= 0 {
 					err = s.Replay(res, cursor, j.shared.tapes[j.walk])
 				} else {
-					err = s.RunInto(res, src)
+					err = s.RunInto(res, cursor)
 				}
-				if sh := j.shared; sh != nil && sh.left.Add(-1) == 0 {
+				if sh := j.shared; sh == nil {
+					own = cursor.ReleaseOps()
+				} else if sh.left.Add(-1) == 0 {
 					// Last user: recycle the stream's backing store and
 					// tapes for the workload the materializer produces
 					// next.

@@ -56,7 +56,6 @@ func LoadSeedsSpec(path string) (SeedsSpec, error) { return loadFile(path, Parse
 // against the suite registry, and the replication list expanded and
 // deduplicated.
 type Seeds struct {
-	Spec     SeedsSpec
 	Machines []*uarch.Machine
 	Suites   []string
 	SeedList []uint64
@@ -71,7 +70,7 @@ type Seeds struct {
 // ambiguous subjects, empty or duplicated seed lists — is rejected
 // here, so the serving layer and job engine fail fast.
 func (spec SeedsSpec) Resolve() (*Seeds, error) {
-	s := &Seeds{Spec: spec}
+	s := &Seeds{}
 
 	switch {
 	case spec.Campaign != nil:

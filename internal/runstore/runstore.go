@@ -43,6 +43,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"repro/internal/atomicfile"
 	"repro/internal/calibrator"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -219,9 +220,9 @@ func (s *Store) Get(key string, v any) (bool, error) {
 	return true, nil
 }
 
-// Put writes v under key atomically: the entry is marshalled to a temp
-// file in the destination directory and renamed into place, so readers
-// only ever observe complete entries.
+// Put writes v under key atomically (atomicfile.Write): the entry is
+// marshalled to a temp file in the destination directory and renamed
+// into place, so readers only ever observe complete entries.
 func (s *Store) Put(key string, v any) error {
 	data, err := json.Marshal(envelope{
 		Format:  FormatVersion,
@@ -236,22 +237,18 @@ func (s *Store) Put(key string, v any) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+key[:12]+".tmp-*")
-	if err != nil {
+	step, err := atomicfile.Write(dst, "."+key[:12]+".tmp-*", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	switch {
+	case err == nil:
+	case step == atomicfile.Create:
 		return fmt.Errorf("runstore: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("runstore: write %s: %w", key[:12], werr)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
+	case step == atomicfile.Rename:
 		return fmt.Errorf("runstore: commit %s: %w", key[:12], err)
+	default:
+		return fmt.Errorf("runstore: write %s: %w", key[:12], err)
 	}
 	s.puts.Add(1)
 	return nil

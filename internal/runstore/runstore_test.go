@@ -24,7 +24,7 @@ func simulateOne(t testing.TB) (*uarch.Machine, trace.Spec, *sim.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run(trace.New(w))
+	r, err := s.Run(trace.Materialize(w))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,43 +182,37 @@ type robMeta struct {
 	dtlbMiss bool
 }
 
-// Run executes the workload stream g to completion and returns counters
-// and ground-truth accounting. It is RunInto with a fresh Result.
-func (s *Simulator) Run(g trace.Source) (*Result, error) {
+// Run executes the materialized workload stream b to completion and
+// returns counters and ground-truth accounting. It is RunInto with a
+// fresh Result.
+func (s *Simulator) Run(b *trace.Buffer) (*Result, error) {
 	res := &Result{}
-	if err := s.RunInto(res, g); err != nil {
+	if err := s.RunInto(res, b); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// RunInto executes the workload stream g to completion and fills *res
-// with counters and ground-truth accounting, overwriting any previous
-// contents. The source is reset first, so the same Generator or Buffer
-// cursor can be run on several machines. A materialized trace.Buffer
-// replay produces the exact stream its Generator would, so Results are
-// bit-identical across source kinds (the buffer's ops are iterated in
-// place, the generator's streamed; both walk and step each group the
-// same way).
+// RunInto executes the materialized workload stream b to completion and
+// fills *res with counters and ground-truth accounting, overwriting any
+// previous contents. The cursor is reset first, so the same Buffer can
+// be run on several machines; its ops are iterated in place, each
+// dispatch group walked through the caches and predictor and then
+// stepped through the timing core.
 //
 // All working state lives on the Simulator, so steady-state calls
 // allocate nothing — the benchmark gate asserts 0 B/op. A reset walker
 // is bit-identical to a fresh one, so runs stay independent.
-func (s *Simulator) RunInto(res *Result, g trace.Source) error {
+func (s *Simulator) RunInto(res *Result, b *trace.Buffer) error {
 	w, err := walkerFor(s.m, s.w)
 	if err != nil {
 		return err
 	}
 	s.w = w
-	g.Reset()
+	b.Reset()
 	s.begin(res)
-	var ok bool
-	if b, isBuf := g.(*trace.Buffer); isBuf {
-		ok = s.driveOps(b.NextChunk())
-	} else {
-		ok = s.driveGeneric(g)
-	}
-	return s.end(ok, g.Spec().Name, &w.hier.IStats, &w.hier.DStats)
+	ok := s.driveOps(b.NextChunk())
+	return s.end(ok, b.Spec().Name, &w.hier.IStats, &w.hier.DStats)
 }
 
 // begin resets the timing core's per-run state and points it at res.
@@ -261,35 +255,10 @@ func (s *Simulator) end(ok bool, workload string, is, ds *cache.SideStats) error
 	return nil
 }
 
-// driveGeneric streams ops one at a time with one-op lookahead for
-// fusion — the path for Generator-backed (or any non-Buffer) sources.
-// It reports false for an empty stream.
-func (s *Simulator) driveGeneric(g trace.Source) bool {
-	var cur, nxt trace.MicroOp
-	haveNxt := g.Next(&nxt)
-	if !haveNxt {
-		return false
-	}
-	w := s.w
-	for haveNxt {
-		cur = nxt
-		haveNxt = g.Next(&nxt)
-		if cur.FuseHead && haveNxt && fuseHash(cur.PC) < s.fusionRate {
-			tail := nxt
-			haveNxt = g.Next(&nxt)
-			wc, wt := w.walk(&cur, &tail)
-			s.step(&cur, &tail, wc, wt)
-		} else {
-			wc, _ := w.walk(&cur, nil)
-			s.step(&cur, nil, wc, 0)
-		}
-	}
-	return true
-}
-
-// driveOps walks and steps a materialized stream in place — no
-// interface call or µop copy per op — taking driveGeneric's fusion
-// decisions. It reports false for an empty stream.
+// driveOps walks and steps a materialized stream in place, fusing a
+// FuseHead with the µop after it when the static PC's fuseHash falls
+// under the machine's fusion rate. It reports false for an empty
+// stream.
 func (s *Simulator) driveOps(ops []trace.MicroOp) bool {
 	w := s.w
 	for i := 0; i < len(ops); i++ {

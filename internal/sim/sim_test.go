@@ -40,7 +40,7 @@ func mustRun(t *testing.T, m *uarch.Machine, spec trace.Spec) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run(trace.New(spec))
+	r, err := s.Run(trace.Materialize(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +92,17 @@ func TestSimulatorReusableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := trace.New(baseSpec("reuse", 3))
-	r1, err := s.Run(g)
+	buf := trace.Materialize(baseSpec("reuse", 3))
+	r1, err := s.Run(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Run(g)
+	r2, err := s.Run(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Counters != r2.Counters {
-		t.Error("re-running the same generator on the same simulator diverged")
+		t.Error("re-running the same buffer on the same simulator diverged")
 	}
 }
 
@@ -427,7 +427,7 @@ func TestSimInvariantsProperty(t *testing.T) {
 		spec.LoadFrac = float64(loadF%35) / 100
 		spec.BranchHardFrac = float64(hardF%100) / 100
 		s := sims[int(mIdx)%len(sims)]
-		r, err := s.Run(trace.New(spec))
+		r, err := s.Run(trace.Materialize(spec))
 		if err != nil {
 			return false
 		}
@@ -455,7 +455,7 @@ func TestResultEncodeRoundTripAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run(trace.New(baseSpec("encode", 5)))
+	r, err := s.Run(trace.Materialize(baseSpec("encode", 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,37 +518,33 @@ func TestBadPredictorConfigFailsAtRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New should defer predictor validation to Run: %v", err)
 	}
-	if _, err := s.Run(trace.New(baseSpec("badpred", 3))); err == nil {
+	if _, err := s.Run(trace.Materialize(baseSpec("badpred", 3))); err == nil {
 		t.Error("Run should reject an unknown predictor kind")
 	}
 }
 
-// Buffer-fed runs must produce per-float-identical Results to
-// generator-fed runs on every stock machine: the run store and the grid
-// plan engine treat the two source kinds as interchangeable.
+// Replaying one shared buffer must reproduce, per float, the Result of
+// a fresh simulator over a fresh materialization on every stock
+// machine, and must stay stable when replayed again: the run store and
+// the grid plan engine treat every cursor over a workload's stream as
+// interchangeable.
 func TestBufferReplayResultsBitIdentical(t *testing.T) {
 	spec := baseSpec("replay", 23)
 	buf := trace.Materialize(spec)
 	for _, m := range uarch.StockMachines() {
-		want := mustRun(t, m, spec) // generator-fed
+		want := mustRun(t, m, spec)
 		s, err := New(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Run(buf.Replay())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: buffer-fed result differs from generator-fed", m.Name)
-		}
-		// And replaying the same shared buffer again must be stable.
-		again, err := s.Run(buf.Replay())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(again, want) {
-			t.Errorf("%s: second replay drifted", m.Name)
+		for _, pass := range []string{"first", "second"} {
+			got, err := s.Run(buf.Replay())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s replay of the shared buffer drifted", m.Name, pass)
+			}
 		}
 	}
 }

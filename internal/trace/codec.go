@@ -36,7 +36,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"repro/internal/atomicfile"
 )
 
 const (
@@ -272,29 +273,15 @@ func decode(r io.Reader, ops []MicroOp, keepOps bool) (*Buffer, error) {
 	return &Buffer{spec: spec, ops: ops}, nil
 }
 
-// WriteFile encodes the buffer to path atomically (temp file + rename in
-// the destination directory), the runstore discipline: readers never see
-// a half-written trace.
+// WriteFile encodes the buffer to path atomically (atomicfile.Write:
+// temp file + rename in the destination directory), as the run store
+// writes its entries: readers never see a half-written trace.
 func WriteFile(path string, b *Buffer) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".mtrc-*")
-	if err != nil {
+	step, err := atomicfile.Write(path, ".mtrc-*", b.Encode)
+	if err != nil && step != atomicfile.Fill {
 		return fmt.Errorf("trace: write %s: %w", path, err)
 	}
-	if err := b.Encode(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("trace: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("trace: write %s: %w", path, err)
-	}
-	return nil
+	return err
 }
 
 // ReadFile decodes the trace file at path. The returned buffer's spec
@@ -363,17 +350,4 @@ func MaterializeSpecInto(spec Spec, ops []MicroOp) (*Buffer, error) {
 			spec.SourceFile, b.spec.Content, spec.Content)
 	}
 	return b, nil
-}
-
-// NewSpecSource is the file-aware trace.New: a streaming generator for
-// generated specs, a decoded buffer for file-backed ones, and errors
-// instead of panics either way.
-func NewSpecSource(spec Spec) (Source, error) {
-	if spec.SourceFile == "" {
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		return New(spec), nil
-	}
-	return MaterializeSpec(spec)
 }

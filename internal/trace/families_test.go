@@ -7,8 +7,9 @@ import "testing"
 // Reset and must actually change the stream statistics they claim to.
 
 func TestPhasedDeterministic(t *testing.T) {
-	g := New(phasedSpec())
-	first := make([]MicroOp, 0, g.NumOps())
+	spec := phasedSpec()
+	g := New(spec)
+	first := make([]MicroOp, 0, spec.NumOps)
 	var op MicroOp
 	for g.Next(&op) {
 		first = append(first, op)
@@ -19,8 +20,8 @@ func TestPhasedDeterministic(t *testing.T) {
 			t.Fatalf("op %d differs after Reset", i)
 		}
 	}
-	if len(first) != g.NumOps() {
-		t.Fatalf("emitted %d ops, want %d", len(first), g.NumOps())
+	if len(first) != spec.NumOps {
+		t.Fatalf("emitted %d ops, want %d", len(first), spec.NumOps)
 	}
 }
 

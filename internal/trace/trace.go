@@ -6,7 +6,8 @@
 // chasing, and register-dependence structure. The generator expands the
 // spec into a deterministic, seeded stream of micro-ops with concrete
 // program counters, data addresses, branch outcomes, and producer
-// distances, which the cycle-level simulator in internal/sim executes.
+// distances. A Buffer holds that stream materialized, and is what the
+// cycle-level simulator in internal/sim executes.
 //
 // The same Spec always produces the exact same µop stream, so every
 // machine configuration observes the same program — differences in
@@ -327,32 +328,15 @@ const (
 	lineBytes  = 64          // data line granularity for locality
 )
 
-// Source is a replayable µop stream: the simulator's input contract.
-// A Source always replays the exact same stream after Reset, so one
-// workload can be run on many machine configurations and every machine
-// observes the same program. Implementations are not safe for
-// concurrent use; Buffer.Replay hands out independent cursors over one
-// shared materialization.
-type Source interface {
-	// Spec returns the workload description the stream was generated
-	// from.
-	Spec() Spec
-	// NumOps returns the stream length.
-	NumOps() int
-	// Reset restarts the stream from the beginning.
-	Reset()
-	// Next fills op with the next µop and returns true, or returns
-	// false when the stream is exhausted.
-	Next(op *MicroOp) bool
-}
-
-// Buffer is a materialized µop stream: the whole sequence a Generator
-// would emit, expanded once into memory and replayed from there. A
-// Buffer replay is bit-identical to the generating stream (it is that
-// stream, recorded), so simulation Results are unchanged — but replay
-// skips the RNG and block-walk work entirely, which is what makes a
-// grid of machines over one workload cheaper than regenerating the
-// trace per machine.
+// Buffer is a materialized µop stream, the simulator's only input: the
+// whole sequence a Generator would emit (or a trace file holds),
+// expanded once into memory and replayed from there. A Buffer is
+// bit-identical to the generating stream (it is that stream, recorded),
+// and every cursor over it replays that exact stream, so one workload
+// runs on many machine configurations and every machine observes the
+// same program. Replay skips the RNG and block-walk work entirely, which
+// is what makes a grid of machines over one workload cheaper than
+// regenerating the trace per machine.
 //
 // The ops backing store is shared and immutable; a Buffer itself is a
 // cursor (not safe for concurrent use), and Replay returns additional
@@ -504,12 +488,6 @@ type Generator struct {
 	calmGeo   rng.GeometricDist
 }
 
-// Both stream kinds satisfy the simulator's input contract.
-var (
-	_ Source = (*Generator)(nil)
-	_ Source = (*Buffer)(nil)
-)
-
 // New constructs a generator for the spec. It panics if the spec is
 // invalid; call Validate first for graceful handling.
 func New(spec Spec) *Generator {
@@ -642,12 +620,6 @@ func (g *Generator) Reset() {
 		g.stateLeft = g.calmGeo.Next(g.r) + 1
 	}
 }
-
-// Spec returns the workload specification.
-func (g *Generator) Spec() Spec { return g.spec }
-
-// NumOps returns the stream length.
-func (g *Generator) NumOps() int { return g.spec.NumOps }
 
 // Next fills op with the next µop and returns true, or returns false when
 // the stream is exhausted.
