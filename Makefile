@@ -221,6 +221,13 @@ sim-nondeterminism:
 # machines; the one-machine seeds sweep shares none, so its runs cover
 # the unshared path.
 #
+# It then reads each store with the other side: the working tree
+# answers the fig2 campaign from a copy of the parent's store, and the
+# parent from a copy of the working tree's. Both must be pure hits with
+# the Figure 2 of the fills. A reader that rejects what the other side
+# wrote would re-simulate to the same output, so only this check sees
+# it.
+#
 #   make store-identity PARENT=HEAD~1
 PARENT ?= HEAD~1
 
@@ -231,7 +238,7 @@ store-identity:
 		src=$(CURDIR); [ $$side = head ] || src=$$dir/parent; \
 		echo "Filling a run store from $$side (ops=$(SMOKE_OPS))..."; \
 		(cd $$src && go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 \
-			-store $$dir/store-$$side >/dev/null && \
+			-store $$dir/store-$$side >$$dir/fig2-$$side.txt && \
 		go run ./cmd/sweep -base core2 -param memlat -values 150,300 -param l2kb -values 2048,4096 \
 			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json -store $$dir/store-$$side >/dev/null && \
 		go run ./cmd/sweep -seeds examples/seeds/core2-seeds.json -ops $(SMOKE_OPS) -starts 2 -json \
@@ -239,7 +246,18 @@ store-identity:
 	done; \
 	echo "Comparing run stores..."; \
 	diff -r $$dir/store-parent $$dir/store-head; \
-	echo "store-identity: $$(find $$dir/store-head -name '*.json' | wc -l) entries byte-identical to $(PARENT)"
+	cmp $$dir/fig2-parent.txt $$dir/fig2-head.txt; \
+	for side in parent head; do \
+		src=$(CURDIR); other=parent; [ $$side = head ] || { src=$$dir/parent; other=head; }; \
+		echo "Reading the $$other store from $$side..."; \
+		cp -r $$dir/store-$$other $$dir/cross-$$side; \
+		(cd $$src && go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 \
+			-store $$dir/cross-$$side >$$dir/fig2-cross-$$side.txt 2>$$dir/cross-$$side.err) \
+			|| { cat $$dir/cross-$$side.err; exit 1; }; \
+		grep "0 simulated (100.0% hit rate)" $$dir/cross-$$side.err; \
+		cmp $$dir/fig2-head.txt $$dir/fig2-cross-$$side.txt; \
+	done; \
+	echo "store-identity: $$(find $$dir/store-head -name '*.json' | wc -l) entries byte-identical to $(PARENT), each side reads the other's"
 
 # scale-smoke is sim-nondeterminism's wall-clock companion: the same
 # 2x2 grid plan, but built with the race detector and run cold twice —
@@ -364,6 +382,8 @@ fuzz-smoke:
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s
 	@echo "Fuzzing run-store entry decoding for 20s..."
 	@go test ./internal/runstore -run '^$$' -fuzz '^FuzzStoreEnvelope$$' -fuzztime 20s
+	@echo "Fuzzing the Result codec against encoding/json for 20s..."
+	@go test ./internal/sim -run '^$$' -fuzz '^FuzzResultCodec$$' -fuzztime 20s
 	@echo "Fuzzing .mtrc trace decoding for 20s..."
 	@go test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 	@echo "Fuzzing the response indenter against json.Indent for 20s..."

@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -235,6 +236,24 @@ func FuzzStoreEnvelope(f *testing.F) {
 		}
 		f.Add(data)
 		f.Add(data[:len(data)/2])
+		// Well-formed entries in other spellings than Put's.
+		for _, edit := range [][2]string{
+			{`{"format":1`, ` {"format": 1`},
+			{`"key"`, `"k\u0065y"`},
+			{`"Uops"`, `"\u0055ops"`},
+			{`"Cycles":`, `"Cycles":0`},
+			{`,"payload":`, `,"payload":null,"payload":`},
+		} {
+			f.Add(bytes.Replace(data, []byte(edit[0]), []byte(edit[1]), 1))
+		}
+	}
+	withTruth := *r
+	withTruth.Truth.Cycles[0] = 5
+	if err := seeds.PutResult(key, &withTruth); err != nil {
+		f.Fatal(err)
+	}
+	if data, err := os.ReadFile(seeds.path(key)); err == nil {
+		f.Add(bytes.Replace(data, []byte(`[5,`), []byte(`[5.0,`), 1))
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"` + key + `","payload":{}}`))

@@ -24,6 +24,16 @@
 // version-mismatched entries are treated as misses and evicted so the
 // next Put rewrites them.
 //
+// Every lookup reads its entry in one open, reads to end of file and one
+// close (readEntry); the open does not block on a FIFO. Simulation
+// entries skip encoding/json: PutResult writes the envelope around
+// sim.Result's own encoding, byte for byte what Put would write, and
+// GetResult hits only on exactly those bytes, decoded in one pass. Any
+// other spelling of the same JSON is an evicted miss, as a fit whose
+// payload does not re-encode to its stored bytes is. Fits and
+// calibrations use the generic Put and Get, which go through
+// encoding/json.
+//
 // experiments.Lab consults the store before dispatching simulations and
 // before fitting, which makes every downstream experiment incremental: a
 // warm rerun of cmd/experiments, cmd/mecpi, or the top-level benchmarks
@@ -41,7 +51,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/atomicfile"
 	"repro/internal/calibrator"
@@ -121,13 +133,18 @@ func FitKey(mp uarch.ModelParams, obs []core.Observation, opts core.FitOptions) 
 	return keyOf("fit@"+core.FitVersion, hex.EncodeToString(sum[:]))
 }
 
+// keyOf hashes "repro/<kind>@<sim.Version>\n" followed by each part and
+// a newline, in one sha256.Sum256 call over a buffer that stays on the
+// stack for the key kinds in use.
 func keyOf(kind string, parts ...string) string {
-	h := sha256.New()
-	io.WriteString(h, "repro/"+kind+"@"+sim.Version+"\n")
+	var buf [256]byte
+	b := append(append(append(append(buf[:0], "repro/"...), kind...), '@'), sim.Version...)
+	b = append(b, '\n')
 	for _, p := range parts {
-		io.WriteString(h, p+"\n")
+		b = append(append(b, p...), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Stats counts store interactions since Open.
@@ -196,16 +213,18 @@ func (s *Store) path(key string) string {
 }
 
 // Get looks key up and, on a hit, unmarshals the payload into v (which
-// must be a pointer). The envelope and the payload decode in a single
-// pass, so on a miss v may hold part of an unusable payload. Absent,
-// corrupt, and stale entries all report a miss — including a payload
-// that no longer unmarshals into v — and the unusable file is evicted
-// so the next Put heals the entry. Get never returns an error today;
-// the return is kept so callers are ready for store backends where
-// lookups can genuinely fail.
+// must be a pointer). The entry is read by readEntry and decoded,
+// envelope and payload, in a single json.Unmarshal pass, so on a miss v
+// may hold part of an unusable payload. An absent or unreadable entry
+// is a miss. So is a corrupt or stale one — including a payload that no
+// longer unmarshals into v, or a FIFO, which reads as empty — and its
+// file is evicted so the next Put heals the entry. Get never returns an
+// error today; the return is kept so callers are ready for store
+// backends where lookups can genuinely fail.
 func (s *Store) Get(key string, v any) (bool, error) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
+	var buf [1024]byte
+	data, ok := s.readEntry(key, buf[:0])
+	if !ok {
 		s.misses.Add(1)
 		return false, nil
 	}
@@ -218,6 +237,36 @@ func (s *Store) Get(key string, v any) (bool, error) {
 	}
 	s.hits.Add(1)
 	return true, nil
+}
+
+// readEntry appends the entry file for key to buf, growing it as
+// needed, in one open, reads until end of file, and one close. It
+// reports false if the file cannot be opened or read.
+//
+// The file is opened O_NONBLOCK. Linux ignores the flag for regular
+// files, and os.OpenFile then skips the two SetNonblock round trips it
+// otherwise makes on every open. It also keeps a FIFO left at an entry
+// path from blocking open(2) until a writer appears: the read sees no
+// data and the FIFO is evicted like any other unusable entry.
+func (s *Store) readEntry(key string, buf []byte) ([]byte, bool) {
+	f, err := os.OpenFile(s.path(key), os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, true
+		}
+		if err != nil {
+			return nil, false
+		}
+	}
 }
 
 // Put writes v under key atomically (atomicfile.Write): the entry is
@@ -233,6 +282,11 @@ func (s *Store) Put(key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("runstore: marshal entry %s: %w", key[:12], err)
 	}
+	return s.write(key, data)
+}
+
+// write stores one entry's bytes under key atomically.
+func (s *Store) write(key string, data []byte) error {
 	dst := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("runstore: %w", err)
@@ -254,21 +308,33 @@ func (s *Store) Put(key string, v any) error {
 	return nil
 }
 
-// GetResult looks up a cached simulation Result, decoding the entry
-// straight into it. Only a Result whose counters validate is a hit:
-// entries that no longer decode as a Result, or decode to a degenerate
-// one (a null or empty payload, a run with no cycles or µops), are
-// evicted and report a miss, like any other corruption.
+// GetResult looks up a cached simulation Result. A hit is exactly the
+// bytes PutResult writes: the envelope prefix for key (resultPrefix),
+// the payload sim.Result.AppendEncode writes for the decoded Result, and
+// a closing brace, with counters that validate. Anything else — an
+// entry in another spelling of the same JSON, a payload that is not a
+// Result, or a degenerate one (a run with no cycles or µops) — is
+// evicted and reports a miss, like any other corruption. Reading one
+// takes one file read and one pass over its bytes, without encoding/json.
 func (s *Store) GetResult(key string) (*sim.Result, bool, error) {
-	r := new(sim.Result)
-	ok, err := s.Get(key, r)
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	if r.Counters.Validate() != nil {
-		s.reject(key)
+	var buf [1024]byte
+	data, ok := s.readEntry(key, buf[:0])
+	if !ok {
+		s.misses.Add(1)
 		return nil, false, nil
 	}
+	r := new(sim.Result)
+	var prefix [128]byte
+	payload, ok := bytes.CutPrefix(data, resultPrefix(prefix[:0], key))
+	if ok {
+		payload, ok = bytes.CutSuffix(payload, []byte{'}'})
+	}
+	if !ok || !r.Decode(payload) || r.Counters.Validate() != nil {
+		s.evict(key)
+		s.misses.Add(1)
+		return nil, false, nil
+	}
+	s.hits.Add(1)
 	return r, true, nil
 }
 
@@ -294,14 +360,26 @@ func (s *Store) GetFit(key string) (core.Params, bool, error) {
 	return core.Params{}, false, nil
 }
 
-// PutResult stores a simulation Result under key using sim's
-// deterministic encoding.
+// PutResult stores a simulation Result under key: resultPrefix, the
+// payload sim.Result.AppendEncode writes, and a closing brace. For the
+// hex keys this package builds, which JSON writes unescaped, these are
+// the bytes Put(key, r) writes, built without encoding/json.
 func (s *Store) PutResult(key string, r *sim.Result) error {
-	data, err := r.Encode()
+	data, err := r.AppendEncode(resultPrefix(make([]byte, 0, 1024), key))
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
-	return s.Put(key, json.RawMessage(data))
+	return s.write(key, append(data, '}'))
+}
+
+// resultPrefix appends the envelope bytes that precede a Result's
+// payload under key, as json.Marshal writes them for an envelope.
+func resultPrefix(b []byte, key string) []byte {
+	b = append(b, `{"format":`...)
+	b = strconv.AppendInt(b, FormatVersion, 10)
+	b = append(append(b, `,"version":"`...), sim.Version...)
+	b = append(append(b, `","key":"`...), key...)
+	return append(b, `","payload":`...)
 }
 
 // reject turns a hit whose payload turned out unusable into an evicted

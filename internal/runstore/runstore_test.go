@@ -190,6 +190,86 @@ func TestDegenerateResultIsMissAndEvicted(t *testing.T) {
 	}
 }
 
+// TestPutResultWritesPutBytes: PutResult's literal envelope is the
+// entry the generic Put writes for the same Result through
+// encoding/json, so stores filled either way read the same.
+func TestPutResultWritesPutBytes(t *testing.T) {
+	m, w, r := simulateOne(t)
+	key := SimKey(m, w)
+	entry := func(put func(*Store) error) []byte {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := put(st); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(st.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	got := entry(func(st *Store) error { return st.PutResult(key, r) })
+	want := entry(func(st *Store) error { return st.Put(key, r) })
+	if string(got) != string(want) {
+		t.Errorf("PutResult wrote\n%s\nPut writes\n%s", got, want)
+	}
+}
+
+// TestNonCanonicalResultIsMissAndEvicted: an entry that encoding/json
+// reads as the stored Result, but that is not the bytes PutResult
+// writes, is an evicted miss.
+func TestNonCanonicalResultIsMissAndEvicted(t *testing.T) {
+	m, w, r := simulateOne(t)
+	key := SimKey(m, w)
+	r.Truth.Cycles[sim.CompITLB] = 5 // a float that "5.0" also spells
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutResult(key, r); err != nil {
+		t.Fatal(err)
+	}
+	canon, err := os.ReadFile(st.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(canon)
+	prefix := s[:strings.Index(s, `"payload":`)]
+	payload := s[len(prefix)+len(`"payload":`) : len(s)-1]
+	for name, entry := range map[string]string{
+		"leading whitespace":     " " + s,
+		"trailing newline":       s + "\n",
+		"space after a colon":    strings.Replace(s, `"format":1`, `"format": 1`, 1),
+		"reordered keys":         `{"payload":` + payload + `,` + prefix[1:len(prefix)-1] + `}`,
+		"5.0 for 5":              strings.Replace(s, `,5,`, `,5.0,`, 1),
+		"an escaped key":         strings.Replace(s, `"key"`, `"k\u0065y"`, 1),
+		"an escaped payload key": strings.Replace(s, `"Uops"`, `"\u0055ops"`, 1),
+	} {
+		if entry == s {
+			t.Fatalf("%s: the edit left the entry as it was", name)
+		}
+		var e struct{ Payload sim.Result }
+		if err := json.Unmarshal([]byte(entry), &e); err != nil || !reflect.DeepEqual(&e.Payload, r) {
+			t.Fatalf("%s: json.Unmarshal does not read the stored Result back (%v)", name, err)
+		}
+		if err := os.WriteFile(st.path(key), []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := st.Stats()
+		if _, ok, err := st.GetResult(key); ok || err != nil {
+			t.Errorf("%s: hit=%v err=%v, want a clean miss", name, ok, err)
+		}
+		if _, err := os.Stat(st.path(key)); !os.IsNotExist(err) {
+			t.Errorf("%s: entry not evicted", name)
+		}
+		if after := st.Stats(); after.Hits != before.Hits || after.Misses != before.Misses+1 {
+			t.Errorf("%s: stats %+v → %+v, want one more miss", name, before, after)
+		}
+	}
+}
+
 // simKeyCanaryDigest is SimKey of core2 running canarySpec. Every stored
 // simulation is filed under a key built this way, so if this digest
 // changes every existing run store goes cold. Change it only together

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/cache"
@@ -29,13 +28,6 @@ type Result struct {
 	// accesses while at least one is outstanding (Chou et al.'s MLP
 	// definition). Not measurable with counters; used for validation.
 	MeasuredMLP float64
-}
-
-// Encode serializes the result deterministically: field order is fixed by
-// the struct definitions and floats use Go's shortest exact round-trip
-// encoding, so equal Results always produce byte-identical encodings.
-func (r *Result) Encode() ([]byte, error) {
-	return json.Marshal(r)
 }
 
 // numKinds sizes per-kind lookup tables (trace.Kind values are < 8).
