@@ -42,7 +42,7 @@ const (
 // Encode serializes the result deterministically (see AppendEncode), so
 // equal Results always produce byte-identical encodings.
 func (r *Result) Encode() ([]byte, error) {
-	return r.AppendEncode(make([]byte, 0, 512))
+	return r.AppendEncode(nil)
 }
 
 // AppendEncode appends r's encoding to b: the bytes json.Marshal(r)
