@@ -380,10 +380,12 @@ fuzz-smoke:
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime 20s
 	@echo "Fuzzing job-spec decoding and validation for 20s..."
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s
-	@echo "Fuzzing run-store entry decoding for 20s..."
+	@echo "Fuzzing run-store entry decoding and keys for 20s..."
 	@go test ./internal/runstore -run '^$$' -fuzz '^FuzzStoreEnvelope$$' -fuzztime 20s
 	@echo "Fuzzing the Result codec against encoding/json for 20s..."
 	@go test ./internal/sim -run '^$$' -fuzz '^FuzzResultCodec$$' -fuzztime 20s
+	@echo "Fuzzing the spec hash input against encoding/json for 20s..."
+	@go test ./internal/trace -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 20s
 	@echo "Fuzzing .mtrc trace decoding for 20s..."
 	@go test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 	@echo "Fuzzing the response indenter against json.Indent for 20s..."

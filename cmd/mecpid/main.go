@@ -58,6 +58,10 @@
 // running then is cut off — jobs by cancellation, which stops the
 // dispatch of new simulations and leaves the run store consistent — and
 // the daemon exits cleanly either way.
+//
+// A client must send each request's headers within 5s and the whole
+// request within a minute, and an idle keep-alive connection is closed
+// after two minutes; responses have no deadline.
 package main
 
 import (
@@ -107,6 +111,32 @@ func main() {
 	if err := realMain(ctx, os.Stderr, *addr, *addrFile, *storeDir, *jobsDir, *ops, *starts, *workers, *jobWorkers, *drain, *pprofAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "mecpid:", err)
 		os.Exit(1)
+	}
+}
+
+// The deadlines of every connection the daemon accepts. A client must
+// send a request's line and headers within readHeaderTimeout and the
+// whole request, body included, within readTimeout, and a keep-alive
+// connection with no request in flight is closed after idleTimeout. So
+// a client that trickles its bytes or goes quiet cannot hold a
+// goroutine and a file descriptor forever. There is no write deadline:
+// a cold predict or a blocking plan may simulate for minutes before it
+// writes its response, and the server lifts the read deadline once the
+// request is read, so neither is cut off while it runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns a server for h with the daemon's connection
+// deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -202,13 +232,13 @@ func realMain(ctx context.Context, log io.Writer, addr, addrFile, storeDir, jobs
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ps := &http.Server{Handler: pmux}
+		ps := newHTTPServer(pmux)
 		defer ps.Close()
 		go ps.Serve(pln)
 		fmt.Fprintf(log, "mecpid: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	// drainJobsNow cancels whatever jobs are in flight so the engine's
 	// workers exit before realMain returns — every exit path, error
 	// paths included, must not orphan job goroutines.

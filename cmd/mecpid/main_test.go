@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -47,18 +49,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		done <- realMain(ctx, &log, "127.0.0.1:0", addrFile, "", "", 1500, 2, 0, 1, 5*time.Second, "127.0.0.1:0")
 	}()
 
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never wrote its address file")
-		}
-		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
-			addr = string(data)
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	addr := waitAddr(t, addrFile)
 
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
@@ -102,7 +93,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Errorf("API listener served /debug/pprof/ with status %d, want 404", resp.StatusCode)
 	}
 	var pprofAddr string
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for pprofAddr == "" {
 		if time.Now().After(deadline) {
 			t.Fatalf("daemon never logged its pprof address:\n%s", log.String())
@@ -139,6 +130,65 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "shut down") {
 		t.Errorf("log missing shutdown line:\n%s", log.String())
+	}
+}
+
+// waitAddr returns the address the daemon writes to addrFile once it
+// listens.
+func waitAddr(t *testing.T, addrFile string) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
+			return string(data)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never wrote its address file")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestDaemonClosesTricklingConnection: a client that sends half a
+// request line and then nothing is disconnected once readHeaderTimeout
+// passes, instead of holding its connection open forever.
+func TestDaemonClosesTricklingConnection(t *testing.T) {
+	t.Parallel()
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- realMain(ctx, io.Discard, "127.0.0.1:0", addrFile, "", "", 1000, 2, 0, 1, 5*time.Second, "")
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("daemon exited with %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", waitAddr(t, addrFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/pre")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	// The server may answer with a 4xx before it closes; either way
+	// the read ends at the close.
+	reply, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after half a request line (readHeaderTimeout %v)", elapsed, readHeaderTimeout)
+	}
+	if len(reply) > 0 && !bytes.HasPrefix(reply, []byte("HTTP/1.1 4")) {
+		t.Errorf("server answered half a request line with %q", reply)
+	}
+	if elapsed < readHeaderTimeout-time.Second {
+		t.Errorf("connection closed after %v, before readHeaderTimeout %v: %v", elapsed, readHeaderTimeout, err)
 	}
 }
 

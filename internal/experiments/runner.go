@@ -30,10 +30,11 @@ type simJob struct {
 // place in the dispatch.
 type missJob struct {
 	simJob
-	key      string // run-store key; "" when no store is configured
-	specHash string
-	shared   *sharedTrace // non-nil when the spec's trace is shared
-	walk     int          // index of the job's tape in shared; -1 to run live
+	key         string // run-store key; "" when no store is configured
+	specHash    string
+	machineHash string       // "" when no store is configured
+	shared      *sharedTrace // non-nil when the spec's trace is shared
+	walk        int          // index of the job's tape in shared; -1 to run live
 }
 
 // sharedTrace is one workload's materialized µop stream, shared across
@@ -377,11 +378,11 @@ feed:
 	return st, firstErr
 }
 
-// keyJobs pairs each job with its spec's ConfigHash and, when withKeys
-// is set, its run-store key, hashing each distinct machine and spec of
-// the batch once: a campaign's 309 jobs cover only 3 machines and 103
-// specs.
-func keyJobs(jobs []simJob, withKeys bool) []missJob {
+// keyJobs pairs each job with its spec's ConfigHash and, when
+// withMachines is set (a store is configured), its machine's
+// ConfigHash, hashing each distinct machine and spec of the batch once:
+// a campaign's 309 jobs cover only 3 machines and 103 specs.
+func keyJobs(jobs []simJob, withMachines bool) []missJob {
 	specHashes := make(map[*trace.Spec]string)
 	machineHashes := make(map[*uarch.Machine]string)
 	keyed := make([]missJob, len(jobs))
@@ -392,21 +393,22 @@ func keyJobs(jobs []simJob, withKeys bool) []missJob {
 			specHashes[j.spec] = h
 		}
 		keyed[i] = missJob{simJob: j, specHash: h}
-		if withKeys {
+		if withMachines {
 			mh, ok := machineHashes[j.machine]
 			if !ok {
 				mh = j.machine.ConfigHash()
 				machineHashes[j.machine] = mh
 			}
-			keyed[i].key = runstore.SimKeyOf(mh, h)
+			keyed[i].machineHash = mh
 		}
 	}
 	return keyed
 }
 
-// lookupRuns reads every job's key from store on workers goroutines and
-// returns the stored Results by job index, nil for a miss. Once ctx is
-// cancelled no further entry is read and ctx.Err() is returned.
+// lookupRuns sets every job's run-store key and reads it from store on
+// workers goroutines, and returns the stored Results by job index, nil
+// for a miss. Once ctx is cancelled no further entry is read and
+// ctx.Err() is returned.
 func lookupRuns(ctx context.Context, store *runstore.Store, jobs []missJob, workers int) ([]*sim.Result, error) {
 	hits := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
@@ -421,7 +423,9 @@ func lookupRuns(ctx context.Context, store *runstore.Store, jobs []missJob, work
 				if i >= len(jobs) {
 					return
 				}
-				hits[i], _, errs[i] = store.GetResult(jobs[i].key)
+				j := &jobs[i]
+				j.key = runstore.SimKeyOf(j.machineHash, j.specHash)
+				hits[i], _, errs[i] = store.GetResult(j.key)
 			}
 		}()
 	}

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/uarch"
 )
 
@@ -214,10 +216,12 @@ func TestGetFitRejectsOtherPayloads(t *testing.T) {
 	}
 }
 
-// FuzzStoreEnvelope writes arbitrary bytes as an entry file and reads
-// it back as a fit and as a simulation: neither read may panic or
-// report an error, a read that is not a hit must leave no file, and a
-// simulation hit must be a valid measurement.
+// FuzzStoreEnvelope writes arbitrary bytes as the entry file of an
+// arbitrary key and reads it back as a fit and as a simulation: neither
+// read may panic or report an error, a read that is not a hit must
+// leave no file, and a simulation hit must be a valid measurement. A
+// key that is not 64 lowercase hex digits names no file: every lookup
+// of it misses and every write of it fails, and none touches the store.
 func FuzzStoreEnvelope(f *testing.F) {
 	mp, obs, opts := fitInputs()
 	key := FitKey(mp, obs, opts)
@@ -234,8 +238,8 @@ func FuzzStoreEnvelope(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
+		f.Add(data, key)
+		f.Add(data[:len(data)/2], key)
 		// Well-formed entries in other spellings than Put's.
 		for _, edit := range [][2]string{
 			{`{"format":1`, ` {"format": 1`},
@@ -244,7 +248,7 @@ func FuzzStoreEnvelope(f *testing.F) {
 			{`"Cycles":`, `"Cycles":0`},
 			{`,"payload":`, `,"payload":null,"payload":`},
 		} {
-			f.Add(bytes.Replace(data, []byte(edit[0]), []byte(edit[1]), 1))
+			f.Add(bytes.Replace(data, []byte(edit[0]), []byte(edit[1]), 1), key)
 		}
 	}
 	withTruth := *r
@@ -253,22 +257,32 @@ func FuzzStoreEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	if data, err := os.ReadFile(seeds.path(key)); err == nil {
-		f.Add(bytes.Replace(data, []byte(`[5,`), []byte(`[5.0,`), 1))
+		f.Add(bytes.Replace(data, []byte(`[5,`), []byte(`[5.0,`), 1), key)
 	}
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"` + key + `","payload":{}}`))
-	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"` + key + `","payload":null}`))
+	f.Add([]byte(`{}`), key)
+	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"`+key+`","payload":{}}`), key)
+	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"`+key+`","payload":null}`), key)
+	// The entry of another valid key, and keys that name no entry.
+	f.Add([]byte(`{"format":1,"version":"sim-v1","key":"`+key[1:]+`0","payload":null}`), key[1:]+"0")
+	for _, bad := range []string{"", "x", key[:2], key[:12], key[1:], key + "0",
+		strings.ToUpper(key), "../" + key[3:], key[:63] + "g", key[:63] + "\x00"} {
+		f.Add([]byte(`{}`), bad)
+	}
 
 	// Inputs run one at a time per process, so they share one store.
 	st, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
-	path := st.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		if !validKey(key) {
+			checkMalformedKey(t, st, key)
+			return
+		}
+		path := st.path(key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		for _, get := range []struct {
 			name string
 			read func() (bool, error)
@@ -295,5 +309,42 @@ func FuzzStoreEnvelope(f *testing.F) {
 				t.Errorf("%s: a miss left the entry file behind", get.name)
 			}
 		}
+		os.Remove(path)
 	})
+}
+
+// checkMalformedKey requires every lookup of key, which is not 64
+// lowercase hex digits, to miss cleanly, every write of it to fail,
+// and none of them to add anything to st's directory.
+func checkMalformedKey(t *testing.T, st *Store, key string) {
+	t.Helper()
+	before := st.Stats()
+	var p core.Params
+	if ok, err := st.Get(key, &p); ok || err != nil {
+		t.Errorf("Get(%q): hit=%v err=%v, want a clean miss", key, ok, err)
+	}
+	if _, ok, err := st.GetResult(key); ok || err != nil {
+		t.Errorf("GetResult(%q): hit=%v err=%v, want a clean miss", key, ok, err)
+	}
+	if _, ok, err := st.GetFit(key); ok || err != nil {
+		t.Errorf("GetFit(%q): hit=%v err=%v, want a clean miss", key, ok, err)
+	}
+	if err := st.Put(key, core.Params{B1: 1}); err == nil {
+		t.Errorf("Put(%q) succeeded, want an error", key)
+	}
+	if err := st.PutResult(key, &sim.Result{}); err == nil {
+		t.Errorf("PutResult(%q) succeeded, want an error", key)
+	}
+	if s := st.Stats(); s.Misses != before.Misses+3 || s.Hits != before.Hits || s.Puts != before.Puts {
+		t.Errorf("stats went %+v → %+v, want 3 more misses and nothing else", before, s)
+	}
+	err := filepath.WalkDir(st.Dir(), func(path string, d os.DirEntry, err error) error {
+		if err == nil && path != st.Dir() && !d.IsDir() {
+			t.Errorf("key %q: found %s in the store", key, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

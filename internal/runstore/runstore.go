@@ -24,13 +24,15 @@
 // version-mismatched entries are treated as misses and evicted so the
 // next Put rewrites them.
 //
-// Every lookup reads its entry in one open, reads to end of file and one
-// close (readEntry); the open does not block on a FIFO. Simulation
-// entries skip encoding/json: PutResult writes the envelope around
-// sim.Result's own encoding, byte for byte what Put would write, and
-// GetResult hits only on exactly those bytes, decoded in one pass. Any
-// other spelling of the same JSON is an evicted miss, as a fit whose
-// payload does not re-encode to its stored bytes is. Fits and
+// A key is 64 lowercase hex digits, as every key function here builds
+// it; a lookup of any other key is a miss and a write of one an error.
+// Every lookup reads its entry with raw system calls (readEntry): one
+// open that does not block on a FIFO, reads to end of file, one close,
+// and no os.File. Simulation and fit lookups skip encoding/json: each
+// hits only on exactly the bytes Put writes for its payload, checked
+// and decoded in one pass (GetResult, GetFit), so any other spelling of
+// the same JSON is an evicted miss. PutResult writes those bytes for a
+// Result without encoding/json too; fits are written by Put, and
 // calibrations use the generic Put and Get, which go through
 // encoding/json.
 //
@@ -58,6 +60,7 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/calibrator"
 	"repro/internal/core"
+	"repro/internal/jsonbytes"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uarch"
@@ -165,7 +168,8 @@ func (s Stats) HitRate() float64 {
 // Store is a content-addressed result cache rooted at one directory.
 // Safe for concurrent use.
 type Store struct {
-	dir string
+	dir  string
+	root string // dir cleaned, with a trailing separator
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -192,7 +196,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: open %s: %w", dir, err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, root: filepath.Clean(dir) + string(filepath.Separator)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -207,9 +211,24 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// path returns the entry file for key, sharded by its first byte.
+// validKey reports whether key has the form of every key this package
+// builds: 64 lowercase hex digits. Only such a key names an entry file.
+func validKey(key string) bool {
+	if len(key) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// path returns the entry file for key, a valid key, sharded by its
+// first byte.
 func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
+	return s.root + key[:2] + string(filepath.Separator) + key + ".json"
 }
 
 // Get looks key up and, on a hit, unmarshals the payload into v (which
@@ -220,7 +239,8 @@ func (s *Store) path(key string) string {
 // longer unmarshals into v, or a FIFO, which reads as empty — and its
 // file is evicted so the next Put heals the entry. Get never returns an
 // error today; the return is kept so callers are ready for store
-// backends where lookups can genuinely fail.
+// backends where lookups can genuinely fail. A malformed key (see
+// validKey) is a miss.
 func (s *Store) Get(key string, v any) (bool, error) {
 	var buf [1024]byte
 	data, ok := s.readEntry(key, buf[:0])
@@ -240,38 +260,51 @@ func (s *Store) Get(key string, v any) (bool, error) {
 }
 
 // readEntry appends the entry file for key to buf, growing it as
-// needed, in one open, reads until end of file, and one close. It
-// reports false if the file cannot be opened or read.
+// needed, and reports false if key is malformed or the file cannot be
+// opened or read. It makes raw system calls: one open, reads until one
+// returns 0 (end of file), and one close, retrying the open and each
+// read on EINTR. A close is never retried: the descriptor is gone even
+// when close reports EINTR. Without an os.File there is no poller
+// registration and no finalizer.
 //
 // The file is opened O_NONBLOCK. Linux ignores the flag for regular
-// files, and os.OpenFile then skips the two SetNonblock round trips it
-// otherwise makes on every open. It also keeps a FIFO left at an entry
-// path from blocking open(2) until a writer appears: the read sees no
-// data and the FIFO is evicted like any other unusable entry.
+// files. It keeps a FIFO left at an entry path from blocking open(2)
+// until a writer appears: the read sees no data and the FIFO is evicted
+// like any other unusable entry.
 func (s *Store) readEntry(key string, buf []byte) ([]byte, bool) {
-	f, err := os.OpenFile(s.path(key), os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if !validKey(key) {
+		return nil, false
+	}
+	path := s.path(key)
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
+	}
 	if err != nil {
 		return nil, false
 	}
-	defer f.Close()
+	defer syscall.Close(fd)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := f.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, true
-		}
-		if err != nil {
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
 			return nil, false
+		case n == 0:
+			return buf, true
+		default:
+			buf = buf[:len(buf)+n]
 		}
 	}
 }
 
 // Put writes v under key atomically (atomicfile.Write): the entry is
 // marshalled to a temp file in the destination directory and renamed
-// into place, so readers only ever observe complete entries.
+// into place, so readers only ever observe complete entries. A
+// malformed key (see validKey) is an error.
 func (s *Store) Put(key string, v any) error {
 	data, err := json.Marshal(envelope{
 		Format:  FormatVersion,
@@ -280,13 +313,16 @@ func (s *Store) Put(key string, v any) error {
 		Payload: v,
 	})
 	if err != nil {
-		return fmt.Errorf("runstore: marshal entry %s: %w", key[:12], err)
+		return fmt.Errorf("runstore: marshal entry %.12s: %w", key, err)
 	}
 	return s.write(key, data)
 }
 
 // write stores one entry's bytes under key atomically.
 func (s *Store) write(key string, data []byte) error {
+	if !validKey(key) {
+		return fmt.Errorf("runstore: malformed key %q: want 64 lowercase hex digits", key)
+	}
 	dst := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("runstore: %w", err)
@@ -309,7 +345,7 @@ func (s *Store) write(key string, data []byte) error {
 }
 
 // GetResult looks up a cached simulation Result. A hit is exactly the
-// bytes PutResult writes: the envelope prefix for key (resultPrefix),
+// bytes PutResult writes: the envelope prefix for key (entryPrefix),
 // the payload sim.Result.AppendEncode writes for the decoded Result, and
 // a closing brace, with counters that validate. Anything else — an
 // entry in another spelling of the same JSON, a payload that is not a
@@ -325,7 +361,7 @@ func (s *Store) GetResult(key string) (*sim.Result, bool, error) {
 	}
 	r := new(sim.Result)
 	var prefix [128]byte
-	payload, ok := bytes.CutPrefix(data, resultPrefix(prefix[:0], key))
+	payload, ok := bytes.CutPrefix(data, entryPrefix(prefix[:0], key))
 	if ok {
 		payload, ok = bytes.CutSuffix(payload, []byte{'}'})
 	}
@@ -338,56 +374,83 @@ func (s *Store) GetResult(key string) (*sim.Result, bool, error) {
 	return r, true, nil
 }
 
-// GetFit looks up the model parameters stored by Put(key, p) for a
-// FitKey. Only a payload in exactly the form Put writes for a
-// core.Params — all ten coefficients, nothing else — is a hit; any other
-// payload is evicted and reported as a miss, so it is refitted and
-// rewritten.
-func (s *Store) GetFit(key string) (core.Params, bool, error) {
-	var raw json.RawMessage
-	ok, err := s.Get(key, &raw)
-	if !ok || err != nil {
-		return core.Params{}, false, err
-	}
-	var p core.Params
-	if err := json.Unmarshal(raw, &p); err == nil {
-		// Decoded JSON numbers are finite, so marshalling cannot fail.
-		if canon, _ := json.Marshal(p); bytes.Equal(canon, raw) {
-			return p, true, nil
-		}
-	}
-	s.reject(key)
-	return core.Params{}, false, nil
+// fitKeys are the bytes that precede each coefficient in the entry Put
+// writes for a core.Params (see paramRefs), and fitEnd the bytes after
+// the last one: the payload's brace and the envelope's.
+var fitKeys = [...]string{
+	`{"B1":`, `,"B2":`, `,"B3":`, `,"B4":`, `,"B5":`,
+	`,"B6":`, `,"B7":`, `,"B8":`, `,"B9":`, `,"B10":`,
 }
 
-// PutResult stores a simulation Result under key: resultPrefix, the
+const fitEnd = "}}"
+
+// paramRefs returns p's fields in the order of fitKeys.
+func paramRefs(p *core.Params) [len(fitKeys)]*float64 {
+	return [...]*float64{&p.B1, &p.B2, &p.B3, &p.B4, &p.B5, &p.B6, &p.B7, &p.B8, &p.B9, &p.B10}
+}
+
+// GetFit looks up the model parameters stored by Put(key, p) for a
+// FitKey. A hit is exactly the bytes Put writes for a core.Params:
+// entryPrefix for key, the ten coefficients in field order as
+// encoding/json spells them, and fitEnd. Any other entry — another
+// spelling, a missing or extra field, a payload of another type — is
+// evicted and reported as a miss, so it is refitted and rewritten.
+// Reading one takes one file read and one pass over its bytes, without
+// encoding/json.
+func (s *Store) GetFit(key string) (core.Params, bool, error) {
+	var buf [512]byte
+	data, ok := s.readEntry(key, buf[:0])
+	if !ok {
+		s.misses.Add(1)
+		return core.Params{}, false, nil
+	}
+	p, ok := decodeFit(data, key)
+	if !ok {
+		s.evict(key)
+		s.misses.Add(1)
+		return core.Params{}, false, nil
+	}
+	s.hits.Add(1)
+	return p, true, nil
+}
+
+// decodeFit returns the coefficients in data and reports whether data
+// is exactly the entry Put(key, p) writes for them.
+func decodeFit(data []byte, key string) (core.Params, bool) {
+	var p core.Params
+	var prefix [128]byte
+	d, ok := bytes.CutPrefix(data, entryPrefix(prefix[:0], key))
+	for i, f := range paramRefs(&p) {
+		if !ok {
+			return p, false
+		}
+		if d, ok = jsonbytes.CutLiteral(d, fitKeys[i]); ok {
+			*f, d, ok = jsonbytes.CutFloat(d)
+		}
+	}
+	return p, ok && string(d) == fitEnd
+}
+
+// PutResult stores a simulation Result under key: entryPrefix, the
 // payload sim.Result.AppendEncode writes, and a closing brace. For the
 // hex keys this package builds, which JSON writes unescaped, these are
 // the bytes Put(key, r) writes, built without encoding/json.
 func (s *Store) PutResult(key string, r *sim.Result) error {
-	data, err := r.AppendEncode(resultPrefix(make([]byte, 0, 1024), key))
+	data, err := r.AppendEncode(entryPrefix(make([]byte, 0, 1024), key))
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return s.write(key, append(data, '}'))
 }
 
-// resultPrefix appends the envelope bytes that precede a Result's
-// payload under key, as json.Marshal writes them for an envelope.
-func resultPrefix(b []byte, key string) []byte {
+// entryPrefix appends the envelope bytes that precede the payload under
+// key, as json.Marshal writes them for an envelope.
+func entryPrefix(b []byte, key string) []byte {
 	b = append(b, `{"format":`...)
 	b = strconv.AppendInt(b, FormatVersion, 10)
 	b = append(append(b, `,"version":"`...), sim.Version...)
 	b = append(append(b, `","key":"`...), key...)
 	return append(b, `","payload":`...)
-}
-
-// reject turns a hit whose payload turned out unusable into an evicted
-// miss.
-func (s *Store) reject(key string) {
-	s.evict(key)
-	s.hits.Add(-1)
-	s.misses.Add(1)
 }
 
 // evict removes a corrupt or stale entry (best effort).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/jsonbytes"
 	"repro/internal/perfctr"
 )
 
@@ -46,9 +47,8 @@ func (r *Result) Encode() ([]byte, error) {
 }
 
 // AppendEncode appends r's encoding to b: the bytes json.Marshal(r)
-// writes. Floats use encoding/json's rule, the shortest 'f' form, or
-// 'e' below 1e-6 or at or above 1e21 with a one-digit negative exponent
-// unpadded. A NaN or infinite float is an error, as in encoding/json.
+// writes, floats included (jsonbytes.AppendFloat). A NaN or infinite
+// float is an error, as in encoding/json.
 func (r *Result) AppendEncode(b []byte) ([]byte, error) {
 	for i, p := range counterRefs(&r.Counters) {
 		b = append(b, counterKeys[i]...)
@@ -71,26 +71,13 @@ func (r *Result) AppendEncode(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendFinite is appendFloat for the values encoding/json can write.
+// appendFinite is jsonbytes.AppendFloat for the values encoding/json
+// can write.
 func appendFinite(b []byte, v float64) ([]byte, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return nil, fmt.Errorf("sim: cannot encode %v in a Result", v)
 	}
-	return appendFloat(b, v), nil
-}
-
-// appendFloat appends v as encoding/json writes a finite float64.
-func appendFloat(b []byte, v float64) []byte {
-	format := byte('f')
-	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-07 → e-7
-		b = b[:n-1]
-	}
-	return b
+	return jsonbytes.AppendFloat(b, v), nil
 }
 
 // Decode sets r from data and reports whether data is exactly what
@@ -101,30 +88,30 @@ func (r *Result) Decode(data []byte) bool {
 	var v Result
 	d, ok := data, false
 	for i, p := range counterRefs(&v.Counters) {
-		if d, ok = cutLiteral(d, counterKeys[i]); !ok {
+		if d, ok = jsonbytes.CutLiteral(d, counterKeys[i]); !ok {
 			return false
 		}
-		if *p, d, ok = cutUint(d); !ok {
+		if *p, d, ok = jsonbytes.CutUint(d); !ok {
 			return false
 		}
 	}
-	if d, ok = cutLiteral(d, truthKey); !ok {
+	if d, ok = jsonbytes.CutLiteral(d, truthKey); !ok {
 		return false
 	}
 	for i := range v.Truth.Cycles {
 		if i > 0 {
-			if d, ok = cutLiteral(d, ","); !ok {
+			if d, ok = jsonbytes.CutLiteral(d, ","); !ok {
 				return false
 			}
 		}
-		if v.Truth.Cycles[i], d, ok = cutFloat(d); !ok {
+		if v.Truth.Cycles[i], d, ok = jsonbytes.CutFloat(d); !ok {
 			return false
 		}
 	}
-	if d, ok = cutLiteral(d, mlpKey); !ok {
+	if d, ok = jsonbytes.CutLiteral(d, mlpKey); !ok {
 		return false
 	}
-	if v.MeasuredMLP, d, ok = cutFloat(d); !ok {
+	if v.MeasuredMLP, d, ok = jsonbytes.CutFloat(d); !ok {
 		return false
 	}
 	if string(d) != "}" {
@@ -132,53 +119,4 @@ func (r *Result) Decode(data []byte) bool {
 	}
 	*r = v
 	return true
-}
-
-// cutLiteral returns d after its prefix lit.
-func cutLiteral(d []byte, lit string) ([]byte, bool) {
-	if len(d) < len(lit) || string(d[:len(lit)]) != lit {
-		return nil, false
-	}
-	return d[len(lit):], true
-}
-
-// cutUint returns the decimal uint64 that d starts with, written as
-// strconv.AppendUint writes it, and the rest of d.
-func cutUint(d []byte) (uint64, []byte, bool) {
-	n := 0
-	for n < len(d) && '0' <= d[n] && d[n] <= '9' {
-		n++
-	}
-	if n == 0 || n > 1 && d[0] == '0' {
-		return 0, nil, false
-	}
-	v, err := strconv.ParseUint(string(d[:n]), 10, 64)
-	return v, d[n:], err == nil
-}
-
-// maxFloatLen bounds appendFloat's output ("-2.2250738585072014e-308"
-// is 24 bytes).
-const maxFloatLen = 32
-
-// cutFloat returns the float64 that d starts with, written as
-// appendFloat writes it, and the rest of d. The number runs to the next
-// ',', ']' or '}'; it is canonical if appendFloat writes it back byte
-// for byte.
-func cutFloat(d []byte) (float64, []byte, bool) {
-	n := 0
-	for n < len(d) && n <= maxFloatLen && d[n] != ',' && d[n] != ']' && d[n] != '}' {
-		n++
-	}
-	if n == 0 || n > maxFloatLen {
-		return 0, nil, false
-	}
-	v, err := strconv.ParseFloat(string(d[:n]), 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, nil, false
-	}
-	var buf [maxFloatLen]byte
-	if string(appendFloat(buf[:0], v)) != string(d[:n]) {
-		return 0, nil, false
-	}
-	return v, d[n:], true
 }

@@ -84,7 +84,7 @@ func (b *Buffer) Encode(w io.Writer) error {
 	norm := b.spec
 	norm.Content = ""
 	norm.SourceFile = ""
-	specJSON, err := json.Marshal(norm)
+	specJSON, err := norm.AppendJSON(nil)
 	if err != nil {
 		return fmt.Errorf("trace: encode %s: marshal spec: %v", b.spec.Name, err)
 	}

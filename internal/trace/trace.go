@@ -18,10 +18,11 @@ package trace
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
+	"repro/internal/jsonbytes"
 	"repro/internal/rng"
 )
 
@@ -215,18 +216,86 @@ type Phase struct {
 	BranchNoise float64 `json:"branchNoise"`
 }
 
-// ConfigHash returns a stable content hash of the workload description.
-// Because the generator is a pure function of the Spec, equal hashes mean
-// identical µop streams; the hash therefore identifies the workload in
-// content-addressed caches of simulation results.
+// ConfigHash returns a stable content hash of the workload description:
+// the sha256 of the spec's JSON (AppendJSON). Because the generator is
+// a pure function of the Spec, equal hashes mean identical µop streams;
+// the hash therefore identifies the workload in content-addressed
+// caches of simulation results. A NaN or infinite float panics.
 func (s Spec) ConfigHash() string {
-	b, err := json.Marshal(s)
+	var buf [1024]byte
+	b, err := s.AppendJSON(buf[:0])
 	if err != nil {
-		// Spec is a plain struct of scalars; marshalling cannot fail.
-		panic(fmt.Sprintf("trace: marshal %s: %v", s.Name, err))
+		panic(fmt.Sprintf("trace: hash %s: %v", s.Name, err))
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
+}
+
+// AppendJSON appends the bytes json.Marshal(s) writes, without
+// reflection: every field in declaration order under its JSON name,
+// the omitempty fields (phases, burstFrac, burstLen, content) left out
+// when empty, SourceFile never. Floats and strings are spelled as
+// encoding/json spells them (package jsonbytes). A NaN or infinite
+// float is an error, as in encoding/json.
+func (s *Spec) AppendJSON(b []byte) ([]byte, error) {
+	finite := true
+	float := func(key string, v float64) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			finite, v = false, 0
+		}
+		b = jsonbytes.AppendFloat(append(b, key...), v)
+	}
+	integer := func(key string, v int64) {
+		b = strconv.AppendInt(append(b, key...), v, 10)
+	}
+	b = jsonbytes.AppendString(append(b, `{"Name":`...), s.Name)
+	b = strconv.AppendUint(append(b, `,"Seed":`...), s.Seed, 10)
+	integer(`,"NumOps":`, int64(s.NumOps))
+	float(`,"LoadFrac":`, s.LoadFrac)
+	float(`,"StoreFrac":`, s.StoreFrac)
+	float(`,"FPFrac":`, s.FPFrac)
+	float(`,"MulFrac":`, s.MulFrac)
+	float(`,"DivFrac":`, s.DivFrac)
+	float(`,"BranchHardFrac":`, s.BranchHardFrac)
+	integer(`,"CodeFootprint":`, s.CodeFootprint)
+	float(`,"CodeLocality":`, s.CodeLocality)
+	integer(`,"DataFootprint":`, s.DataFootprint)
+	float(`,"DataLocality":`, s.DataLocality)
+	float(`,"PointerChaseFrac":`, s.PointerChaseFrac)
+	integer(`,"HotBytes":`, s.HotBytes)
+	float(`,"HotFrac":`, s.HotFrac)
+	float(`,"DepDistMean":`, s.DepDistMean)
+	float(`,"LongChainFrac":`, s.LongChainFrac)
+	float(`,"FusibleFrac":`, s.FusibleFrac)
+	if len(s.Phases) > 0 {
+		b = append(b, `,"phases":[`...)
+		for i, p := range s.Phases {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			float(`{"frac":`, p.Frac)
+			float(`,"dataLocality":`, p.DataLocality)
+			float(`,"pointerChaseFrac":`, p.PointerChaseFrac)
+			float(`,"branchNoise":`, p.BranchNoise)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if s.BurstFrac != 0 {
+		float(`,"burstFrac":`, s.BurstFrac)
+	}
+	if s.BurstLen != 0 {
+		float(`,"burstLen":`, s.BurstLen)
+	}
+	if s.Content != "" {
+		b = jsonbytes.AppendString(append(b, `,"content":`...), s.Content)
+	}
+	if !finite {
+		return nil, fmt.Errorf("trace: spec %s has a NaN or infinite field", s.Name)
+	}
+	return append(b, '}'), nil
 }
 
 // Validate checks the spec for consistency.

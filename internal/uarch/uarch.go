@@ -16,6 +16,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+
+	"repro/internal/jsonbytes"
 )
 
 // CacheConfig describes one cache level.
@@ -139,19 +143,81 @@ type Machine struct {
 	FusionRate float64
 }
 
-// ConfigHash returns a stable content hash of the complete configuration.
-// Two machines hash equal iff every architectural parameter is equal, so
-// the hash can key caches of simulation results: any config change —
-// including adding a field to Machine — yields a new hash and therefore a
-// cold cache entry, never a stale hit.
+// ConfigHash returns a stable content hash of the complete configuration:
+// the sha256 of its JSON (AppendJSON). Two machines hash equal iff every
+// architectural parameter is equal, so the hash can key caches of
+// simulation results: any config change yields a new hash and therefore
+// a cold cache entry, never a stale hit. A new field must be added to
+// AppendJSON, or TestMachineKeyCoversEveryField fails.
 func (m *Machine) ConfigHash() string {
-	b, err := json.Marshal(m)
+	var buf [1024]byte
+	b, err := m.AppendJSON(buf[:0])
 	if err != nil {
-		// Machine is a plain struct of scalars; marshalling cannot fail.
-		panic(fmt.Sprintf("uarch: marshal %s: %v", m.Name, err))
+		panic(fmt.Sprintf("uarch: hash %s: %v", m.Name, err))
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
+}
+
+// AppendJSON appends the bytes json.Marshal(m) writes, without
+// reflection: every field in declaration order under its Go name, the
+// name and FusionRate spelled as encoding/json spells them (package
+// jsonbytes). A NaN or infinite FusionRate is an error, as in
+// encoding/json.
+func (m *Machine) AppendJSON(b []byte) ([]byte, error) {
+	if math.IsNaN(m.FusionRate) || math.IsInf(m.FusionRate, 0) {
+		return nil, fmt.Errorf("uarch: machine %s has a NaN or infinite FusionRate", m.Name)
+	}
+	integer := func(key string, v int) {
+		b = strconv.AppendInt(append(b, key...), int64(v), 10)
+	}
+	cache := func(key string, c CacheConfig) {
+		b = append(b, key...)
+		integer(`{"SizeBytes":`, c.SizeBytes)
+		integer(`,"LineBytes":`, c.LineBytes)
+		integer(`,"Assoc":`, c.Assoc)
+		integer(`,"LatCycles":`, c.LatCycles)
+		b = append(b, '}')
+	}
+	tlb := func(key string, t TLBConfig) {
+		b = append(b, key...)
+		integer(`{"Entries":`, t.Entries)
+		integer(`,"PageBytes":`, t.PageBytes)
+		integer(`,"MissLat":`, t.MissLat)
+		b = append(b, '}')
+	}
+	b = jsonbytes.AppendString(append(b, `{"Name":`...), m.Name)
+	integer(`,"DispatchWidth":`, m.DispatchWidth)
+	integer(`,"IssueWidth":`, m.IssueWidth)
+	integer(`,"CommitWidth":`, m.CommitWidth)
+	integer(`,"FrontEndDepth":`, m.FrontEndDepth)
+	integer(`,"ROBSize":`, m.ROBSize)
+	integer(`,"IQSize":`, m.IQSize)
+	integer(`,"LoadQueueSize":`, m.LoadQueueSize)
+	integer(`,"MSHRs":`, m.MSHRs)
+	integer(`,"IntLat":`, m.IntLat)
+	integer(`,"MulLat":`, m.MulLat)
+	integer(`,"FPLat":`, m.FPLat)
+	integer(`,"DivLat":`, m.DivLat)
+	integer(`,"LoadAGU":`, m.LoadAGU)
+	integer(`,"StoreLat":`, m.StoreLat)
+	cache(`,"L1I":`, m.L1I)
+	cache(`,"L1D":`, m.L1D)
+	cache(`,"L2":`, m.L2)
+	cache(`,"L3":`, m.L3)
+	integer(`,"MemLat":`, m.MemLat)
+	tlb(`,"ITLB":`, m.ITLB)
+	tlb(`,"DTLB":`, m.DTLB)
+	integer(`,"Predictor":{"Kind":`, int(m.Predictor.Kind))
+	integer(`,"TableBits":`, m.Predictor.TableBits)
+	integer(`,"HistoryBits":`, m.Predictor.HistoryBits)
+	b = strconv.AppendBool(append(b, `},"Prefetch":{"Enabled":`...), m.Prefetch.Enabled)
+	integer(`,"Streams":`, m.Prefetch.Streams)
+	integer(`,"Degree":`, m.Prefetch.Degree)
+	b = jsonbytes.AppendFloat(append(b, `},"FusionRate":`...), m.FusionRate)
+	return append(b, '}'), nil
 }
 
 // WalkHash returns a stable content hash of the fields the miss-event
