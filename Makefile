@@ -215,11 +215,14 @@ sim-nondeterminism:
 # store-identity checks that a simulator change left every stored
 # Result byte for byte as it was: it fills one fresh run store from a
 # checkout of PARENT (git archive, under .bin/) and another from the
-# working tree — a fig2 campaign, the memlat x l2kb grid plan of
-# DET_PLANS and the example seeds sweep, all at SMOKE_OPS — and diffs
-# the two stores. The campaign and the plan share every trace across
-# machines; the one-machine seeds sweep shares none, so its runs cover
-# the unshared path.
+# working tree — a rob x mshrs grid plan, a fig2 campaign, the memlat x
+# l2kb grid plan of DET_PLANS and the example seeds sweep, all at
+# SMOKE_OPS — and diffs the two stores. The plans and the campaign share
+# every trace across machines; the one-machine seeds sweep shares none,
+# so its runs cover the unshared path. The rob x mshrs grid runs first,
+# on an empty store: its cell at the base's own values differs from the
+# base only by name, so the two share one simulation, and both of their
+# entries are diffed.
 #
 # It then reads each store with the other side: the working tree
 # answers the fig2 campaign from a copy of the parent's store, and the
@@ -237,7 +240,9 @@ store-identity:
 	for side in parent head; do \
 		src=$(CURDIR); [ $$side = head ] || src=$$dir/parent; \
 		echo "Filling a run store from $$side (ops=$(SMOKE_OPS))..."; \
-		(cd $$src && go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 \
+		(cd $$src && go run ./cmd/sweep -base core2 -param rob -values 48,96 -param mshrs -values 8,16 \
+			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json -store $$dir/store-$$side >/dev/null && \
+		go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 \
 			-store $$dir/store-$$side >$$dir/fig2-$$side.txt && \
 		go run ./cmd/sweep -base core2 -param memlat -values 150,300 -param l2kb -values 2048,4096 \
 			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json -store $$dir/store-$$side >/dev/null && \

@@ -114,8 +114,10 @@ type Lab struct {
 type SimStats struct {
 	// Hits is the number of runs satisfied from the run store.
 	Hits int `json:"storeHits"`
-	// Simulated is the number of runs actually dispatched to workers
-	// (store misses, or all runs when no store is configured).
+	// Simulated is the number of store misses (all runs when no store
+	// is configured): the runs simulated for this batch rather than read
+	// back. Misses of one workload on machines that differ only by Name
+	// are simulated once and each counts here.
 	Simulated int `json:"simulated"`
 	// TraceGens is the number of µop streams actually produced — by the
 	// generator for synthetic specs, or decoded from disk for

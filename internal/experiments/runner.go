@@ -30,11 +30,14 @@ type simJob struct {
 // place in the dispatch.
 type missJob struct {
 	simJob
-	key         string // run-store key; "" when no store is configured
-	specHash    string
-	machineHash string       // "" when no store is configured
-	shared      *sharedTrace // non-nil when the spec's trace is shared
-	walk        int          // index of the job's tape in shared; -1 to run live
+	key      string // run-store key; "" when no store is configured
+	specHash string
+	shared   *sharedTrace // non-nil when the spec's trace is shared
+	walk     int          // index of the job's tape in shared; -1 to run live
+	// twins are the later misses of the same spec whose machines equal
+	// this job's apart from Name (see foldTwins): they take this job's
+	// Result instead of being dispatched.
+	twins []missJob
 }
 
 // sharedTrace is one workload's materialized µop stream, shared across
@@ -85,8 +88,17 @@ type traceSlot struct {
 // pass over them then records the hits, reports their progress and
 // collects the misses, all in job order, so what a warm batch records
 // and reports does not depend on the worker count. Keys are built from
-// one hash per distinct machine and spec of the batch, and the spec
-// hash also groups the misses.
+// one hash per distinct machine and spec of the batch (see keyJobs),
+// and the spec hash also groups the misses.
+//
+// Misses of one spec whose machines differ only in Name (a plan's cell
+// at the base's own values, which is the base under another name) are
+// one simulation: the first is dispatched and the rest, its twins, take
+// its Result. Each twin is still written to the store under its own
+// key, recorded, reported to opts.Progress and counted in
+// SimStats.Simulated, so the counts and the store are those of running
+// every miss; only the work is not repeated. The twins share one
+// *sim.Result, which nothing mutates once recorded.
 //
 // Workloads simulated on more than one machine (a campaign's machine
 // grid, a plan's cells) share one materialized trace.Buffer per spec:
@@ -143,13 +155,9 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 			opts.Progress(run, hit)
 		}
 	}
-	keyed := keyJobs(jobs, store != nil)
-	var hits []*sim.Result
-	if store != nil {
-		var err error
-		if hits, err = lookupRuns(ctx, store, keyed, workers); err != nil {
-			return st, err
-		}
+	keyed, hits, err := keyJobs(ctx, jobs, store, workers)
+	if err != nil {
+		return st, err
 	}
 	var misses []missJob
 	for i, mj := range keyed {
@@ -167,6 +175,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 	if len(misses) == 0 {
 		return st, nil
 	}
+	misses = foldTwins(misses)
 
 	// Group the misses workload-major: jobs arrive machine-major (every
 	// workload of machine 1, then machine 2, …), which would keep every
@@ -237,6 +246,20 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 			firstErr = err
 			close(abort)
 		}
+		mu.Unlock()
+	}
+	// complete stores, records and reports one simulated job's Result.
+	complete := func(j *missJob, res *sim.Result) {
+		if j.key != "" {
+			if err := store.PutResult(j.key, res); err != nil {
+				fail(fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err))
+				return
+			}
+		}
+		mu.Lock()
+		j.record(j.run, res)
+		st.Simulated++
+		progress(j.run, false)
 		mu.Unlock()
 	}
 
@@ -339,17 +362,10 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 					fail(fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err))
 					continue
 				}
-				if j.key != "" {
-					if err := store.PutResult(j.key, res); err != nil {
-						fail(fmt.Errorf("experiments: %s on %s: %w", j.spec.Name, j.machine.Name, err))
-						continue
-					}
+				complete(&j, res)
+				for i := range j.twins {
+					complete(&j.twins[i], res)
 				}
-				mu.Lock()
-				j.record(j.run, res)
-				st.Simulated++
-				progress(j.run, false)
-				mu.Unlock()
 			}
 		}()
 	}
@@ -378,67 +394,121 @@ feed:
 	return st, firstErr
 }
 
-// keyJobs pairs each job with its spec's ConfigHash and, when
-// withMachines is set (a store is configured), its machine's
-// ConfigHash, hashing each distinct machine and spec of the batch once:
-// a campaign's 309 jobs cover only 3 machines and 103 specs.
-func keyJobs(jobs []simJob, withMachines bool) []missJob {
-	specHashes := make(map[*trace.Spec]string)
+// keyJobs pairs each job with its spec's ConfigHash and, when store is
+// set, with its run-store key, and reads every key from store. It
+// returns the stored Results by job index, nil for a miss (and nil
+// without a store). Each distinct spec and machine of the batch is
+// hashed once — a campaign's 309 jobs cover only 103 specs and 3
+// machines — and the spec hashes, the keys and the reads all run on
+// workers goroutines. Once ctx is cancelled no further spec is hashed
+// or entry read and ctx.Err() is returned.
+func keyJobs(ctx context.Context, jobs []simJob, store *runstore.Store, workers int) ([]missJob, []*sim.Result, error) {
+	specIdx := make(map[*trace.Spec]int)
+	var specs []*trace.Spec
 	machineHashes := make(map[*uarch.Machine]string)
-	keyed := make([]missJob, len(jobs))
-	for i, j := range jobs {
-		h, ok := specHashes[j.spec]
-		if !ok {
-			h = j.spec.ConfigHash()
-			specHashes[j.spec] = h
+	for _, j := range jobs {
+		if _, ok := specIdx[j.spec]; !ok {
+			specIdx[j.spec] = len(specs)
+			specs = append(specs, j.spec)
 		}
-		keyed[i] = missJob{simJob: j, specHash: h}
-		if withMachines {
-			mh, ok := machineHashes[j.machine]
-			if !ok {
-				mh = j.machine.ConfigHash()
-				machineHashes[j.machine] = mh
-			}
-			keyed[i].machineHash = mh
+		if _, ok := machineHashes[j.machine]; store != nil && !ok {
+			machineHashes[j.machine] = j.machine.ConfigHash()
 		}
 	}
-	return keyed
-}
-
-// lookupRuns sets every job's run-store key and reads it from store on
-// workers goroutines, and returns the stored Results by job index, nil
-// for a miss. Once ctx is cancelled no further entry is read and
-// ctx.Err() is returned.
-func lookupRuns(ctx context.Context, store *runstore.Store, jobs []missJob, workers int) ([]*sim.Result, error) {
+	specHashes := make([]string, len(specs))
+	if err := onWorkers(ctx, len(specs), workers, func(k int) {
+		specHashes[k] = specs[k].ConfigHash()
+	}); err != nil {
+		return nil, nil, err
+	}
+	keyed := make([]missJob, len(jobs))
+	for i, j := range jobs {
+		keyed[i] = missJob{simJob: j, specHash: specHashes[specIdx[j.spec]]}
+	}
+	if store == nil {
+		return keyed, nil, nil
+	}
 	hits := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
+	if err := onWorkers(ctx, len(jobs), workers, func(i int) {
+		j := &keyed[i]
+		j.key = runstore.SimKeyOf(machineHashes[j.machine], j.specHash)
+		hits[i], _, errs[i] = store.GetResult(j.key)
+	}); err != nil {
+		return nil, nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: %s on %s: %w", jobs[i].spec.Name, jobs[i].machine.Name, err)
+		}
+	}
+	return keyed, hits, nil
+}
+
+// onWorkers calls fn(i) for every i in [0, n) on up to workers
+// goroutines and waits for them. Once ctx is cancelled no further call
+// starts and ctx.Err() is returned.
+func onWorkers(ctx context.Context, n, workers int, fn func(int)) error {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(workers, len(jobs)) {
+	for range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1) - 1)
-				if i >= len(jobs) {
+				if i >= n {
 					return
 				}
-				j := &jobs[i]
-				j.key = runstore.SimKeyOf(j.machineHash, j.specHash)
-				hits[i], _, errs[i] = store.GetResult(j.key)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s on %s: %w", jobs[i].spec.Name, jobs[i].machine.Name, err)
+	return ctx.Err()
+}
+
+// foldTwins moves every miss whose spec and machine, apart from Name,
+// equal an earlier miss's into that miss's twins, and returns the
+// misses left to dispatch in their order. Each distinct machine is
+// compared by value once, as a copy with Name cleared; the misses are
+// then grouped by (spec hash, first machine of that value), and only
+// when two machines share a value.
+func foldTwins(misses []missJob) []missJob {
+	canon := make(map[*uarch.Machine]*uarch.Machine)
+	byValue := make(map[uarch.Machine]*uarch.Machine)
+	for _, mj := range misses {
+		if _, ok := canon[mj.machine]; ok {
+			continue
 		}
+		v := *mj.machine
+		v.Name = ""
+		c, ok := byValue[v]
+		if !ok {
+			c = mj.machine
+			byValue[v] = c
+		}
+		canon[mj.machine] = c
 	}
-	return hits, nil
+	if len(byValue) == len(canon) {
+		return misses
+	}
+	type twinKey struct {
+		spec    string
+		machine *uarch.Machine
+	}
+	first := make(map[twinKey]int, len(misses))
+	out := misses[:0]
+	for _, mj := range misses {
+		k := twinKey{mj.specHash, canon[mj.machine]}
+		if i, ok := first[k]; ok {
+			out[i].twins = append(out[i].twins, mj)
+			continue
+		}
+		first[k] = len(out)
+		out = append(out, mj)
+	}
+	return out
 }
 
 // recordWalks records each walk machine's walk of buf into the tape of

@@ -320,3 +320,41 @@ func TestWalkKeyCoversEveryInput(t *testing.T) {
 		t.Error("no perturbation changed the tape: the trace does not exercise the walk")
 	}
 }
+
+// TestResultIgnoresMachineName: a machine's Name is a label only. A live
+// run and a replay on a renamed copy of each stock machine are
+// struct-equal to the original's, which is what lets the experiment
+// runner simulate machines that differ only by name once.
+func TestResultIgnoresMachineName(t *testing.T) {
+	buf := trace.Materialize(baseSpec("named", 7))
+	for _, m := range uarch.StockMachines() {
+		renamed := *m
+		renamed.Name = m.Name + "-renamed"
+		var tape Tape
+		if err := Record(m, buf, &tape); err != nil {
+			t.Fatal(err)
+		}
+		var want, live, replayed Result
+		for _, c := range []struct {
+			m   *uarch.Machine
+			res *Result
+			run func(*Simulator, *Result) error
+		}{
+			{m, &want, func(s *Simulator, r *Result) error { return s.RunInto(r, buf.Replay()) }},
+			{&renamed, &live, func(s *Simulator, r *Result) error { return s.RunInto(r, buf.Replay()) }},
+			{&renamed, &replayed, func(s *Simulator, r *Result) error { return s.Replay(r, buf.Replay(), &tape) }},
+		} {
+			s, err := New(c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.run(s, c.res); err != nil {
+				t.Fatalf("%s: %v", c.m.Name, err)
+			}
+		}
+		if live != want || replayed != want {
+			t.Errorf("%s: a renamed machine simulates differently (live equal %v, replay equal %v)",
+				m.Name, live == want, replayed == want)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -208,6 +210,52 @@ func TestFileSuiteErrors(t *testing.T) {
 	}
 	if _, err := ByName(FilePrefix+dir2, Options{}); err == nil {
 		t.Error("suite with a corrupt member resolved")
+	}
+}
+
+// TestFileSuiteReportsFirstBadFile: the members of a directory are
+// verified in parallel, but the error still names the first failing file
+// in sorted order, whichever worker finishes first. The 1st file is a
+// short valid trace, the 2nd fails only at its checksum, after hashing
+// every record, and the 3rd fails at its first byte: a worker done with
+// the 1st reaches the 3rd's error long before the 2nd's.
+func TestFileSuiteReportsFirstBadFile(t *testing.T) {
+	dir := t.TempDir()
+	exportSuite(t, "cpu2000", Options{NumOps: 20000}, dir)
+	files, err := filepath.Glob(filepath.Join(dir, "*"+trace.FileExt))
+	if err != nil || len(files) < 4 {
+		t.Fatalf("exported %d files (%v), want at least 4", len(files), err)
+	}
+	sort.Strings(files)
+	short := trace.Materialize(trace.Spec{
+		Name: "short", Seed: 3, NumOps: 1000,
+		LoadFrac: 0.2, BranchHardFrac: 0.2,
+		CodeFootprint: 16 << 10, CodeLocality: 0.8,
+		DataFootprint: 1 << 20, DataLocality: 0.5, DepDistMean: 6,
+	})
+	if err := trace.WriteFile(files[0], short); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xFF
+	if err := os.WriteFile(files[1], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[2], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		prev := runtime.GOMAXPROCS(procs)
+		for range 5 {
+			_, err := ByName(FilePrefix+dir, Options{})
+			if err == nil || !strings.Contains(err.Error(), files[1]+":") || !strings.Contains(err.Error(), "checksum") {
+				t.Errorf("GOMAXPROCS=%d: err = %v, want %s's checksum mismatch", procs, err, files[1])
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -185,7 +187,9 @@ func IsFileBacked(name string) bool {
 // loadFileSuite resolves path into a suite: a single trace file becomes
 // a one-workload suite, a directory contributes every *.mtrc file in
 // sorted name order. Each file is fully verified (ReadFileSpec streams
-// it through the checksum) but nothing is materialized.
+// it through the checksum) but nothing is materialized. The files are
+// verified on up to GOMAXPROCS goroutines; the suite keeps the sorted
+// order, and an error names the first failing file in that order.
 func loadFileSuite(path string) (Suite, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -205,18 +209,32 @@ func loadFileSuite(path string) (Suite, error) {
 		files = []string{path}
 	}
 
-	s := Suite{Name: FilePrefix + path}
+	specs := make([]trace.Spec, len(files))
+	errs := make([]error, len(files))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(files)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(files); i = int(next.Add(1) - 1) {
+				specs[i], errs[i] = trace.ReadFileSpec(files[i])
+			}
+		}()
+	}
+	wg.Wait()
+
+	s := Suite{Name: FilePrefix + path, Workloads: specs}
 	seen := make(map[string]string, len(files))
-	for _, f := range files {
-		spec, err := trace.ReadFileSpec(f)
-		if err != nil {
-			return Suite{}, fmt.Errorf("suites: %w", err)
+	for i, f := range files {
+		if errs[i] != nil {
+			return Suite{}, fmt.Errorf("suites: %w", errs[i])
 		}
-		if prev, dup := seen[spec.Name]; dup {
-			return Suite{}, fmt.Errorf("suites: %s: workload %q appears in both %s and %s", path, spec.Name, prev, f)
+		name := specs[i].Name
+		if prev, dup := seen[name]; dup {
+			return Suite{}, fmt.Errorf("suites: %s: workload %q appears in both %s and %s", path, name, prev, f)
 		}
-		seen[spec.Name] = f
-		s.Workloads = append(s.Workloads, spec)
+		seen[name] = f
 	}
 	return s, nil
 }

@@ -60,6 +60,12 @@ const (
 	opRecordBytes = 42
 	maxSpecJSON   = 1 << 20
 	checksumBytes = sha256.Size
+
+	// readBufferBytes sizes decode's read buffer, and windowOps is how
+	// many op records it hashes and parses at once: as many as the
+	// buffer holds.
+	readBufferBytes = 1 << 16
+	windowOps       = readBufferBytes / opRecordBytes
 )
 
 // Op record flag bits.
@@ -166,7 +172,7 @@ func Decode(r io.Reader) (*Buffer, error) {
 // thrown away, which is how ReadFileSpec verifies a file it is only
 // listing.
 func decode(r io.Reader, ops []MicroOp, keepOps bool) (*Buffer, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, readBufferBytes)
 	h := sha256.New()
 	tr := io.TeeReader(br, h)
 
@@ -223,35 +229,50 @@ func decode(r io.Reader, ops []MicroOp, keepOps bool) (*Buffer, error) {
 		}
 		ops = ops[:0]
 	}
-	var rec [opRecordBytes]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(tr, rec[:]); err != nil {
+	// The records are hashed and parsed a window at a time: a whole
+	// number of them, as many as the reader's buffer holds, peeked,
+	// hashed with one Write and discarded. A short window fails at its
+	// first incomplete record, with EOF when none of it arrived and
+	// unexpected EOF when part did.
+	for i := uint64(0); i < n; {
+		want := min(n-i, windowOps) * opRecordBytes
+		win, err := br.Peek(int(want))
+		whole := len(win) - len(win)%opRecordBytes
+		h.Write(win[:whole])
+		for off := 0; off < whole; off, i = off+opRecordBytes, i+1 {
+			rec := win[off : off+opRecordBytes]
+			kind := rec[40]
+			if kind >= uint8(kindCount) {
+				return nil, fmt.Errorf("trace: op %d has undefined kind %d", i, kind)
+			}
+			flags := rec[41]
+			if flags&^uint8(flagsValid) != 0 {
+				return nil, fmt.Errorf("trace: op %d has undefined flag bits %#x", i, flags)
+			}
+			if !keepOps {
+				continue
+			}
+			ops = append(ops, MicroOp{
+				Seq:        binary.LittleEndian.Uint64(rec[0:8]),
+				Kind:       Kind(kind),
+				PC:         binary.LittleEndian.Uint64(rec[8:16]),
+				Addr:       binary.LittleEndian.Uint64(rec[16:24]),
+				Target:     binary.LittleEndian.Uint64(rec[24:32]),
+				Taken:      flags&flagTaken != 0,
+				Dep1:       binary.LittleEndian.Uint32(rec[32:36]),
+				Dep2:       binary.LittleEndian.Uint32(rec[36:40]),
+				InstrFirst: flags&flagInstrFirst != 0,
+				FuseHead:   flags&flagFuseHead != 0,
+				FuseTail:   flags&flagFuseTail != 0,
+			})
+		}
+		if err != nil {
+			if err == io.EOF && len(win) > whole {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, fmt.Errorf("trace: read op %d of %d: %w", i, n, err)
 		}
-		kind := rec[40]
-		if kind >= uint8(kindCount) {
-			return nil, fmt.Errorf("trace: op %d has undefined kind %d", i, kind)
-		}
-		flags := rec[41]
-		if flags&^uint8(flagsValid) != 0 {
-			return nil, fmt.Errorf("trace: op %d has undefined flag bits %#x", i, flags)
-		}
-		if !keepOps {
-			continue
-		}
-		ops = append(ops, MicroOp{
-			Seq:        binary.LittleEndian.Uint64(rec[0:8]),
-			Kind:       Kind(kind),
-			PC:         binary.LittleEndian.Uint64(rec[8:16]),
-			Addr:       binary.LittleEndian.Uint64(rec[16:24]),
-			Target:     binary.LittleEndian.Uint64(rec[24:32]),
-			Taken:      flags&flagTaken != 0,
-			Dep1:       binary.LittleEndian.Uint32(rec[32:36]),
-			Dep2:       binary.LittleEndian.Uint32(rec[36:40]),
-			InstrFirst: flags&flagInstrFirst != 0,
-			FuseHead:   flags&flagFuseHead != 0,
-			FuseTail:   flags&flagFuseTail != 0,
-		})
+		br.Discard(whole)
 	}
 
 	sum := h.Sum(nil)

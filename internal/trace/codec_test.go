@@ -250,8 +250,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 // FuzzDecode asserts the .mtrc import invariants over arbitrary bytes:
 // Decode never panics, and a buffer it accepts re-encodes to exactly the
-// bytes it was decoded from. The seeds are a small valid file and its
-// corruption matrix.
+// bytes it was decoded from. The seeds are a small valid file, its
+// corruption matrix and a valid file of two decode windows and a record.
 func FuzzDecode(f *testing.F) {
 	spec := codecSpec()
 	spec.NumOps = 64
@@ -260,6 +260,8 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
+	multi, _ := encodeOps(f, multiWindowOps)
+	f.Add(multi)
 	for _, tc := range corruptions(good.Bytes()) {
 		f.Add(tc.data)
 	}
