@@ -12,7 +12,9 @@ RUNSTORE ?= $(CURDIR)/.runstore
 
 # µop counts: BENCH_OPS feeds the shared benchmark campaign through
 # REPRO_BENCH_OPS (default in bench_test.go is the paper-faithful 1.2M);
-# SMOKE_OPS keeps the CI simulation smoke short.
+# SMOKE_OPS keeps store-identity and the smoke checks short: the smoke
+# targets pass it to their Go tests as -smoke.ops (go test ./... runs
+# those tests at 20000 µops).
 BENCH_OPS ?= 120000
 SMOKE_OPS ?= 60000
 
@@ -138,85 +140,61 @@ bench-full:
 	@echo "Running the full paper benchmark campaign. This may take awhile!"
 	@REPRO_RUNSTORE=$(RUNSTORE) go test -run '^$$' -bench . -benchtime 1x -benchmem .
 
-# sim-smoke reruns the campaign warm twice, at GOMAXPROCS=1 and with
-# every core: the store lookup runs on the worker pool, so both reruns
-# must be pure store hits and draw byte-identical Figure 2 output.
+# The smoke checks are Go tests that call each command's realMain in
+# process on fresh temporary run stores; go test ./... runs them too
+# (they skip under -short). Each target runs one of them:
+#
+#   sim-smoke           fig2 cold, then warm at GOMAXPROCS=1 and nproc:
+#                       pure store hits, the cold Figure 2 byte for byte
+#   sweep-smoke         a 3-point rob sweep, cold then warm: pure hits
+#   plan-smoke          a 2x2 rob x mshrs grid plan, cold then warm: pure
+#                       hits, zero trace regenerations
+#   optimize-smoke      the example optimize spec, likewise
+#   seeds-smoke         the example 3-seed spec, likewise
+#   trace-smoke         a one-cell plan over cpu2000 exported to .mtrc
+#                       files ("file:DIR"), likewise: zero trace loads
+#   sim-nondeterminism  the rob x mshrs and memlat x l2kb grid plans cold
+#                       at GOMAXPROCS=1 and nproc: byte-identical plan
+#                       JSON and run-store trees
+#   serve-smoke         mecpid restarted on a store it filled: predict,
+#                       sweep and plan over HTTP dispatch no simulation
+#   jobs-smoke          the same warm daemon runs the paper campaign as
+#                       a job without simulating
+#
+# Every warm rerun runs at GOMAXPROCS=1 and at nproc, and the two
+# outputs must be byte-identical.
 sim-smoke:
-	@mkdir -p $(CURDIR)/.bin
-	@echo "Running a short experiment campaign (ops=$(SMOKE_OPS)) against the run store..."
-	@go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) > /dev/null
-	@set -e; for procs in 1 $$(nproc); do \
-		echo "Re-running warm at GOMAXPROCS=$$procs: must be pure store hits..."; \
-		GOMAXPROCS=$$procs go run ./cmd/experiments -run fig2 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) \
-			2>$(CURDIR)/.bin/sim-smoke-$$procs.err >$(CURDIR)/.bin/sim-smoke-$$procs.txt \
-			|| { cat $(CURDIR)/.bin/sim-smoke-$$procs.err; exit 1; }; \
-		grep "0 simulated (100.0% hit rate)" $(CURDIR)/.bin/sim-smoke-$$procs.err; \
-	done
-	@echo "Comparing the warm Figure 2 outputs..."
-	@cmp $(CURDIR)/.bin/sim-smoke-1.txt $(CURDIR)/.bin/sim-smoke-$$(nproc).txt
+	@go test -count=1 -run '^TestWarmFig2IsAllHits$$' ./cmd/experiments -smoke.ops=$(SMOKE_OPS)
 
 sweep-smoke:
-	@echo "Running a 3-point ROB sweep (ops=$(SMOKE_OPS)) against the run store..."
-	@go run ./cmd/sweep -base core2 -param rob -values 48,96,192 -suite cpu2000 \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) > /dev/null
-	@echo "Re-running warm: must be pure store hits..."
-	@go run ./cmd/sweep -base core2 -param rob -values 48,96,192 -suite cpu2000 \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) 2>&1 >/dev/null \
-		| grep "0 simulated (100.0% hit rate)"
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^sweep$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
 
-# plan-smoke is the grid-plan counterpart of sweep-smoke: a cold 2×2
-# rob×mshrs plan through cmd/sweep's repeated -param/-values grid mode,
-# then a warm rerun that must be pure store hits with zero trace
-# regenerations (the stats line counts actual µop-stream generations;
-# a fully warm plan touches neither the simulator nor the generator).
 plan-smoke:
-	@echo "Running a cold 2x2 grid plan (ops=$(SMOKE_OPS)) against the run store..."
-	@go run ./cmd/sweep -base core2 -param rob -values 48,96 -param mshrs -values 4,8 \
-		-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) > /dev/null
-	@echo "Re-running warm: must be pure store hits and zero trace regenerations..."
-	@go run ./cmd/sweep -base core2 -param rob -values 48,96 -param mshrs -values 4,8 \
-		-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) 2>&1 >/dev/null \
-		| grep "0 simulated (100.0% hit rate), 0 traces generated"
-
-# sim-nondeterminism runs grid plans single-threaded and with every
-# core — each against its own fresh run store — and asserts
-# byte-identical wire-format plan JSON and byte-identical run-store
-# artifacts: every simulation entry and the plan's stored base fit.
-# Plan cells simulate concurrently over shared trace buffers and tapes
-# (one walk of the caches and branch predictor per walk key), and a
-# fit's multi-starts run on every core, so this is the gate that
-# scheduling, worker count and GOMAXPROCS never leak into results
-# (first slice of the ROADMAP determinism harness). The first plan,
-# rob x mshrs, has one walk key; the second, memlat x l2kb, has an axis
-# that shares a walk (memlat) and one that splits it (l2kb).
-DET_PLANS := rob:48,96:mshrs:4,8 memlat:150,300:l2kb:2048,4096
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^plan$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
 
 sim-nondeterminism:
-	@mkdir -p $(CURDIR)/.bin
-	@set -e; for plan in $(DET_PLANS); do \
-		set -- $$(echo $$plan | tr ':' ' '); \
-		tag=$$1-$$3; \
-		rm -rf $(CURDIR)/.bin/det-store-$$tag-1 $(CURDIR)/.bin/det-store-$$tag-n; \
-		echo "Running a 2x2 $$1 x $$3 grid plan at GOMAXPROCS=1 (ops=$(SMOKE_OPS))..."; \
-		GOMAXPROCS=1 go run ./cmd/sweep -base core2 -param $$1 -values $$2 -param $$3 -values $$4 \
-			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json \
-			-store $(CURDIR)/.bin/det-store-$$tag-1 > $(CURDIR)/.bin/det-plan-$$tag-1.json; \
-		echo "Running the same plan at GOMAXPROCS=$$(nproc)..."; \
-		GOMAXPROCS=$$(nproc) go run ./cmd/sweep -base core2 -param $$1 -values $$2 -param $$3 -values $$4 \
-			-suite cpu2000 -ops $(SMOKE_OPS) -starts 2 -json \
-			-store $(CURDIR)/.bin/det-store-$$tag-n > $(CURDIR)/.bin/det-plan-$$tag-n.json; \
-		echo "Comparing plan JSON..."; \
-		cmp $(CURDIR)/.bin/det-plan-$$tag-1.json $(CURDIR)/.bin/det-plan-$$tag-n.json; \
-		echo "Comparing run-store artifacts..."; \
-		diff -r $(CURDIR)/.bin/det-store-$$tag-1 $(CURDIR)/.bin/det-store-$$tag-n; \
-	done
-	@echo "sim-nondeterminism: byte-identical across GOMAXPROCS"
+	@go test -count=1 -run '^TestPlanDeterministicAcrossGOMAXPROCS$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+
+optimize-smoke:
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^optimize$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+
+seeds-smoke:
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^seeds$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+
+trace-smoke:
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^trace$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+
+serve-smoke:
+	@go test -count=1 -run '^TestWarmDaemonDispatchesNoSimulation$$/^serve$$' ./cmd/mecpid -smoke.ops=$(SMOKE_OPS)
+
+jobs-smoke:
+	@go test -count=1 -run '^TestWarmDaemonDispatchesNoSimulation$$/^jobs$$' ./cmd/mecpid -smoke.ops=$(SMOKE_OPS)
 
 # store-identity checks that a simulator change left every stored
 # Result byte for byte as it was: it fills one fresh run store from a
 # checkout of PARENT (git archive, under .bin/) and another from the
 # working tree — a rob x mshrs grid plan, a fig2 campaign, the memlat x
-# l2kb grid plan of DET_PLANS and the example seeds sweep, all at
+# l2kb grid plan of sim-nondeterminism and the example seeds sweep, all at
 # SMOKE_OPS — and diffs the two stores. The plans and the campaign share
 # every trace across machines; the one-machine seeds sweep shares none,
 # so its runs cover the unshared path. The rob x mshrs grid runs first,
@@ -306,80 +284,6 @@ scale-smoke:
 		echo "scale-smoke: fewer than 4 cores, skipping the 1.5x wall-clock gate"; \
 	fi
 
-# optimize-smoke is the design-space-search counterpart of plan-smoke:
-# a cold coordinate-descent search over the committed example spec, then
-# a warm -json rerun that must be pure store hits with zero trace
-# regenerations — asserted on both the store-stats line and the wire
-# report ("simulated": 0, "traceGens": 0), the same fields POST
-# /v1/optimize answers.
-optimize-smoke:
-	@mkdir -p $(CURDIR)/.bin
-	@echo "Running a cold design-space optimize (ops=$(SMOKE_OPS)) against the run store..."
-	@go run ./cmd/sweep -optimize examples/optimize/core2-min-cpi.json \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) > /dev/null
-	@echo "Re-running warm: must be pure store hits and zero trace regenerations..."
-	@go run ./cmd/sweep -optimize examples/optimize/core2-min-cpi.json -json \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) \
-		2>&1 >$(CURDIR)/.bin/optimize-smoke.json \
-		| grep "0 simulated (100.0% hit rate), 0 traces generated"
-	@grep -q '"simulated": 0' $(CURDIR)/.bin/optimize-smoke.json
-	@grep -q '"traceGens": 0' $(CURDIR)/.bin/optimize-smoke.json
-
-# seeds-smoke is the statistical-replication counterpart of
-# optimize-smoke: a cold 3-seed sweep over the committed example spec
-# (each seed its own workload instantiation, so nothing is shareable
-# across seeds), then a warm -json rerun that must be pure store hits
-# with zero trace regenerations — asserted on both the store-stats line
-# and the wire report ("simulated": 0, "traceGens": 0), the same fields
-# POST /v1/seeds answers.
-seeds-smoke:
-	@mkdir -p $(CURDIR)/.bin
-	@echo "Running a cold 3-seed replication sweep (ops=$(SMOKE_OPS)) against the run store..."
-	@go run ./cmd/sweep -seeds examples/seeds/core2-seeds.json \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) > /dev/null
-	@echo "Re-running warm: must be pure store hits and zero trace regenerations..."
-	@go run ./cmd/sweep -seeds examples/seeds/core2-seeds.json -json \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) \
-		2>&1 >$(CURDIR)/.bin/seeds-smoke.json \
-		| grep "0 simulated (100.0% hit rate), 0 traces generated"
-	@grep -q '"simulated": 0' $(CURDIR)/.bin/seeds-smoke.json
-	@grep -q '"traceGens": 0' $(CURDIR)/.bin/seeds-smoke.json
-
-# trace-smoke exercises the recorded-trace path end to end: tracetool
-# generates a one-off trace file from an inline spec and inspects it,
-# exports the cpu2000 suite to .mtrc files, import-verifies the
-# directory, then runs a one-cell grid plan over the imported traces
-# through the "file:DIR" suite form. The warm -json rerun must be pure
-# store hits with zero trace loads — recorded streams replay from the
-# store, not from disk ("simulated": 0, "traceGens": 0 in the wire
-# report, the same fields POST /v1/plan answers). Export is
-# deterministic, so the file content hashes — and therefore the store
-# keys — are stable across CI runs and the cached run store stays warm.
-trace-smoke:
-	@mkdir -p $(CURDIR)/.bin
-	@rm -rf $(CURDIR)/.bin/traces
-	@echo "Generating a one-off trace file from an inline spec..."
-	@printf '%s\n' '{"Name": "toy", "Seed": 7, "NumOps": 5000, "LoadFrac": 0.25, "StoreFrac": 0.1, "BranchHardFrac": 0.2, "CodeFootprint": 32768, "CodeLocality": 0.8, "DataFootprint": 1048576, "DataLocality": 0.6, "DepDistMean": 8}' \
-		> $(CURDIR)/.bin/trace-smoke-spec.json
-	@go run ./cmd/tracetool generate -spec $(CURDIR)/.bin/trace-smoke-spec.json -out $(CURDIR)/.bin/toy.mtrc
-	@go run ./cmd/tracetool inspect $(CURDIR)/.bin/toy.mtrc
-	@echo "Exporting the cpu2000 suite (ops=$(SMOKE_OPS)) to trace files..."
-	@go run ./cmd/tracetool export -suite cpu2000 -ops $(SMOKE_OPS) -out $(CURDIR)/.bin/traces
-	@echo "Import-verifying the exported directory..."
-	@go run ./cmd/tracetool import $(CURDIR)/.bin/traces > /dev/null
-	@echo "Running a cold one-cell plan over the imported traces..."
-	@printf '%s\n' '{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [96]}], "suite": "file:$(CURDIR)/.bin/traces"}' \
-		> $(CURDIR)/.bin/trace-smoke-plan.json
-	@go run ./cmd/sweep -plan $(CURDIR)/.bin/trace-smoke-plan.json \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) > /dev/null
-	@echo "Re-running warm: must be pure store hits and zero trace loads..."
-	@go run ./cmd/sweep -plan $(CURDIR)/.bin/trace-smoke-plan.json -json \
-		-ops $(SMOKE_OPS) -starts 2 -store $(RUNSTORE) \
-		2>&1 >$(CURDIR)/.bin/trace-smoke.json \
-		| grep "0 simulated (100.0% hit rate), 0 traces generated"
-	@grep -q '"simulated": 0' $(CURDIR)/.bin/trace-smoke.json
-	@grep -q '"traceGens": 0' $(CURDIR)/.bin/trace-smoke.json
-
 fuzz-smoke:
 	@echo "Fuzzing campaign parsing for 20s..."
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime 20s
@@ -399,70 +303,6 @@ fuzz-smoke:
 	@go test ./internal/sim -run '^$$' -fuzz '^FuzzTimingOnlyMachine$$' -fuzztime 20s
 	@echo "Fuzzing LRU inclusion (doubling the ways never adds misses) for 20s..."
 	@go test ./internal/cache -run '^$$' -fuzz '^FuzzLRUInclusion$$' -fuzztime 20s
-
-# serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
-# the whole point of the assertion is that a warm store lets the daemon
-# answer predict and kind requests without dispatching one simulation.
-# The sweep report carries no sourcing of its own, so the same rob axis
-# is posted once more as a one-axis plan, whose response must report
-# its own zero.
-serve-smoke: sim-smoke sweep-smoke
-	@echo "Starting mecpid on a random port against the run store at $(RUNSTORE)..."
-	@mkdir -p $(CURDIR)/.bin
-	@go build -o $(CURDIR)/.bin/mecpid ./cmd/mecpid
-	@rm -f $(CURDIR)/.bin/mecpid.addr
-	@$(CURDIR)/.bin/mecpid -addr 127.0.0.1:0 -addrfile $(CURDIR)/.bin/mecpid.addr \
-		-store $(RUNSTORE) -ops $(SMOKE_OPS) -starts 2 & \
-	pid=$$!; \
-	trap "kill $$pid 2>/dev/null" EXIT; \
-	for i in $$(seq 1 100); do [ -s $(CURDIR)/.bin/mecpid.addr ] && break; sleep 0.1; done; \
-	addr=$$(cat $(CURDIR)/.bin/mecpid.addr); \
-	echo "daemon at $$addr; hitting healthz, predict, sweep, plan..." && \
-	curl -fsS "http://$$addr/healthz" > /dev/null && \
-	curl -fsS -X POST "http://$$addr/v1/predict" \
-		-d '{"machine": {"name": "core2"}, "suite": "cpu2006", "workload": "mcf"}' > /dev/null && \
-	curl -fsS -X POST "http://$$addr/v1/sweep" \
-		-d '{"base": {"name": "core2"}, "param": "rob", "values": [48, 96, 192], "suite": "cpu2000"}' > /dev/null && \
-	curl -fsS -X POST "http://$$addr/v1/plan" \
-		-d '{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96, 192]}], "suite": "cpu2000"}' \
-		| grep -q '"simulated": 0' && \
-	echo "Asserting the warm store dispatched zero simulations..." && \
-	curl -fsS "http://$$addr/v1/stats" | grep -q '"simulated": 0'
-
-# jobs-smoke depends on sim-smoke so the run store is warm: the daemon
-# must answer a whole background campaign job without dispatching one
-# simulation. It submits the paper campaign as an async job, polls it to
-# the done state, and asserts the job's progress reports zero simulated
-# runs.
-jobs-smoke: sim-smoke
-	@echo "Starting mecpid on a random port against the run store at $(RUNSTORE)..."
-	@mkdir -p $(CURDIR)/.bin
-	@go build -o $(CURDIR)/.bin/mecpid ./cmd/mecpid
-	@rm -f $(CURDIR)/.bin/mecpid.addr
-	@$(CURDIR)/.bin/mecpid -addr 127.0.0.1:0 -addrfile $(CURDIR)/.bin/mecpid.addr \
-		-store $(RUNSTORE) -ops $(SMOKE_OPS) -starts 2 & \
-	pid=$$!; \
-	trap "kill $$pid 2>/dev/null" EXIT; \
-	for i in $$(seq 1 100); do [ -s $(CURDIR)/.bin/mecpid.addr ] && break; sleep 0.1; done; \
-	addr=$$(cat $(CURDIR)/.bin/mecpid.addr); \
-	echo "daemon at $$addr; submitting a campaign job..." && \
-	id=$$(curl -fsS -X POST "http://$$addr/v1/jobs" \
-		-d '{"kind": "campaign", "campaign": {"machines": [{"name": "pentium4"}, {"name": "core2"}, {"name": "corei7"}], "suites": ["cpu2000", "cpu2006"]}}' \
-		| sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
-	[ -n "$$id" ] || { echo "job submission returned no id"; exit 1; }; \
-	echo "job $$id accepted; polling to completion..."; \
-	body=""; \
-	for i in $$(seq 1 600); do \
-		body=$$(curl -fsS "http://$$addr/v1/jobs/$$id"); \
-		case "$$body" in \
-			*'"state": "done"'*) break;; \
-			*'"state": "failed"'*|*'"state": "cancelled"'*) echo "$$body"; exit 1;; \
-		esac; \
-		sleep 0.2; \
-	done; \
-	echo "$$body" | grep -q '"state": "done"' && \
-	echo "Asserting the warm store dispatched zero simulations..." && \
-	echo "$$body" | grep -q '"simulated": 0'
 
 clean-store:
 	@echo "Removing the run store at $(RUNSTORE)..."

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,13 +29,13 @@ func main() {
 	storeDir := flag.String("store", "", "run-store directory for cached calibrations (empty = no cache)")
 	flag.Parse()
 
-	if err := realMain(*machine, *sweep, *storeDir); err != nil {
+	if err := realMain(os.Stdout, *machine, *sweep, *storeDir); err != nil {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(name string, sweep bool, storeDir string) error {
+func realMain(out io.Writer, name string, sweep bool, storeDir string) error {
 	m, err := uarch.ByName(name)
 	if err != nil {
 		return err
@@ -68,22 +69,22 @@ func realMain(name string, sweep bool, storeDir string) error {
 		}
 	}
 	e := res.Estimates
-	fmt.Printf("calibration of %s:\n", m.Name)
-	fmt.Printf("  L1 load-to-use : %4d cycles (configured %d)\n", e.L1Lat, m.L1D.LatCycles)
-	fmt.Printf("  L2 latency     : %4d cycles (configured %d)\n", e.L2Lat, m.L2.LatCycles)
+	fmt.Fprintf(out, "calibration of %s:\n", m.Name)
+	fmt.Fprintf(out, "  L1 load-to-use : %4d cycles (configured %d)\n", e.L1Lat, m.L1D.LatCycles)
+	fmt.Fprintf(out, "  L2 latency     : %4d cycles (configured %d)\n", e.L2Lat, m.L2.LatCycles)
 	if m.HasL3() {
-		fmt.Printf("  L3 latency     : %4d cycles (configured %d)\n", e.L3Lat, m.L3.LatCycles)
+		fmt.Fprintf(out, "  L3 latency     : %4d cycles (configured %d)\n", e.L3Lat, m.L3.LatCycles)
 	}
-	fmt.Printf("  memory latency : %4d cycles (configured %d)\n", e.MemLat, m.MemLat)
-	fmt.Printf("  TLB miss walk  : %4d cycles (configured %d)\n", e.TLBLat, m.DTLB.MissLat)
+	fmt.Fprintf(out, "  memory latency : %4d cycles (configured %d)\n", e.MemLat, m.MemLat)
+	fmt.Fprintf(out, "  TLB miss walk  : %4d cycles (configured %d)\n", e.TLBLat, m.DTLB.MissLat)
 	if sweep {
-		fmt.Println("\nfootprint sweep (working set → median load-to-use latency):")
+		fmt.Fprintln(out, "\nfootprint sweep (working set → median load-to-use latency):")
 		for _, p := range res.Sweep {
 			unit, v := "KB", p.FootprintBytes>>10
 			if p.FootprintBytes >= 1<<20 {
 				unit, v = "MB", p.FootprintBytes>>20
 			}
-			fmt.Printf("  %6d%s  %7.1f cycles\n", v, unit, p.MedianLat)
+			fmt.Fprintf(out, "  %6d%s  %7.1f cycles\n", v, unit, p.MedianLat)
 		}
 	}
 	return nil

@@ -100,7 +100,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	err = realMain(os.Stdout, *run, *ops, *starts, *storeDir, *scenario)
+	err = realMain(os.Stdout, os.Stderr, *run, *ops, *starts, *storeDir, *scenario)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -110,7 +110,7 @@ func main() {
 	}
 }
 
-func realMain(out io.Writer, run string, ops, starts int, storeDir, scenario string) error {
+func realMain(out, stderr io.Writer, run string, ops, starts int, storeDir, scenario string) error {
 	var selected []artifact
 	for _, a := range artifacts {
 		if run == "all" || run == a.name {
@@ -168,20 +168,20 @@ func realMain(out io.Writer, run string, ops, starts int, storeDir, scenario str
 		needsSim = needsSim || a.needsSim
 	}
 	if needsSim {
-		fmt.Fprintf(os.Stderr, "simulating %d workloads × %d machines (%d µops each)...\n",
+		fmt.Fprintf(stderr, "simulating %d workloads × %d machines (%d µops each)...\n",
 			lab.NumWorkloads(), len(lab.Machines()), lab.NumOps())
 		t0 := time.Now()
 		if err := lab.Simulate(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "simulation done in %v\n", time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "simulation done in %v\n", time.Since(t0).Round(time.Millisecond))
 		if store != nil {
 			st := lab.SimStats()
-			fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate)\n",
+			fmt.Fprintf(stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate)\n",
 				store.Dir(), st.Hits, st.Simulated,
 				100*float64(st.Hits)/float64(st.Hits+st.Simulated))
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
 
 	for _, a := range selected {

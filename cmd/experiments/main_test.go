@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,7 @@ func TestFig2GoldenOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := realMain(&out, "fig2", 20000, 2, "", ""); err != nil {
+	if err := realMain(&out, io.Discard, "fig2", 20000, 2, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), want) {
@@ -37,7 +38,7 @@ func TestFig2GoldenOutput(t *testing.T) {
 }
 
 func TestUnknownArtifactListsValidNames(t *testing.T) {
-	err := realMain(&bytes.Buffer{}, "fig9", 1000, 2, "", "")
+	err := realMain(&bytes.Buffer{}, io.Discard, "fig9", 1000, 2, "", "")
 	if err == nil {
 		t.Fatal("expected error for unknown artifact")
 	}
@@ -81,7 +82,7 @@ func TestPaperOnlyArtifactRejectedUnderScenario(t *testing.T) {
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := realMain(&bytes.Buffer{}, "fig6", 1000, 2, "", scenario)
+	err := realMain(&bytes.Buffer{}, io.Discard, "fig6", 1000, 2, "", scenario)
 	if err == nil || !strings.Contains(err.Error(), "paper campaign") {
 		t.Errorf("fig6 under a scenario should be rejected, got %v", err)
 	}
@@ -104,7 +105,7 @@ func TestScenarioCampaignRunsGenericArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := realMain(&out, "all", 5000, 2, "", scenario); err != nil {
+	if err := realMain(&out, io.Discard, "all", 5000, 2, "", scenario); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()

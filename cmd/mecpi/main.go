@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -48,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mecpi:", err)
 		os.Exit(1)
 	}
-	err = realMain(*machine, *suiteName, *workload, *ops, *starts, *truth, *characterize, *storeDir)
+	err = realMain(os.Stdout, *machine, *suiteName, *workload, *ops, *starts, *truth, *characterize, *storeDir)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -58,7 +59,7 @@ func main() {
 	}
 }
 
-func realMain(machineName, suiteName, workload string, ops, starts int, truth, characterize bool, storeDir string) error {
+func realMain(out io.Writer, machineName, suiteName, workload string, ops, starts int, truth, characterize bool, storeDir string) error {
 	m, err := uarch.ByName(machineName)
 	if err != nil {
 		return err
@@ -92,22 +93,22 @@ func realMain(machineName, suiteName, workload string, ops, starts int, truth, c
 	}
 
 	if characterize {
-		fmt.Print(core.RenderCharacterization(core.Characterize(model, obs)))
-		fmt.Println()
-		fmt.Print(stack.RenderCPIStack(
+		fmt.Fprint(out, core.RenderCharacterization(core.Characterize(model, obs)))
+		fmt.Fprintln(out)
+		fmt.Fprint(out, stack.RenderCPIStack(
 			fmt.Sprintf("mean CPI stack of %s on %s", suite.Name, m.Name),
 			core.SuiteProfile(model, obs)))
 		return nil
 	}
 
 	if workload == "" {
-		fmt.Println(model)
+		fmt.Fprintln(out, model)
 		ws, acc := experiments.Score(model, obs)
-		fmt.Printf("\nsuite accuracy on %s/%s: avg err %.1f%%, max %.1f%%, %.0f%% of benchmarks < 20%%\n",
+		fmt.Fprintf(out, "\nsuite accuracy on %s/%s: avg err %.1f%%, max %.1f%%, %.0f%% of benchmarks < 20%%\n",
 			m.Name, suite.Name, 100*acc.AvgRelErr, 100*acc.MaxRelErr, 100*acc.FracBelow20Pct)
-		fmt.Printf("\nper-workload CPI (measured → predicted):\n")
+		fmt.Fprintf(out, "\nper-workload CPI (measured → predicted):\n")
 		for _, w := range ws {
-			fmt.Printf("  %-14s %7.3f → %7.3f  (%+5.1f%%)\n",
+			fmt.Fprintf(out, "  %-14s %7.3f → %7.3f  (%+5.1f%%)\n",
 				w.Workload, w.MeasuredCPI, w.PredictedCPI, 100*w.RelErr)
 		}
 		return nil
@@ -120,13 +121,13 @@ func realMain(machineName, suiteName, workload string, ops, starts int, truth, c
 	predStack := model.Stack(target.Feat)
 	if truth {
 		truthStack := runs[workload].Truth.CPIStack(runs[workload].Counters.Uops)
-		fmt.Print(stack.RenderComparison(
+		fmt.Fprint(out, stack.RenderComparison(
 			fmt.Sprintf("CPI stack for %s on %s (model vs ground truth):", workload, m.Name),
 			predStack, truthStack))
 		return nil
 	}
-	fmt.Print(stack.RenderCPIStack(
+	fmt.Fprint(out, stack.RenderCPIStack(
 		fmt.Sprintf("CPI stack for %s on %s", workload, m.Name), predStack))
-	fmt.Printf("measured CPI: %.4f\n", target.MeasuredCPI)
+	fmt.Fprintf(out, "measured CPI: %.4f\n", target.MeasuredCPI)
 	return nil
 }

@@ -53,7 +53,7 @@ func TestTextReportGoldens(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out, _ := runKind(t, c.kind, c.payload, false)
+			out, _, _ := runKind(t, c.kind, c.payload, cliOps, "", false)
 			if !strings.Contains(out, c.shows) {
 				t.Errorf("%s report does not show %q:\n%s", c.name, c.shows, out)
 			}

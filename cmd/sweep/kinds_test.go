@@ -101,7 +101,7 @@ func TestEveryKindOnEverySurface(t *testing.T) {
 				}
 			}
 
-			out, ok := runKind(t, k.Name, kindPayloads[k.Name], true)
+			out, _, ok := runKind(t, k.Name, kindPayloads[k.Name], cliOps, "", true)
 			if !ok {
 				if k.Name != experiments.JobKindCampaign {
 					t.Fatalf("no cmd/sweep mode for kind %q; extend runKind", k.Name)
@@ -129,12 +129,15 @@ var kindPayloads = map[string]string{
 // cliOps keeps realMain runs fast.
 const cliOps = 2000
 
-// runKind runs realMain at cliOps and 2 fit starts in cmd/sweep's mode
-// for kind — -param/-values for a sweep, the payload as a spec file for
-// the others — and returns what it prints. ok is false for a kind
+// runKind runs realMain at ops µops and 2 fit starts in cmd/sweep's
+// mode for kind, against the run store in dir ("" for none): the
+// -param/-values flags for a sweep and for a plan of two or more axes
+// (the grid mode), the payload as a spec file otherwise. It returns what
+// realMain prints to stdout and to stderr; ok is false for a kind
 // cmd/sweep has no mode for.
-func runKind(t *testing.T, kind, payload string, jsonOut bool) (out string, ok bool) {
+func runKind(t *testing.T, kind, payload string, ops int, dir string, jsonOut bool) (out, stderr string, ok bool) {
 	t.Helper()
+	base, suite := "core2", "cpu2000"
 	var params, values []string
 	files := map[string]string{}
 	switch kind {
@@ -143,25 +146,43 @@ func runKind(t *testing.T, kind, payload string, jsonOut bool) (out string, ok b
 		if err := json.Unmarshal([]byte(payload), &sw); err != nil {
 			t.Fatal(err)
 		}
-		var vals []string
-		for _, v := range sw.Values {
-			vals = append(vals, strconv.Itoa(v))
-		}
-		params, values = []string{sw.Param}, []string{strings.Join(vals, ",")}
+		base, suite = sw.Base.Name, sw.Suite
+		params, values = []string{sw.Param}, []string{joinInts(sw.Values)}
 	case experiments.JobKindPlan, experiments.JobKindOptimize, experiments.JobKindSeeds:
+		var plan experiments.PlanSpec
+		if kind == experiments.JobKindPlan {
+			if err := json.Unmarshal([]byte(payload), &plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(plan.Axes) >= 2 {
+			base, suite = plan.Base.Name, plan.Suite
+			for _, a := range plan.Axes {
+				params, values = append(params, a.Param), append(values, joinInts(a.Values))
+			}
+			break
+		}
 		files[kind] = filepath.Join(t.TempDir(), kind+".json")
 		if err := os.WriteFile(files[kind], []byte(payload), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	default:
-		return "", false
+		return "", "", false
 	}
-	var buf bytes.Buffer
-	if err := realMain(&buf, "core2", params, values, "cpu2000", cliOps, 2, 0, "",
+	var stdout, errOut bytes.Buffer
+	if err := realMain(&stdout, &errOut, base, params, values, suite, ops, 2, 0, dir,
 		files[experiments.JobKindPlan], files[experiments.JobKindOptimize], files[experiments.JobKindSeeds], jsonOut); err != nil {
-		t.Fatalf("realMain %s (json %v): %v", kind, jsonOut, err)
+		t.Fatalf("realMain %s (json %v): %v\n%s", kind, jsonOut, err, errOut.String())
 	}
-	return buf.String(), true
+	return stdout.String(), errOut.String(), true
+}
+
+func joinInts(vs []int) string {
+	s := make([]string, len(vs))
+	for i, v := range vs {
+		s[i] = strconv.Itoa(v)
+	}
+	return strings.Join(s, ",")
 }
 
 // keys returns a JSON object's top-level field names, sorted.

@@ -99,7 +99,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-	err = realMain(os.Stdout, *base, params, valueLists, *suite, *ops, *starts, *workers, *storeDir, *planFile, *optimizeFile, *seedsFile, *jsonOut)
+	err = realMain(os.Stdout, os.Stderr, *base, params, valueLists, *suite, *ops, *starts, *workers, *storeDir, *planFile, *optimizeFile, *seedsFile, *jsonOut)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -145,7 +145,7 @@ func parseAxes(params, valueLists []string) ([]experiments.PlanAxis, error) {
 	return axes, nil
 }
 
-func realMain(out io.Writer, baseName string, params, valueLists []string, suiteName string, ops, starts, workers int, storeDir, planFile, optimizeFile, seedsFile string, jsonOut bool) error {
+func realMain(out, stderr io.Writer, baseName string, params, valueLists []string, suiteName string, ops, starts, workers int, storeDir, planFile, optimizeFile, seedsFile string, jsonOut bool) error {
 	opts := experiments.Options{NumOps: ops, FitStarts: starts, Workers: workers}
 	if storeDir != "" {
 		store, err := runstore.Open(storeDir)
@@ -164,25 +164,25 @@ func realMain(out io.Writer, baseName string, params, valueLists []string, suite
 		return err
 	}
 
-	fmt.Fprintf(os.Stderr, "running %s: up to %d runs (%d µops/workload)...\n", spec.Kind, exp.Totals.TotalRuns, ops)
+	fmt.Fprintf(stderr, "running %s: up to %d runs (%d µops/workload)...\n", spec.Kind, exp.Totals.TotalRuns, ops)
 	t0 := time.Now()
 	res, err := exp.Run(context.Background(), opts, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s done in %v\n", spec.Kind, time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "%s done in %v\n", spec.Kind, time.Since(t0).Round(time.Millisecond))
 	// The trace count shows how many µop streams were actually generated:
 	// a warm store regenerates none, and a cold grid generates one per
 	// workload, not one per cell.
 	st := res.Stats
 	if opts.Store != nil {
-		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
+		fmt.Fprintf(stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
 			opts.Store.Dir(), st.Hits, st.Simulated,
 			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
 	} else {
-		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
+		fmt.Fprintf(stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
 	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(stderr)
 
 	if jsonOut {
 		data, err := json.MarshalIndent(res.Report, "", "  ")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,13 +34,13 @@ func TestParseAxesPairsFlags(t *testing.T) {
 
 func TestRealMainRejectsBadAxis(t *testing.T) {
 	run := func(param, values string) error {
-		return realMain(&bytes.Buffer{}, "core2", []string{param}, []string{values}, "cpu2000", 1000, 2, 0, "", "", "", "", false)
+		return realMain(&bytes.Buffer{}, io.Discard, "core2", []string{param}, []string{values}, "cpu2000", 1000, 2, 0, "", "", "", "", false)
 	}
 	err := run("cores", "1,2")
 	if err == nil || !strings.Contains(err.Error(), "rob") {
 		t.Errorf("unknown axis should list valid ones: %v", err)
 	}
-	if err := realMain(&bytes.Buffer{}, "atom", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", "", "", "", false); err == nil {
+	if err := realMain(&bytes.Buffer{}, io.Discard, "atom", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", "", "", "", false); err == nil {
 		t.Error("unknown base machine should fail")
 	}
 	if err := run("rob", ""); err == nil {
@@ -50,7 +51,7 @@ func TestRealMainRejectsBadAxis(t *testing.T) {
 	}
 	// Grid path validates too: a duplicated value on any axis fails
 	// before anything simulates.
-	err = realMain(&bytes.Buffer{}, "core2", []string{"rob", "memlat"}, []string{"64,96", "200,200"},
+	err = realMain(&bytes.Buffer{}, io.Discard, "core2", []string{"rob", "memlat"}, []string{"64,96", "200,200"},
 		"cpu2000", 1000, 2, 0, "", "", "", "", false)
 	if err == nil || !strings.Contains(err.Error(), "listed twice") {
 		t.Errorf("duplicate grid values should be rejected: %v", err)
@@ -68,7 +69,7 @@ func TestRealMainPlanFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 2000, 2, 0, "", good, "", "", false); err != nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 2000, 2, 0, "", good, "", "", false); err != nil {
 		t.Fatalf("plan file run: %v", err)
 	}
 	text := out.String()
@@ -82,10 +83,10 @@ func TestRealMainPlanFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"base": {"name": "core2"}, "axes": [], "suite": "cpu2000"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", bad, "", "", false); err == nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", bad, "", "", false); err == nil {
 		t.Error("axis-free plan file should fail")
 	}
-	if err := realMain(&out, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", good, "", "", false); err == nil {
+	if err := realMain(&out, io.Discard, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", good, "", "", false); err == nil {
 		t.Error("-plan together with -param should fail")
 	}
 }
@@ -104,7 +105,7 @@ func TestRealMainOptimizeFile(t *testing.T) {
 
 	store := filepath.Join(dir, "store")
 	var out bytes.Buffer
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 2000, 2, 0, store, "", spec, "", false); err != nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 2000, 2, 0, store, "", spec, "", false); err != nil {
 		t.Fatalf("optimize run: %v", err)
 	}
 	text := out.String()
@@ -117,7 +118,7 @@ func TestRealMainOptimizeFile(t *testing.T) {
 	// The warm -json rerun is the smoke-test contract: every run from
 	// the store, zero simulations, zero regenerated traces.
 	out.Reset()
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 2000, 2, 0, store, "", spec, "", true); err != nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 2000, 2, 0, store, "", spec, "", true); err != nil {
 		t.Fatalf("warm optimize rerun: %v", err)
 	}
 	var rep struct {
@@ -139,13 +140,13 @@ func TestRealMainOptimizeFile(t *testing.T) {
 
 	// -optimize is exclusive with -plan and -param, and -json needs a
 	// mode to report.
-	if err := realMain(&out, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", "", spec, "", false); err == nil {
+	if err := realMain(&out, io.Discard, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", "", spec, "", false); err == nil {
 		t.Error("-optimize together with -param should fail")
 	}
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", spec, spec, "", false); err == nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", spec, spec, "", false); err == nil {
 		t.Error("-optimize together with -plan should fail")
 	}
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", "", "", "", true); err == nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", "", "", "", true); err == nil {
 		t.Error("-json without a mode should fail")
 	}
 
@@ -153,7 +154,7 @@ func TestRealMainOptimizeFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48]}], "suite": "cpu2000", "objective": {"kind": "max-fun"}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", "", bad, "", false); err == nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", "", bad, "", false); err == nil {
 		t.Error("unknown objective kind should fail before anything simulates")
 	}
 }
@@ -171,7 +172,7 @@ func TestRealMainSeedsFile(t *testing.T) {
 
 	store := filepath.Join(dir, "store")
 	var out bytes.Buffer
-	if err := realMain(&out, "core2", nil, nil, "cpu2006", 2000, 2, 0, store, "", "", spec, false); err != nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2006", 2000, 2, 0, store, "", "", spec, false); err != nil {
 		t.Fatalf("seeds run: %v", err)
 	}
 	text := out.String()
@@ -184,7 +185,7 @@ func TestRealMainSeedsFile(t *testing.T) {
 	// The warm -json rerun is the smoke-test contract: every run from
 	// the store, zero simulations, zero regenerated traces.
 	out.Reset()
-	if err := realMain(&out, "core2", nil, nil, "cpu2006", 2000, 2, 0, store, "", "", spec, true); err != nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2006", 2000, 2, 0, store, "", "", spec, true); err != nil {
 		t.Fatalf("warm seeds rerun: %v", err)
 	}
 	var rep struct {
@@ -214,14 +215,14 @@ func TestRealMainSeedsFile(t *testing.T) {
 	}
 
 	// -seeds is exclusive with the other modes, and bad specs fail fast.
-	if err := realMain(&out, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", "", "", spec, false); err == nil {
+	if err := realMain(&out, io.Discard, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, "", "", "", spec, false); err == nil {
 		t.Error("-seeds together with -param should fail")
 	}
 	bad := filepath.Join(dir, "badseeds.json")
 	if err := os.WriteFile(bad, []byte(`{"base": {"name": "core2"}, "suite": "cpu2000", "seeds": [0]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := realMain(&out, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", "", "", bad, false); err == nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 1000, 2, 0, "", "", "", bad, false); err == nil {
 		t.Error("seed 0 should fail before anything simulates")
 	}
 }

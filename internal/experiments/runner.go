@@ -48,7 +48,7 @@ type missJob struct {
 // after ready closes when materialization was aborted (cancellation or
 // an earlier failure).
 //
-// Machines that share a walk key (uarch.Machine.WalkHash) meet the same
+// Machines that share a walk key (uarch.Machine.WalkKey) meet the same
 // cache, TLB and branch outcomes on the stream. For every walk key that
 // two or more of the workload's jobs share, walks holds one of those
 // machines, and the materializer records its walk of the stream into
@@ -182,10 +182,13 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 	// shared buffer alive across the whole run; making each spec's uses
 	// adjacent bounds the live buffers and gives the materializer its
 	// production order.
-	type walkOf struct{ spec, walk string }
+	type walkOf struct {
+		spec string
+		walk uarch.WalkKey
+	}
 	first := make(map[string]int, len(misses))
 	uses := make(map[string]int, len(misses))
-	walkKeys := make(map[*uarch.Machine]string)
+	walkKeys := make(map[*uarch.Machine]uarch.WalkKey)
 	walkUses := make(map[walkOf]int, len(misses))
 	for i := range misses {
 		h := misses[i].specHash
@@ -195,7 +198,7 @@ func runSimJobs(ctx context.Context, jobs []simJob, opts Options) (SimStats, err
 		uses[h]++
 		m := misses[i].machine
 		if _, ok := walkKeys[m]; !ok {
-			walkKeys[m] = m.WalkHash()
+			walkKeys[m] = m.WalkKey()
 		}
 		walkUses[walkOf{h, walkKeys[m]}]++
 	}

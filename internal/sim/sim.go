@@ -49,7 +49,7 @@ type Simulator struct {
 	w    *walker // built on the first live run, reset per run
 	mshr mshrHeap
 
-	walkKey string // m.WalkHash(): the tapes this machine may replay
+	walkKey uarch.WalkKey // the tapes this machine may replay
 
 	issue issueRing // issue-bandwidth ring: issues per future cycle
 	seq   seqRing   // completion times by canonical sequence number
@@ -114,7 +114,7 @@ func New(m *uarch.Machine) (*Simulator, error) {
 	}
 	s := &Simulator{
 		m:       m,
-		walkKey: m.WalkHash(),
+		walkKey: m.WalkKey(),
 		mshr:    mshrHeap{a: make([]uint64, m.MSHRs)},
 		issue:   newIssueRing(),
 		rob:     make([]robMeta, m.ROBSize),

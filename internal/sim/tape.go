@@ -22,12 +22,12 @@ const (
 
 // Tape is one walk of a trace through a machine's caches, TLBs and
 // branch predictor: what each µop met, without what it cost. The walk
-// depends only on the fields uarch.Machine.WalkHash covers, so every
-// machine with that hash replays the same tape and prices each outcome
+// depends only on the fields uarch.Machine.WalkKey covers, so every
+// machine with that key replays the same tape and prices each outcome
 // with its own latencies.
 type Tape struct {
-	// Key is the WalkHash of the machine walked.
-	Key string
+	// Key is the WalkKey of the machine walked.
+	Key uarch.WalkKey
 	// Words holds one outcome word per µop, in trace order.
 	Words []uint8
 	// IStats and DStats are the hierarchy's miss counts after the walk.
@@ -41,7 +41,7 @@ type Tape struct {
 // Record and live runs share it.
 type walker struct {
 	m         uarch.Machine
-	key       string
+	key       uarch.WalkKey
 	hier      *cache.Hierarchy
 	pred      branch.Predictor
 	lineShift uint
@@ -64,7 +64,7 @@ func walkerFor(m *uarch.Machine, w *walker) (*walker, error) {
 		if err != nil {
 			return nil, err
 		}
-		w = &walker{m: *m, key: m.WalkHash(), hier: hier, pred: pred}
+		w = &walker{m: *m, key: m.WalkKey(), hier: hier, pred: pred}
 		for m.L1I.LineBytes>>w.lineShift > 1 {
 			w.lineShift++
 		}

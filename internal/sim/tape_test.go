@@ -72,12 +72,12 @@ func TestReplayMatchesRunInto(t *testing.T) {
 					return
 				}
 			}
-			tapes := map[string]*Tape{}
+			tapes := map[uarch.WalkKey]*Tape{}
 			for spec := range work {
 				buf := trace.Materialize(spec)
-				recorded := map[string]bool{}
+				recorded := map[uarch.WalkKey]bool{}
 				for i, m := range machines {
-					key := m.WalkHash()
+					key := m.WalkKey()
 					tape := tapes[key]
 					if tape == nil {
 						tape = &Tape{}
@@ -307,7 +307,7 @@ func TestWalkKeyCoversEveryInput(t *testing.T) {
 				if !same {
 					tapeChanges++
 				}
-				if target.WalkHash() == base.WalkHash() && !same {
+				if target.WalkKey() == base.WalkKey() && !same {
 					t.Errorf("%s: changing %s changes the walk but not the walk key", base.Name, name)
 				}
 				return

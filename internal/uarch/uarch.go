@@ -14,7 +14,6 @@ package uarch
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -220,32 +219,34 @@ func (m *Machine) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// WalkHash returns a stable content hash of the fields the miss-event
-// walk reads: the geometry of every cache, the TLB sizes, the branch
-// predictor, the prefetcher and the fusion rate. Machines with equal
-// WalkHash see the same hits, misses, mispredictions and fused pairs
-// on any trace, so one walk of the trace serves all of them. Every
-// latency is left out: it only prices an outcome, it never changes one.
-func (m *Machine) WalkHash() string {
-	type geometry struct{ SizeBytes, LineBytes, Assoc int }
-	type pages struct{ Entries, PageBytes int }
+// WalkKey is the part of a machine the miss-event walk reads: the
+// geometry of every cache, the TLB sizes, the branch predictor, the
+// prefetcher and the fusion rate. Machines with equal WalkKeys see the
+// same hits, misses, mispredictions and fused pairs on any trace, so
+// one walk of the trace serves all of them. Every latency is left out:
+// it only prices an outcome, it never changes one. A WalkKey is
+// comparable and keys maps directly; Validate rejects a NaN fusion
+// rate, so a valid machine's key always equals itself.
+type WalkKey struct {
+	l1i, l1d, l2, l3 geometry
+	itlb, dtlb       pages
+	predictor        PredictorConfig
+	prefetch         PrefetchConfig
+	fusionRate       float64
+}
+
+type geometry struct{ sizeBytes, lineBytes, assoc int }
+
+type pages struct{ entries, pageBytes int }
+
+// WalkKey returns the fields of m the miss-event walk reads.
+func (m *Machine) WalkKey() WalkKey {
 	geo := func(c CacheConfig) geometry { return geometry{c.SizeBytes, c.LineBytes, c.Assoc} }
-	b, err := json.Marshal(struct {
-		L1I, L1D, L2, L3 geometry
-		ITLB, DTLB       pages
-		Predictor        PredictorConfig
-		Prefetch         PrefetchConfig
-		FusionRate       float64
-	}{
+	return WalkKey{
 		geo(m.L1I), geo(m.L1D), geo(m.L2), geo(m.L3),
 		pages{m.ITLB.Entries, m.ITLB.PageBytes}, pages{m.DTLB.Entries, m.DTLB.PageBytes},
 		m.Predictor, m.Prefetch, m.FusionRate,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("uarch: marshal walk of %s: %v", m.Name, err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
 // HasL3 reports whether the machine has a third cache level.
@@ -330,7 +331,7 @@ func (m *Machine) Validate() error {
 	if m.ITLB.Entries <= 0 || m.DTLB.Entries <= 0 || m.ITLB.PageBytes <= 0 || m.DTLB.PageBytes <= 0 {
 		return fmt.Errorf("uarch: %s: invalid TLB config", m.Name)
 	}
-	if m.FusionRate < 0 || m.FusionRate > 1 {
+	if !(m.FusionRate >= 0 && m.FusionRate <= 1) { // NaN fails both
 		return fmt.Errorf("uarch: %s: fusion rate %v outside [0,1]", m.Name, m.FusionRate)
 	}
 	if m.Prefetch.Enabled {

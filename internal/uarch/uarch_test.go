@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,7 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		func(m *Machine) { m.MemLat = 0 },
 		func(m *Machine) { m.DTLB.Entries = 0 },
 		func(m *Machine) { m.FusionRate = 1.5 },
+		func(m *Machine) { m.FusionRate = math.NaN() },
 		// Upper bounds: each of these once reached the simulator, which
 		// allocated or scanned structures of that size.
 		func(m *Machine) { m.ROBSize, m.IQSize = 1<<40, 32 },
