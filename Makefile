@@ -12,9 +12,8 @@ RUNSTORE ?= $(CURDIR)/.runstore
 
 # µop counts: BENCH_OPS feeds the shared benchmark campaign through
 # REPRO_BENCH_OPS (default in bench_test.go is the paper-faithful 1.2M);
-# SMOKE_OPS keeps store-identity and the smoke checks short: the smoke
-# targets pass it to their Go tests as -smoke.ops (go test ./... runs
-# those tests at 20000 µops).
+# SMOKE_OPS keeps store-identity short (the smoke checks below are Go
+# tests with their own size, 20000 µops).
 BENCH_OPS ?= 120000
 SMOKE_OPS ?= 60000
 
@@ -141,8 +140,9 @@ bench-full:
 	@REPRO_RUNSTORE=$(RUNSTORE) go test -run '^$$' -bench . -benchtime 1x -benchmem .
 
 # The smoke checks are Go tests that call each command's realMain in
-# process on fresh temporary run stores; go test ./... runs them too
-# (they skip under -short). Each target runs one of them:
+# process on fresh temporary run stores at 20000 µops and 2 fit starts;
+# go test ./... runs them too (they skip under -short, except the
+# optimize and seeds tests). Each target runs one of them:
 #
 #   sim-smoke           fig2 cold, then warm at GOMAXPROCS=1 and nproc:
 #                       pure store hits, the cold Figure 2 byte for byte
@@ -156,39 +156,41 @@ bench-full:
 #   sim-nondeterminism  the rob x mshrs and memlat x l2kb grid plans cold
 #                       at GOMAXPROCS=1 and nproc: byte-identical plan
 #                       JSON and run-store trees
-#   serve-smoke         mecpid restarted on a store it filled: predict,
-#                       sweep and plan over HTTP dispatch no simulation
+#   serve-smoke         mecpid on a store filled the way cmd/experiments
+#                       (fig2) and cmd/sweep (the rob sweep) fill it:
+#                       predict, sweep and plan over HTTP dispatch no
+#                       simulation
 #   jobs-smoke          the same warm daemon runs the paper campaign as
 #                       a job without simulating
 #
 # Every warm rerun runs at GOMAXPROCS=1 and at nproc, and the two
 # outputs must be byte-identical.
 sim-smoke:
-	@go test -count=1 -run '^TestWarmFig2IsAllHits$$' ./cmd/experiments -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestWarmFig2IsAllHits$$' ./cmd/experiments
 
 sweep-smoke:
-	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^sweep$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^sweep$$' ./cmd/sweep
 
 plan-smoke:
-	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^plan$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^plan$$' ./cmd/sweep
 
 sim-nondeterminism:
-	@go test -count=1 -run '^TestPlanDeterministicAcrossGOMAXPROCS$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestPlanDeterministicAcrossGOMAXPROCS$$' ./cmd/sweep
 
 optimize-smoke:
-	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^optimize$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestRealMainOptimizeFile$$' ./cmd/sweep
 
 seeds-smoke:
-	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^seeds$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestRealMainSeedsFile$$' ./cmd/sweep
 
 trace-smoke:
-	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^trace$$' ./cmd/sweep -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestWarmRerunIsAllHits$$/^trace$$' ./cmd/sweep
 
 serve-smoke:
-	@go test -count=1 -run '^TestWarmDaemonDispatchesNoSimulation$$/^serve$$' ./cmd/mecpid -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestWarmDaemonDispatchesNoSimulation$$/^serve$$' ./cmd/mecpid
 
 jobs-smoke:
-	@go test -count=1 -run '^TestWarmDaemonDispatchesNoSimulation$$/^jobs$$' ./cmd/mecpid -smoke.ops=$(SMOKE_OPS)
+	@go test -count=1 -run '^TestWarmDaemonDispatchesNoSimulation$$/^jobs$$' ./cmd/mecpid
 
 # store-identity checks that a simulator change left every stored
 # Result byte for byte as it was: it fills one fresh run store from a

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the goldens from live output")
+	"repro/internal/golden"
+)
 
 // TestGoldens pins what calibrate prints for corei7, byte for byte,
 // without and with -sweep. Both run on one run store, so the second
@@ -31,33 +28,12 @@ func TestGoldens(t *testing.T) {
 		if err := realMain(&out, "corei7", c.sweep, store); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, c.name+".golden", out.Bytes())
+		golden.Check(t, c.name+".golden", out.Bytes())
 	}
 }
 
 func TestRejectsUnknownMachine(t *testing.T) {
 	if err := realMain(&bytes.Buffer{}, "atom", false, ""); err == nil {
 		t.Error("unknown machine accepted")
-	}
-}
-
-// checkGolden compares got byte for byte against testdata/name, or
-// rewrites the file under -update-golden.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden rewritten: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden (%d vs %d bytes):\n%s", name, len(got), len(want), got)
 	}
 }

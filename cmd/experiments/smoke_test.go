@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"io"
 	"runtime"
@@ -10,9 +9,8 @@ import (
 	"testing"
 )
 
-// smokeOps is the µop count per workload of the smoke checks; make runs
-// them at SMOKE_OPS.
-var smokeOps = flag.Int("smoke.ops", 20000, "µops per workload of the smoke checks")
+// smokeOps is the µop count per workload of the smoke checks.
+const smokeOps = 20000
 
 // TestWarmFig2IsAllHits runs the fig2 campaign cold into an empty run
 // store, then twice more on the warm store, at GOMAXPROCS=1 and at
@@ -25,13 +23,13 @@ func TestWarmFig2IsAllHits(t *testing.T) {
 	}
 	store := t.TempDir()
 	var cold bytes.Buffer
-	if err := realMain(&cold, io.Discard, "fig2", *smokeOps, 2, store, ""); err != nil {
+	if err := realMain(&cold, io.Discard, "fig2", smokeOps, 2, store, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		var out, stderr bytes.Buffer
 		prev := runtime.GOMAXPROCS(procs)
-		err := realMain(&out, &stderr, "fig2", *smokeOps, 2, store, "")
+		err := realMain(&out, &stderr, "fig2", smokeOps, 2, store, "")
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)

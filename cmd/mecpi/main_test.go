@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the goldens from live output")
+	"repro/internal/golden"
+)
 
 // TestGoldens pins what mecpi prints, byte for byte, for core2 on
 // cpu2006 at 20000 µops and 2 fit starts: the fitted model with the
@@ -38,7 +35,7 @@ func TestGoldens(t *testing.T) {
 			if err := realMain(&out, "core2", "cpu2006", c.workload, 20000, 2, c.truth, c.characterize, store); err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, c.name+"_core2_cpu2006_ops20000.golden", out.Bytes())
+			golden.Check(t, c.name+"_core2_cpu2006_ops20000.golden", out.Bytes())
 		})
 	}
 }
@@ -48,26 +45,5 @@ func TestRejectsUnknownNames(t *testing.T) {
 		if err := realMain(&bytes.Buffer{}, args[0], args[1], args[2], 2000, 2, false, false, ""); err == nil {
 			t.Errorf("realMain(%q, %q, %q) succeeded", args[0], args[1], args[2])
 		}
-	}
-}
-
-// checkGolden compares got byte for byte against testdata/name, or
-// rewrites the file under -update-golden.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden rewritten: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden (%d vs %d bytes):\n%s", name, len(got), len(want), got)
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -12,12 +11,12 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/runstore"
 	"repro/internal/serve"
 )
 
-// smokeOps is the µop count per workload of the smoke checks; make runs
-// them at SMOKE_OPS.
-var smokeOps = flag.Int("smoke.ops", 20000, "µops per workload of the smoke checks")
+// smokeOps is the µop count per workload of the smoke checks.
+const smokeOps = 20000
 
 // The requests of the warm-daemon check: the paper campaign as a job, a
 // predict it covers, a rob sweep, and the same rob axis as a one-axis
@@ -30,78 +29,100 @@ const (
 	planReq     = `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96, 192]}], "suite": "cpu2000"}`
 )
 
-// TestWarmDaemonDispatchesNoSimulation fills a run store through one
-// daemon — the paper campaign as a job, and the rob sweep — and then
-// restarts the daemon on it. The warm daemon must answer without
-// dispatching one simulation: in serve, healthz, a predict, the sweep
-// and the same axis as a plan, which reports "simulated": 0, as does
-// /v1/stats after them; in jobs, the campaign job, whose progress
-// reports "simulated": 0 once it is done.
+// TestWarmDaemonDispatchesNoSimulation fills a run store the way the
+// CLIs do — cmd/experiments' fig2 campaign (a paper Lab: Simulate, then
+// Fig2) and cmd/sweep's rob sweep (ResolveJob, then Run), with their
+// Options at smokeOps µops and 2 fit starts — and then starts the
+// daemon on it. The daemon must answer without dispatching one
+// simulation: in serve, healthz, a predict, the sweep and the same axis
+// as a plan, which reports "simulated": 0, as does /v1/stats after
+// them; in jobs, the paper campaign as a job, whose progress reports
+// "simulated": 0 once it is done. So a run the CLIs stored is a hit
+// for the daemon.
 func TestWarmDaemonDispatchesNoSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the paper campaign cold at smoke size")
 	}
-	store := filepath.Join(t.TempDir(), "store")
-	withDaemon(t, store, func(url string) {
-		runJob(t, url, campaignJob, 0)
+	dir := filepath.Join(t.TempDir(), "store")
+	store, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := experiments.Options{NumOps: smokeOps, FitStarts: 2, Store: store}
+	lab := experiments.NewLab(opts)
+	if err := lab.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := lab.Fig2(); err != nil {
+		t.Fatal(err)
+	}
+	sweep := experiments.JobSpec{Kind: experiments.JobKindSweep, Sweep: &experiments.SweepSpec{}}
+	if err := json.Unmarshal([]byte(sweepReq), sweep.Sweep); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := experiments.ResolveJob(sweep, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exp.Run(context.Background(), opts, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	url := startDaemon(t, dir)
+	t.Run("serve", func(t *testing.T) {
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("healthz: status %d", resp.StatusCode)
+		}
+		postOK(t, url+"/v1/predict", predictReq)
 		postOK(t, url+"/v1/sweep", sweepReq)
+		var plan struct {
+			Sims experiments.SimStats `json:"sims"`
+		}
+		if err := json.Unmarshal(postOK(t, url+"/v1/plan", planReq), &plan); err != nil {
+			t.Fatal(err)
+		}
+		if plan.Sims.Hits == 0 || plan.Sims.Simulated != 0 {
+			t.Errorf("warm plan sims %+v, want only store hits", plan.Sims)
+		}
+		var stats serve.StatsResponse
+		getJSON(t, url+"/v1/stats", &stats)
+		if stats.Sims.Hits == 0 || stats.Sims.Simulated != 0 {
+			t.Errorf("/v1/stats sims %+v, want only store hits", stats.Sims)
+		}
 	})
-	withDaemon(t, store, func(url string) {
-		t.Run("serve", func(t *testing.T) {
-			resp, err := http.Get(url + "/healthz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("healthz: status %d", resp.StatusCode)
-			}
-			postOK(t, url+"/v1/predict", predictReq)
-			postOK(t, url+"/v1/sweep", sweepReq)
-			var plan struct {
-				Sims experiments.SimStats `json:"sims"`
-			}
-			if err := json.Unmarshal(postOK(t, url+"/v1/plan", planReq), &plan); err != nil {
-				t.Fatal(err)
-			}
-			if plan.Sims.Hits == 0 || plan.Sims.Simulated != 0 {
-				t.Errorf("warm plan sims %+v, want only store hits", plan.Sims)
-			}
-			var stats serve.StatsResponse
-			getJSON(t, url+"/v1/stats", &stats)
-			if stats.Sims.Hits == 0 || stats.Sims.Simulated != 0 {
-				t.Errorf("/v1/stats sims %+v, want only store hits", stats.Sims)
-			}
-		})
-		t.Run("jobs", func(t *testing.T) {
-			if p := runJob(t, url, campaignJob, 2*time.Minute); p.StoreHits == 0 || p.Simulated != 0 {
-				t.Errorf("warm campaign job progress %+v, want only store hits", p)
-			}
-		})
+	t.Run("jobs", func(t *testing.T) {
+		if p := runJob(t, url, campaignJob, 2*time.Minute); p.StoreHits == 0 || p.Simulated != 0 {
+			t.Errorf("warm campaign job progress %+v, want only store hits", p)
+		}
 	})
 }
 
-// withDaemon runs realMain on store at smokeOps µops and 2 fit starts,
-// calls f with its base URL, and shuts the daemon down.
-func withDaemon(t *testing.T, store string, f func(url string)) {
+// startDaemon runs realMain on the run store in dir at smokeOps µops
+// and 2 fit starts until the test ends, and returns its base URL.
+func startDaemon(t *testing.T, dir string) string {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- realMain(ctx, io.Discard, "127.0.0.1:0", addrFile, store, "", *smokeOps, 2, 0, 1, time.Minute, "")
+		done <- realMain(ctx, io.Discard, "127.0.0.1:0", addrFile, dir, "", smokeOps, 2, 0, 1, time.Minute, "")
 	}()
-	defer func() {
+	t.Cleanup(func() {
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("daemon exited with %v", err)
 		}
-	}()
-	f("http://" + waitAddr(t, addrFile))
+	})
+	return "http://" + waitAddr(t, addrFile)
 }
 
-// runJob submits a job, polls it until it is done — within the given
-// time, unless that is 0 — and returns its progress.
+// runJob submits a job, polls it until it is done within the given
+// time, and returns its progress.
 func runJob(t *testing.T, url, spec string, within time.Duration) experiments.JobProgress {
 	t.Helper()
 	var st experiments.JobStatus
@@ -113,7 +134,7 @@ func runJob(t *testing.T, url, spec string, within time.Duration) experiments.Jo
 		if st.State == experiments.JobFailed || st.State == experiments.JobCancelled {
 			t.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
 		}
-		if within > 0 && time.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			t.Fatalf("job %s not done within %v: %+v", st.ID, within, st.Progress)
 		}
 		time.Sleep(50 * time.Millisecond)

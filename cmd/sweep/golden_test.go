@@ -1,17 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite the text-report goldens from live output")
 
 // TestTextReportGoldens pins the text report cmd/sweep prints without
 // -json, byte for byte, for a sweep, a plan, a two-seed replication and
@@ -57,31 +52,7 @@ func TestTextReportGoldens(t *testing.T) {
 			if !strings.Contains(out, c.shows) {
 				t.Errorf("%s report does not show %q:\n%s", c.name, c.shows, out)
 			}
-			checkGolden(t, "text_"+c.name+"_core2_cpu2000_ops2000.golden", []byte(out))
+			golden.Check(t, "text_"+c.name+"_core2_cpu2000_ops2000.golden", []byte(out))
 		})
-	}
-}
-
-// checkGolden compares got byte for byte against testdata/name, or
-// rewrites the file under -update-golden.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden rewritten: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden (%d vs %d bytes):\n%s", name, len(got), len(want), got)
 	}
 }

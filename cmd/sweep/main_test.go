@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestParseValues(t *testing.T) {
@@ -91,21 +93,15 @@ func TestRealMainPlanFile(t *testing.T) {
 	}
 }
 
+// TestRealMainOptimizeFile runs the committed example optimize spec
+// cold at smoke size, checks its table, and reruns it warm with -json
+// through checkWarmReruns.
 func TestRealMainOptimizeFile(t *testing.T) {
 	dir := t.TempDir()
-	spec := filepath.Join(dir, "opt.json")
-	if err := os.WriteFile(spec, []byte(`{
-		"base": {"name": "core2"},
-		"axes": [{"param": "width", "values": [2, 4]}, {"param": "memlat", "values": [150, 300]}],
-		"suite": "cpu2000",
-		"objective": {"kind": "min-cpi"}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	spec := "../../examples/optimize/core2-min-cpi.json"
 	store := filepath.Join(dir, "store")
 	var out bytes.Buffer
-	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 2000, 2, 0, store, "", spec, "", false); err != nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", smokeOps, 2, 0, store, "", spec, "", false); err != nil {
 		t.Fatalf("optimize run: %v", err)
 	}
 	text := out.String()
@@ -115,27 +111,21 @@ func TestRealMainOptimizeFile(t *testing.T) {
 		}
 	}
 
-	// The warm -json rerun is the smoke-test contract: every run from
-	// the store, zero simulations, zero regenerated traces.
-	out.Reset()
-	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2000", 2000, 2, 0, store, "", spec, "", true); err != nil {
-		t.Fatalf("warm optimize rerun: %v", err)
-	}
+	warm := checkWarmReruns(t, experiments.JobKindOptimize, func() (string, string) {
+		var out, stderr bytes.Buffer
+		if err := realMain(&out, &stderr, "core2", nil, nil, "cpu2000", smokeOps, 2, 0, store, "", spec, "", true); err != nil {
+			t.Fatalf("warm optimize rerun: %v", err)
+		}
+		return out.String(), stderr.String()
+	})
 	var rep struct {
 		Probes int `json:"probes"`
-		Sims   struct {
-			Simulated int `json:"simulated"`
-			TraceGens int `json:"traceGens"`
-		} `json:"sims"`
 	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("-json output is not JSON: %v\n%s", err, out.String())
+	if err := json.Unmarshal([]byte(warm), &rep); err != nil {
+		t.Fatal(err)
 	}
 	if rep.Probes == 0 {
 		t.Error("JSON report missing probe accounting")
-	}
-	if rep.Sims.Simulated != 0 || rep.Sims.TraceGens != 0 {
-		t.Errorf("warm rerun sims = %+v, want zero simulated and zero trace generations", rep.Sims)
 	}
 
 	// -optimize is exclusive with -plan and -param, and -json needs a
@@ -159,35 +149,31 @@ func TestRealMainOptimizeFile(t *testing.T) {
 	}
 }
 
+// TestRealMainSeedsFile runs the committed example seeds spec cold at
+// smoke size, checks its table, and reruns it warm with -json through
+// checkWarmReruns.
 func TestRealMainSeedsFile(t *testing.T) {
 	dir := t.TempDir()
-	spec := filepath.Join(dir, "seeds.json")
-	if err := os.WriteFile(spec, []byte(`{
-		"base": {"name": "core2"},
-		"suite": "cpu2000",
-		"count": 2
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	spec := "../../examples/seeds/core2-seeds.json"
 	store := filepath.Join(dir, "store")
 	var out bytes.Buffer
-	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2006", 2000, 2, 0, store, "", "", spec, false); err != nil {
+	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2006", smokeOps, 2, 0, store, "", "", spec, false); err != nil {
 		t.Fatalf("seeds run: %v", err)
 	}
 	text := out.String()
-	for _, want := range []string{"seeds: 2 replications [1 2]", "mean-CPI", "95% CI", "coefficient stability"} {
+	for _, want := range []string{"seeds: 3 replications [1 2 3]", "mean-CPI", "95% CI", "coefficient stability"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("seeds output missing %q:\n%s", want, text)
 		}
 	}
 
-	// The warm -json rerun is the smoke-test contract: every run from
-	// the store, zero simulations, zero regenerated traces.
-	out.Reset()
-	if err := realMain(&out, io.Discard, "core2", nil, nil, "cpu2006", 2000, 2, 0, store, "", "", spec, true); err != nil {
-		t.Fatalf("warm seeds rerun: %v", err)
-	}
+	warm := checkWarmReruns(t, experiments.JobKindSeeds, func() (string, string) {
+		var out, stderr bytes.Buffer
+		if err := realMain(&out, &stderr, "core2", nil, nil, "cpu2006", smokeOps, 2, 0, store, "", "", spec, true); err != nil {
+			t.Fatalf("warm seeds rerun: %v", err)
+		}
+		return out.String(), stderr.String()
+	})
 	var rep struct {
 		Seeds []uint64 `json:"seeds"`
 		Cells []struct {
@@ -195,23 +181,12 @@ func TestRealMainSeedsFile(t *testing.T) {
 				PerSeed []float64 `json:"perSeed"`
 			} `json:"cpi"`
 		} `json:"cells"`
-		Sims struct {
-			StoreHits int `json:"storeHits"`
-			Simulated int `json:"simulated"`
-			TraceGens int `json:"traceGens"`
-		} `json:"sims"`
 	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("-json output is not JSON: %v\n%s", err, out.String())
+	if err := json.Unmarshal([]byte(warm), &rep); err != nil {
+		t.Fatal(err)
 	}
-	if len(rep.Seeds) != 2 || len(rep.Cells) != 1 || len(rep.Cells[0].CPI.PerSeed) != 2 {
+	if len(rep.Seeds) != 3 || len(rep.Cells) != 1 || len(rep.Cells[0].CPI.PerSeed) != 3 {
 		t.Errorf("JSON report shape wrong: %+v", rep)
-	}
-	if rep.Sims.Simulated != 0 || rep.Sims.TraceGens != 0 {
-		t.Errorf("warm rerun sims = %+v, want zero simulated and zero trace generations", rep.Sims)
-	}
-	if rep.Sims.StoreHits == 0 {
-		t.Error("warm rerun should report store hits")
 	}
 
 	// -seeds is exclusive with the other modes, and bad specs fail fast.

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io/fs"
 	"maps"
@@ -18,19 +17,18 @@ import (
 	"repro/internal/trace"
 )
 
-// smokeOps is the µop count per workload of the smoke checks; make runs
-// them at SMOKE_OPS.
-var smokeOps = flag.Int("smoke.ops", 20000, "µops per workload of the smoke checks")
+// smokeOps is the µop count per workload of the smoke checks.
+const smokeOps = 20000
 
-// smokeRuns lists one cmd/sweep run per experiment kind whose warm rerun
-// must be served entirely from the run store; "trace" is a one-cell plan
-// over recorded traces, whose suite TestWarmRerunIsAllHits fills in.
+// smokeRuns lists the cmd/sweep runs whose warm rerun must be served
+// entirely from the run store; "trace" is a one-cell plan over recorded
+// traces, whose suite TestWarmRerunIsAllHits fills in. The optimize and
+// seeds modes rerun warm in TestRealMainOptimizeFile and
+// TestRealMainSeedsFile.
 var smokeRuns = []struct{ name, kind, payload string }{
 	{"sweep", experiments.JobKindSweep,
 		`{"base": {"name": "core2"}, "param": "rob", "values": [48, 96, 192], "suite": "cpu2000"}`},
 	{"plan", experiments.JobKindPlan, detPlans[0].payload},
-	{"optimize", experiments.JobKindOptimize, "@../../examples/optimize/core2-min-cpi.json"},
-	{"seeds", experiments.JobKindSeeds, "@../../examples/seeds/core2-seeds.json"},
 	{"trace", experiments.JobKindPlan,
 		`{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [96]}], "suite": "file:%s"}`},
 }
@@ -46,58 +44,62 @@ var detPlans = []struct{ name, payload string }{
 }
 
 // TestWarmRerunIsAllHits runs each of smokeRuns cold into an empty run
-// store, then twice more on the warm store, at GOMAXPROCS=1 and at
-// NumCPU. Each warm rerun must simulate nothing and generate or load no
-// trace — on realMain's run-store line and, where the -json report has
-// one, in its sims block — and the two warm reports must be
-// byte-identical. The trace case exports cpu2000 to .mtrc files and
-// plans over the directory as a "file:DIR" suite: recorded streams
-// replay from the store, not from disk.
+// store, then reruns it warm through checkWarmReruns. The trace case
+// exports cpu2000 to .mtrc files and plans over the directory as a
+// "file:DIR" suite: recorded streams replay from the store, not from
+// disk.
 func TestWarmRerunIsAllHits(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs each kind cold at smoke size")
+		t.Skip("runs each case cold at smoke size")
 	}
 	for _, r := range smokeRuns {
 		t.Run(r.name, func(t *testing.T) {
 			payload := r.payload
-			if path, ok := strings.CutPrefix(payload, "@"); ok {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				payload = string(data)
-			}
 			if r.name == "trace" {
 				payload = fmt.Sprintf(payload, exportSuite(t, "cpu2000"))
 			}
 			store := t.TempDir()
-			runKind(t, r.kind, payload, *smokeOps, store, true)
-			var warm []string
-			for _, procs := range []int{1, runtime.NumCPU()} {
-				var out, stderr string
-				atProcs(procs, func() { out, stderr, _ = runKind(t, r.kind, payload, *smokeOps, store, true) })
-				if st := storeLine(t, stderr); st.Hits == 0 || st.Simulated != 0 || st.TraceGens != 0 {
-					t.Errorf("warm rerun at GOMAXPROCS=%d: run store line %+v, want only hits", procs, st)
-				}
-				var rep struct {
-					Sims *experiments.SimStats `json:"sims"`
-				}
-				if err := json.Unmarshal([]byte(out), &rep); err != nil {
-					t.Fatalf("-json report: %v\n%s", err, out)
-				}
-				if r.kind != experiments.JobKindSweep && rep.Sims == nil {
-					t.Errorf("the %s report has no sims block", r.kind)
-				}
-				if rep.Sims != nil && (rep.Sims.Simulated != 0 || rep.Sims.TraceGens != 0) {
-					t.Errorf("warm rerun at GOMAXPROCS=%d: report sims %+v, want zero simulated and zero traceGens", procs, *rep.Sims)
-				}
-				warm = append(warm, out)
-			}
-			if warm[0] != warm[1] {
-				t.Errorf("warm reports differ across GOMAXPROCS at %s", firstDiff(warm[0], warm[1]))
-			}
+			runKind(t, r.kind, payload, smokeOps, store, true)
+			checkWarmReruns(t, r.kind, func() (string, string) {
+				out, stderr, _ := runKind(t, r.kind, payload, smokeOps, store, true)
+				return out, stderr
+			})
 		})
 	}
+}
+
+// checkWarmReruns calls rerun, a -json rerun of a kind on a warm run
+// store, at GOMAXPROCS=1 and at NumCPU. Each must be served from the
+// store, simulate nothing and generate or load no trace — on realMain's run-store line and, where
+// the kind's report has one, in its sims block — and the two reports
+// must be byte-identical. It returns the report.
+func checkWarmReruns(t *testing.T, kind string, rerun func() (out, stderr string)) string {
+	t.Helper()
+	var warm []string
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		var out, stderr string
+		atProcs(procs, func() { out, stderr = rerun() })
+		if st := storeLine(t, stderr); st.Hits == 0 || st.Simulated != 0 || st.TraceGens != 0 {
+			t.Errorf("warm rerun at GOMAXPROCS=%d: run store line %+v, want only hits", procs, st)
+		}
+		var rep struct {
+			Sims *experiments.SimStats `json:"sims"`
+		}
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("-json report: %v\n%s", err, out)
+		}
+		if kind != experiments.JobKindSweep && rep.Sims == nil {
+			t.Errorf("the %s report has no sims block", kind)
+		}
+		if rep.Sims != nil && (rep.Sims.Hits == 0 || rep.Sims.Simulated != 0 || rep.Sims.TraceGens != 0) {
+			t.Errorf("warm rerun at GOMAXPROCS=%d: report sims %+v, want store hits, zero simulated and zero traceGens", procs, *rep.Sims)
+		}
+		warm = append(warm, out)
+	}
+	if warm[0] != warm[1] {
+		t.Errorf("warm reports differ across GOMAXPROCS at %s", firstDiff(warm[0], warm[1]))
+	}
+	return warm[0]
 }
 
 // TestPlanDeterministicAcrossGOMAXPROCS runs each of detPlans cold at
@@ -114,7 +116,7 @@ func TestPlanDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			for _, procs := range []int{1, runtime.NumCPU()} {
 				store := t.TempDir()
 				var out string
-				atProcs(procs, func() { out, _, _ = runKind(t, experiments.JobKindPlan, p.payload, *smokeOps, store, true) })
+				atProcs(procs, func() { out, _, _ = runKind(t, experiments.JobKindPlan, p.payload, smokeOps, store, true) })
 				outs, stores = append(outs, out), append(stores, store)
 			}
 			if outs[0] != outs[1] {
@@ -195,11 +197,14 @@ func readTree(t *testing.T, root string) map[string]string {
 	return tree
 }
 
-// exportSuite writes every workload of the named suite at smokeOps
-// µops to a .mtrc file in a new directory, and returns the directory.
+// exportSuite does what `tracetool export -suite name -ops smokeOps
+// -out DIR` does — cmd/tracetool's cmdExport, which
+// TestExportSuiteDirectory runs — with the same two calls per workload,
+// trace.MaterializeSpec and trace.WriteFile, into a new directory, and
+// returns the directory.
 func exportSuite(t *testing.T, name string) string {
 	t.Helper()
-	suite, err := suites.ByName(name, suites.Options{NumOps: *smokeOps})
+	suite, err := suites.ByName(name, suites.Options{NumOps: smokeOps})
 	if err != nil {
 		t.Fatal(err)
 	}

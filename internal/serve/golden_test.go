@@ -3,57 +3,31 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/golden"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the wire goldens from live output")
-
-// checkGolden compares body byte-for-byte against testdata/name, or
-// rewrites the file under -update-golden. Regenerate with
+// The wire goldens are checked with golden.Check. Regenerate them with
 //
 //	go test ./internal/serve -run Golden -update-golden
 //
 // only for an intentional wire-format or simulator/model change.
-func checkGolden(t *testing.T, name string, body []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden rewritten: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want) {
-		t.Errorf("%s drifted from golden (%d vs %d bytes):\n%s", name, len(body), len(want), body)
-	}
-}
 
 // postGolden POSTs body to path on a fresh test server (ops=2000,
 // starts=2, seed=1) and pins the 200 response against the named golden.
-func postGolden(t *testing.T, path, body, golden string) {
+func postGolden(t *testing.T, path, body, name string) {
 	t.Helper()
 	ts, _ := newTestServer(t, experiments.Options{})
 	code, resp := postJSON(t, ts.URL+path, body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, resp)
 	}
-	checkGolden(t, golden, resp)
+	golden.Check(t, name, resp)
 }
 
 // TestPredictGoldenResponse pins the /v1/predict wire format
@@ -86,7 +60,7 @@ func TestSuitesGoldenResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "suites_ops2000.golden", body)
+	golden.Check(t, "suites_ops2000.golden", body)
 }
 
 // The synchronous kind endpoints run exactly what a job of their kind
@@ -171,7 +145,7 @@ func TestJobResultGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			indented.WriteByte('\n')
-			checkGolden(t, "job_"+tc.kind+"_core2_cpu2000_ops2000.golden", indented.Bytes())
+			golden.Check(t, "job_"+tc.kind+"_core2_cpu2000_ops2000.golden", indented.Bytes())
 		})
 	}
 }
