@@ -54,7 +54,7 @@ staticcheck:
 bench-smoke:
 	@echo "Running benchmark smoke (ops=$(BENCH_OPS)) against the run store at $(RUNSTORE)..."
 	@REPRO_RUNSTORE=$(RUNSTORE) REPRO_BENCH_OPS=$(BENCH_OPS) \
-		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|SimulatorReplay|CacheHierarchy|BranchPredict|TraceGeneration|TraceReplay|TraceDecode|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|StoreGetPut|Fit$$' \
+		go test -run '^$$' -bench 'Fig2ModelAccuracy|SimulatorThroughput|SimulatorReplay|CacheHierarchy|BranchPredict|TraceGeneration|TraceReplay|TraceDecode|GridPlan|ModelPredict|TLBAccess|IQSchedule|SeedsParallel|StoreGetPut|ServePredict|Fit$$' \
 		-benchtime 1x -benchmem .
 
 # profile runs the simulator throughput benchmark under the CPU
@@ -301,6 +301,8 @@ fuzz-smoke:
 	@go test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 	@echo "Fuzzing the response indenter against json.Indent for 20s..."
 	@go test ./internal/serve -run '^$$' -fuzz '^FuzzIndentJSON$$' -fuzztime 20s
+	@echo "Fuzzing the predict response writer against encoding/json for 20s..."
+	@go test ./internal/serve -run '^$$' -fuzz '^FuzzPredictJSON$$' -fuzztime 20s
 	@echo "Fuzzing timing-only machine variants (metamorphic) for 20s..."
 	@go test ./internal/sim -run '^$$' -fuzz '^FuzzTimingOnlyMachine$$' -fuzztime 20s
 	@echo "Fuzzing LRU inclusion (doubling the ways never adds misses) for 20s..."

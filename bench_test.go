@@ -13,6 +13,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -788,7 +789,9 @@ func BenchmarkModelPredict(b *testing.B) {
 // fresh-provider serves one single-workload predict per iteration from a
 // new provider over the same filled store: its model is read back from
 // the store rather than held in the provider's in-memory Fitted cache,
-// which is what that cache saves. ---
+// which is what that cache saves. encode/<shape> times the response
+// writer alone (AppendJSON into a grown buffer) on the bytes the handler
+// answered for that shape: the JSON-encode layer. ---
 
 func BenchmarkServePredict(b *testing.B) {
 	benchLab(b)
@@ -822,11 +825,16 @@ func BenchmarkServePredict(b *testing.B) {
 		return data
 	}
 	const single = `{"machine":{"name":"core2"},"suite":"cpu2000","workload":"mcf"}`
-	for _, tc := range []struct{ name, body string }{
-		{"single", single},
-		{"suite", `{"machine":{"name":"corei7"},"suite":"cpu2006"}`},
-		{"batch", `{"machines":[{"name":"core2"},{"name":"pentium4"},{"name":"corei7"}],"suite":"cpu2000"}`},
-	} {
+	shapes := []struct {
+		name, body string
+		resp       interface{ AppendJSON([]byte) ([]byte, error) }
+	}{
+		{"single", single, new(serve.PredictResponse)},
+		{"suite", `{"machine":{"name":"corei7"},"suite":"cpu2006"}`, new(serve.PredictResponse)},
+		{"batch", `{"machines":[{"name":"core2"},{"name":"pentium4"},{"name":"corei7"}],"suite":"cpu2000"}`,
+			new(serve.BatchPredictResponse)},
+	}
+	for _, tc := range shapes {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var data []byte
@@ -834,6 +842,24 @@ func BenchmarkServePredict(b *testing.B) {
 				data = post(b, tc.body)
 			}
 			b.ReportMetric(float64(len(data))/1024, "resp-KB")
+		})
+	}
+	for _, tc := range shapes {
+		b.Run("encode/"+tc.name, func(b *testing.B) {
+			want := post(b, tc.body)
+			if err := json.Unmarshal(want, tc.resp); err != nil {
+				b.Fatal(err)
+			}
+			buf, err := tc.resp.AppendJSON(nil)
+			if err != nil || !bytes.Equal(buf, want) {
+				b.Fatalf("AppendJSON differs from the handler's response (err %v)", err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = tc.resp.AppendJSON(buf[:0])
+			}
+			b.ReportMetric(float64(len(buf))/1024, "resp-KB")
 		})
 	}
 	b.Run("fresh-provider", func(b *testing.B) {

@@ -42,6 +42,28 @@ func TestPredictGoldenResponse(t *testing.T) {
 		"predict_core2_cpu2000_ops2000.golden")
 }
 
+// TestPredictGoldenForms pins the two /v1/predict shapes the
+// single-workload golden leaves out: the whole-suite form, which adds
+// the accuracy block, and the batch form's envelope around its
+// machines.
+func TestPredictGoldenForms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end fit is slow")
+	}
+	ts, _ := newTestServer(t, experiments.Options{})
+	for _, tc := range []struct{ body, name string }{
+		{`{"machine": {"name": "core2"}, "suite": "cpu2000"}`, "predict_suite_core2_cpu2000_ops2000.golden"},
+		{`{"machines": [{"name": "core2"}, {"name": "corei7"}], "suite": "cpu2000", "workload": "mcf"}`,
+			"predict_batch_core2_corei7_cpu2000_ops2000.golden"},
+	} {
+		code, resp := postJSON(t, ts.URL+"/v1/predict", tc.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, code, resp)
+		}
+		golden.Check(t, tc.name, resp)
+	}
+}
+
 // TestSuitesGoldenResponse pins the GET /v1/suites wire format — the
 // suite roster, each suite's source classification ("builtin" vs
 // "file"), and the workload lists. Regenerate only for an intentional

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -81,9 +82,24 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 			t.Errorf("value %d: writeJSON differs from MarshalIndent (%d vs %d bytes)", i, len(got), len(want)+1)
 		}
 	}
-	w := httptest.NewRecorder()
-	writeJSON(w, http.StatusOK, func() {})
-	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), CodeInternal) {
-		t.Errorf("unencodable value: status %d, body %s", w.Code, w.Body.String())
+	// An unencodable value answers 500 in the JSON error envelope. A
+	// predict response holding a NaN gets the same bytes through its
+	// AppendJSON (the pointer) as through encoding/json (the value, whose
+	// method set lacks AppendJSON).
+	nan := suiteResponse()
+	nan.Workloads[3].Stack[2].CPI = math.NaN()
+	var bodies [][]byte
+	for i, v := range []any{func() {}, nan, *nan} {
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, v)
+		var env errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusInternalServerError ||
+			w.Header().Get("Content-Type") != "application/json" || env.Error.Code != CodeInternal {
+			t.Errorf("unencodable value %d: status %d, content type %q, body %s", i, w.Code, w.Header().Get("Content-Type"), w.Body.Bytes())
+		}
+		bodies = append(bodies, w.Body.Bytes())
+	}
+	if !bytes.Equal(bodies[1], bodies[2]) {
+		t.Errorf("a NaN predict answered\n%s\nthrough AppendJSON and\n%s\nthrough encoding/json", bodies[1], bodies[2])
 	}
 }

@@ -116,24 +116,38 @@ func (s *Server) Handler() http.Handler {
 
 // writeJSON emits v indented, so responses read well from curl and pin
 // down a stable golden wire format: the bytes json.MarshalIndent(v, "",
-// "  ") writes, plus a newline. It encodes compactly into a pooled
-// buffer and indents in one pass (indentJSON), instead of paying for
-// MarshalIndent's validating scanner on every response.
+// "  ") writes, plus a newline. A value with an AppendJSON method (the
+// predict responses) appends those bytes itself in one pass; any other
+// is encoded compactly into a pooled buffer and indented in one pass
+// (indentJSON), instead of paying for MarshalIndent's validating
+// scanner on every response. A value that cannot be encoded (a NaN
+// float) answers 500 in the error envelope.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b := jsonBufs.Get().(*jsonBuf)
 	defer b.release()
-	b.compact.Reset()
-	if err := json.NewEncoder(&b.compact).Encode(v); err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"response encoding failed"}}`,
-			http.StatusInternalServerError)
+	var err error
+	if a, ok := v.(jsonAppender); ok {
+		b.out, err = a.AppendJSON(b.out[:0])
+	} else {
+		b.compact.Reset()
+		if err = json.NewEncoder(&b.compact).Encode(v); err == nil {
+			// Encode ends the document with the newline the response ends with.
+			doc := b.compact.Bytes()
+			b.out = append(indentJSON(b.out[:0], doc[:len(doc)-1]), '\n')
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("response encoding failed: %w", err))
 		return
 	}
-	// Encode ends the document with the newline the response ends with.
-	doc := b.compact.Bytes()
-	b.out = append(indentJSON(b.out[:0], doc[:len(doc)-1]), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(b.out)
+}
+
+// jsonAppender is a response that appends its own writeJSON bytes.
+type jsonAppender interface {
+	AppendJSON([]byte) ([]byte, error)
 }
 
 // jsonBuf is writeJSON's scratch: the compact encoding and its indented
@@ -523,9 +537,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := s.prov.Opts()
 	if req.Machine != nil {
-		// The single-machine form keeps its original flat wire shape.
+		// The single-machine form keeps its original flat wire shape. Both
+		// forms go out through their AppendJSON.
 		mp := preds[0]
-		writeJSON(w, http.StatusOK, PredictResponse{
+		writeJSON(w, http.StatusOK, &PredictResponse{
 			Machine:    mp.Machine,
 			ConfigHash: mp.ConfigHash,
 			Suite:      req.Suite,
@@ -538,7 +553,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchPredictResponse{
+	writeJSON(w, http.StatusOK, &BatchPredictResponse{
 		Suite:     req.Suite,
 		Ops:       opts.NumOps,
 		FitStarts: opts.FitStarts,
